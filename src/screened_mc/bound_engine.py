@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._optim import grid_min, min_convex_gap
 from .dist_models import (
     MarginOracle,
     ObservablePair,
@@ -206,52 +207,24 @@ def margin(pair: ObservablePair, beta: float) -> float:
     return pair.margin(beta)
 
 
-def _golden_min(fn: Callable[[float], float], lo: float, hi: float, iters: int = 200) -> tuple[float, float]:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-        if b - a <= 1e-14 * (1.0 + abs(a) + abs(b)):
-            break
-    x = 0.5 * (a + b)
-    return x, fn(x)
-
-
 def zero_event_check(pair: ObservablePair, epsilon: float, u: float) -> bool:
     """True iff some beta in (0, eps/u) certifies m(beta) <= eps - beta*u.
 
     A certificate makes the screened error event literally empty, so the
-    probability is exactly zero.  The gap beta -> m(beta) - eps + beta*u
-    is convex (a margin is a sup of affine functions of beta), so a grid
-    plus golden-section refinement finds its global minimum.
+    probability is exactly zero.  The gap m(beta) - (eps - beta*u) is the
+    convex gap of ``_optim.min_convex_gap`` with G2 = -U, c1 = eps and
+    c2 = -u, minimized over a log grid on (0, eps/u).  A zero gap already
+    certifies: the event is open (mean F > eps and mean U < u strictly),
+    so on it mean F - beta mean U > eps - beta*u >= m(beta), which no
+    sample can reach.
     """
     if not (epsilon > 0.0 and u > 0.0):
         raise DomainError("zero_event_check requires epsilon > 0 and u > 0")
     if pair.margin is None:
         raise CapabilityError("zero-event certificate needs a margin oracle")
     hi = epsilon / u
-
-    def gap(beta: float) -> float:
-        return margin(pair, beta) - (epsilon - beta * u)
-
     grid = np.geomspace(hi * 1e-9, hi * (1.0 - 1e-12), 256)
-    vals = [gap(float(b)) for b in grid]
-    j = int(np.argmin(vals))
-    if vals[j] <= 0.0:
-        return True
-    lo_b = float(grid[max(j - 1, 0)])
-    hi_b = float(grid[min(j + 1, len(grid) - 1)])
-    _, best = _golden_min(gap, lo_b, hi_b)
-    return best <= 0.0
+    return min_convex_gap(lambda beta: margin(pair, beta), epsilon, -u, grid) <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -347,19 +320,13 @@ def bound_thm31_ii(pair: ObservablePair, epsilon: float, u: float) -> BoundRepor
     _require_normalized(pair)
     if zero_event_check(pair, epsilon, u):
         return BoundReport(method="zero_event", exponent=math.inf, zero_event=True)
-    step = 1e-4
-    alphas = np.arange(step, 1.0, step)
-    vals = np.array([thm31_ii_exponent_at(pair, epsilon, u, float(a)) for a in alphas])
-    j = int(np.argmax(vals))
-    lo = float(alphas[max(j - 1, 0)])
-    hi = float(alphas[min(j + 1, len(alphas) - 1)])
-    a_star, neg = _golden_min(
-        lambda a: -thm31_ii_exponent_at(pair, epsilon, u, a), lo, hi
-    )
-    best = -neg
-    if best < vals[j]:  # refinement must never lose to the grid
-        a_star, best = float(alphas[j]), float(vals[j])
-    return BoundReport(method="thm31_ii", exponent=float(best), alpha_star=float(a_star))
+
+    def neg_exponent(alpha: float) -> float:
+        return -thm31_ii_exponent_at(pair, epsilon, u, alpha)
+
+    alphas = np.arange(1e-4, 1.0, 1e-4)
+    a_star, neg = grid_min(neg_exponent, alphas, [neg_exponent(float(a)) for a in alphas])
+    return BoundReport(method="thm31_ii", exponent=-neg, alpha_star=a_star)
 
 
 def bound_thm31_iii(pair: ObservablePair, epsilon: float, K: float) -> BoundReport:
@@ -378,14 +345,14 @@ def bound_thm31_iii(pair: ObservablePair, epsilon: float, K: float) -> BoundRepo
 # ---------------------------------------------------------------------------
 
 
-def _restricted_objective_worst(alpha: float) -> float:
+def _restricted_objective_worst(alpha: float | np.ndarray) -> float | np.ndarray:
     """Exponent/eps^2 with the linear margin branch and worst-case gamma = -1."""
     num = 20.0 * alpha * (1.0 - alpha) / 3.0
     den = (20.0 * alpha / 3.0) ** 2 + (1.0 + 20.0 * SQRT5 * alpha / 3.0) ** 2
     return 0.5 * (num / den) ** 2
 
 
-def _restricted_objective_cov(alpha: float) -> float:
+def _restricted_objective_cov(alpha: float | np.ndarray) -> float | np.ndarray:
     """Exponent/eps^2 with the linear margin branch and gamma = sqrt(5)/7."""
     num = 20.0 * alpha * (1.0 - alpha) / 3.0
     den = 2400.0 * alpha**2 / 9.0 - 200.0 * alpha / 21.0 + 1.0
@@ -394,11 +361,7 @@ def _restricted_objective_cov(alpha: float) -> float:
 
 def _maximize_restricted(fn: Callable[[float], float]) -> tuple[float, float]:
     alphas = np.arange(3.0 / 80.0, 1.0, 1e-5)
-    vals = np.array([fn(float(a)) for a in alphas])
-    j = int(np.argmax(vals))
-    lo = float(alphas[max(j - 1, 0)])
-    hi = float(alphas[min(j + 1, len(alphas) - 1)])
-    a_star, neg = _golden_min(lambda a: -fn(a), lo, hi)
+    a_star, neg = grid_min(lambda a: -fn(a), alphas, -fn(alphas))
     return a_star, -neg
 
 

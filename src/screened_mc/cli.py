@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .bound_engine import (
     bound_thm31_ii,
@@ -64,23 +65,9 @@ def _load_config(args) -> ExperimentConfig:
         doc = json.load(fh)
     cfg = parse_config(doc)
     if args.seed is not None:
-        cfg = ExperimentConfig(
-            model=cfg.model,
-            observables=cfg.observables,
-            screen=cfg.screen,
-            trials=cfg.trials,
-            master_seed=args.seed,
-            outputs=cfg.outputs,
-        )
+        cfg = replace(cfg, master_seed=args.seed)
     if args.trials is not None:
-        cfg = ExperimentConfig(
-            model=cfg.model,
-            observables=cfg.observables,
-            screen=cfg.screen,
-            trials=args.trials,
-            master_seed=cfg.master_seed,
-            outputs=cfg.outputs,
-        )
+        cfg = replace(cfg, trials=args.trials)
     return cfg
 
 

@@ -33,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._optim import grid_min
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -206,7 +207,7 @@ class GridSearchMargin:
 
     Assumes the profile is unimodal in x (true for the concave-minus-
     linear families used here).  Coarse log grid, then golden-section
-    refinement around the best point.
+    refinement in log-x around the best point.
     """
 
     f: Callable
@@ -214,28 +215,12 @@ class GridSearchMargin:
     x_max: float = 1e12
 
     def __call__(self, beta: float) -> float:
+        def neg_profile(x):
+            return -(self.f(x) - beta * self.u(x))
+
         grid = np.geomspace(1.0, self.x_max, 600)
-        vals = self.f(grid) - beta * self.u(grid)
-        j = int(np.argmax(vals))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, len(grid) - 1)]
-        # golden section in log-x
-        a, b = math.log(lo), math.log(hi)
-        phi = (math.sqrt(5.0) - 1.0) / 2.0
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        for _ in range(120):
-            fc = self.f(math.exp(c)) - beta * self.u(math.exp(c))
-            fd = self.f(math.exp(d)) - beta * self.u(math.exp(d))
-            if fc >= fd:
-                b, d = d, c
-                c = b - phi * (b - a)
-            else:
-                a, c = c, d
-                d = a + phi * (b - a)
-            if b - a < 1e-13 * (1.0 + abs(a)):
-                break
-        x_best = math.exp(0.5 * (a + b))
-        return float(max(vals[j], self.f(x_best) - beta * self.u(x_best)))
+        _, neg = grid_min(neg_profile, grid, neg_profile(grid), log=True)
+        return -neg
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,9 @@ def _run_batches(worker, arg_list, jobs: int):
 
 
 def default_jobs() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 

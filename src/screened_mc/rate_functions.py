@@ -31,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._optim import golden_min, min_convex_gap
 from .dist_models import DistributionModel, ObservablePair, log_mgf_signed
 from .errors import CapabilityError, NumericError
 
@@ -81,33 +82,6 @@ def _coordinate_grid(theta_max: float) -> np.ndarray:
     return np.concatenate([[0.0], pts])
 
 
-def _golden_max_1d(
-    fn: Callable[[float], float], lo: float, hi: float, rel_tol: float
-) -> tuple[float, float]:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(220):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-        if b - a <= rel_tol * (1.0 + abs(b)):
-            break
-    x = 0.5 * (a + b)
-    fx = fn(x)
-    # never report worse than an already-evaluated endpoint
-    for cand, val in ((c, fc), (d, fd)):
-        if val > fx:
-            x, fx = cand, val
-    return x, fx
-
-
 def _line_max(
     fn: Callable[[float], float],
     x0: float,
@@ -137,7 +111,8 @@ def _line_max(
             grew = True
         if not grew:
             break
-    x, fx = _golden_max_1d(fn, lo, hi, rel_tol)
+    x, neg = golden_min(lambda t: -fn(t), lo, hi, rel_tol)
+    fx = -neg
     for cand, val in ((x0, f0), (lo, f_lo), (hi, f_hi)):
         if val > fx:
             x, fx = cand, val
@@ -258,6 +233,13 @@ def rate_lambda_star(
     zero when F(X) has no finite positive exponential moment (the plain
     error then decays only polynomially) and at epsilon = 0.
     """
+    return _lambda_star_detail(model, pair, epsilon)[0]
+
+
+def _lambda_star_detail(
+    model: DistributionModel, pair: ObservablePair, epsilon: float
+) -> tuple[float, float]:
+    """``rate_lambda_star`` together with its maximizing tilt theta."""
 
     def objective(theta: np.ndarray) -> float:
         t = float(theta[0])
@@ -266,8 +248,8 @@ def rate_lambda_star(
             return -math.inf
         return t * (pair.mu + epsilon) - lam
 
-    value, _ = legendre_sup(objective, dim=1)
-    return max(value, 0.0)
+    value, arg = legendre_sup(objective, dim=1)
+    return max(value, 0.0), float(arg[0])
 
 
 def _variant_sup_oracle(pair: ObservablePair, variant: str):
@@ -293,38 +275,17 @@ def _require_margin(pair: ObservablePair, variant: str):
     return oracle
 
 
-def _event_is_empty(
-    sup_oracle, c1: float, c2: float
-) -> bool:
+def _event_is_empty(sup_oracle, c1: float, c2: float) -> bool:
     """True when some beta > 0 certifies sup[G1 + beta G2] < c1 + beta c2.
 
     The certified inequality makes the closed event
     {mean G1 >= c1, mean G2 >= c2} impossible, hence the rate is +inf.
-    The gap is convex in beta (the sup side is a sup of affine maps), so
-    a log grid plus golden refinement finds its minimum.
+    The convex gap of ``_optim.min_convex_gap`` is searched over
+    beta in [2^-30, 2^30].  Unlike the zero-event certificate a zero gap
+    does not suffice: the event is closed, so a law with
+    mean G1 + beta mean G2 = sup[G1 + beta G2] may still lie in it.
     """
-
-    def gap(beta: float) -> float:
-        return sup_oracle(beta) - (c1 + beta * c2)
-
-    grid = 2.0 ** np.arange(-30, 31)
-    vals = [gap(float(b)) for b in grid]
-    j = int(np.argmin(vals))
-    if vals[j] < 0.0:
-        return True
-    lo = float(grid[max(j - 1, 0)])
-    hi = float(grid[min(j + 1, len(grid) - 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    for _ in range(120):
-        c, d = b - phi * (b - a), a + phi * (b - a)
-        if gap(math.exp(c)) <= gap(math.exp(d)):
-            b = d
-        else:
-            a = c
-        if b - a < 1e-12:
-            break
-    return gap(math.exp(0.5 * (a + b))) < 0.0
+    return min_convex_gap(sup_oracle, c1, c2, 2.0 ** np.arange(-30, 31)) < 0.0
 
 
 def rate_plus_star(

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from .dist_models import DistributionModel, ObservablePair
+from .dist_models import DistributionModel, ObservablePair, finite_support, tabulated_pair
 from .errors import CapabilityError, InputError, NumericError
-from .rate_functions import rate_plus_star_detail
+from .rate_functions import _lambda_star_detail, rate_plus_star_detail
 
 SUPPORT_CAP = 64
 _FEAS_TOL = 1e-9
@@ -314,17 +314,12 @@ def sanov_rate(
             halfspaces.append((-u_vals, -(pair.nu - u)))
 
     feasible, degenerate = _feasibility(p, f, halfspaces, f_floor)
-    fenchel, theta = (
-        rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
-        if math.isfinite(u)
-        else (None, None)
-    )
-    if fenchel is None:
+    if math.isfinite(u):
+        fenchel, theta = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
+    else:
         # no screening constraint: 1-d tilt on F alone
-        from .rate_functions import rate_lambda_star
-
-        fenchel = rate_lambda_star(model, pair, epsilon)
-        theta = (None, None)
+        fenchel, theta1 = _lambda_star_detail(model, pair, epsilon)
+        theta = (theta1, 0.0)
 
     if not feasible:
         return SanovResult(
@@ -336,21 +331,8 @@ def sanov_rate(
             degenerate=degenerate,
         )
 
-    if theta[0] is None:
-        from .rate_functions import legendre_sup
-        from .dist_models import log_mgf_signed
-
-        def objective(th):
-            lam = log_mgf_signed(model, pair, float(th[0]), 0.0)
-            return float(th[0]) * f_floor - lam
-
-        _, arg = legendre_sup(objective, dim=1)
-        theta_pair = (float(arg[0]), 0.0)
-    else:
-        theta_pair = theta
-
-    if all(math.isfinite(t) for t in theta_pair):
-        q_dual, h_dual = _tilted_dual(p, f, u_vals, theta_pair, halfspaces, f_floor)
+    if all(math.isfinite(t) for t in theta):
+        q_dual, h_dual = _tilted_dual(p, f, u_vals, theta, halfspaces, f_floor)
     else:
         # feasible only on a degenerate face: the tilt runs away, so the
         # dual route contributes nothing useful
@@ -382,8 +364,6 @@ def sanov_rate(
 
 def random_instance(rng: np.random.Generator):
     """One random feasible finite-support instance (model, pair, eps, u)."""
-    from .dist_models import finite_support, tabulated_pair
-
     m = int(rng.integers(3, 11))
     atoms = np.sort(rng.uniform(-2.0, 2.0, size=m))
     probs = rng.dirichlet(np.ones(m) * 2.0)

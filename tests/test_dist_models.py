@@ -199,3 +199,12 @@ def test_log_mgf_signed_divergence_rules():
     assert log_mgf_signed(model, pair, 0.5, 0.1) == math.inf  # e^{bU} with b>0
     assert log_mgf_signed(model, pair, -1.0, 0.0) < 0.0  # bounded above by 0
     assert log_mgf_signed(model, pair, -0.5, -0.5) < 0.0
+
+
+def test_grid_search_margin_matches_closed_form():
+    from screened_mc.dist_models import GridSearchMargin, ParetoPowerMargin
+
+    searched = GridSearchMargin(Power(0.75), Identity())
+    closed = ParetoPowerMargin()
+    for b in np.geomspace(1e-3, 5.0, 40):
+        assert searched(float(b)) == pytest.approx(closed(float(b)), rel=1e-12)

@@ -11,6 +11,7 @@ from screened_mc.exp_harness import (
     build_model,
     build_pair,
     canonicalize,
+    default_jobs,
     parse_config,
 )
 
@@ -255,3 +256,11 @@ def test_emit_report_rejects_unserializable(tmp_path):
 def test_batch_size_is_fixed():
     # worker counts must never change the batch decomposition
     assert BATCH_SIZE == 8192
+
+
+def test_default_jobs_counts_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert default_jobs() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert default_jobs() == 64
