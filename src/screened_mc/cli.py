@@ -67,6 +67,8 @@ def _load_config(args) -> ExperimentConfig:
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if args.trials is not None:
+        if args.trials < 1:
+            raise ConfigError("--trials must be >= 1")
         cfg = replace(cfg, trials=args.trials)
     return cfg
 
@@ -90,27 +92,27 @@ def _emit_or_print(args, cfg: ExperimentConfig, document: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    trajectories = []
+    model = build_model(cfg.model)
+    pair = build_pair(model, cfg.observables)
+    csv_bases = [
+        _out_path(args, spec.path) for spec in cfg.outputs if spec.kind == "trajectory_csv"
+    ]
+    screened_final = 0
     for t in range(cfg.trials):
-        model = build_model(cfg.model)
-        pair = build_pair(model, cfg.observables)
         stream = RandomStream(cfg.master_seed).substream(t)
-        trajectories.append(run_trajectory(model, pair, cfg.screen, stream))
-    for spec in cfg.outputs:
-        if spec.kind != "trajectory_csv":
-            continue
-        base = _out_path(args, spec.path)
-        if cfg.trials == 1:
-            emit_trajectory_csv(trajectories[0], base)
-        else:
-            stem, ext = os.path.splitext(base)
-            for t, records in enumerate(trajectories):
+        records = run_trajectory(model, pair, cfg.screen, stream)
+        for base in csv_bases:
+            if cfg.trials == 1:
+                emit_trajectory_csv(records, base)
+            else:
+                stem, ext = os.path.splitext(base)
                 emit_trajectory_csv(records, f"{stem}_{t:03d}{ext or '.csv'}")
+        screened_final += records[-1].screened
     summary = {
         "kind": "simulate_summary",
         "trials": cfg.trials,
         "n": cfg.screen.n,
-        "screened_fraction_final": sum(tr[-1].screened for tr in trajectories) / cfg.trials,
+        "screened_fraction_final": screened_final / cfg.trials,
         "seed": cfg.master_seed,
     }
     for spec in cfg.outputs:

@@ -6,6 +6,11 @@ output files regardless of worker count or scheduling.  Trials draw
 from substreams keyed by (master seed, trial index), batches have a
 fixed size independent of the worker pool, and aggregation is exact
 integer addition.
+
+Validation and the slope runner share one block kernel,
+``_trial_deviations``: it fills a block of trials' uniforms row by row,
+then transforms them and evaluates F and U once per block.  Each trial's
+uniforms and means are bit-identical to evaluating the trial alone.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .screen_core import SIDEDNESS, ScreenConfig, TrajectoryRecord
 from .streams import SubstreamSampler
 
 BATCH_SIZE = 8192  # fixed: batch decomposition must not depend on --jobs
+BLOCK_SAMPLES = 1 << 14  # uniforms per kernel block; bounds the kernel's working memory
 OUTPUT_KINDS = ("trajectory_csv", "report", "rates_table")
 WILSON_Z = 3.0  # 99.7%-equivalent score interval
 SLOPE_INDEX_STRIDE = 1 << 40  # trial-index namespace per horizon
@@ -91,6 +97,27 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _integer(value, where: str) -> int:
+    """A JSON integer; an integral float such as ``1e6`` counts, a bool does not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    return value
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; unknown keys are rejected outright."""
     if not isinstance(doc, dict):
@@ -119,9 +146,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
 
-    obs = doc["observables"]
-    if not isinstance(obs, dict):
-        raise ConfigError("observables must be an object")
+    obs = _object(doc["observables"], "observables")
     if "preset" in obs:
         _require_keys(obs, {"preset"}, {"preset"}, "observables")
         if obs["preset"] not in ("heavy_tail",):
@@ -131,24 +156,27 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for name in ("f", "u"):
             _validate_form(obs[name], f"observables.{name}")
 
-    screen = doc["screen"]
+    screen = _object(doc["screen"], "screen")
     _require_keys(screen, {"epsilon", "u", "n", "sidedness"}, {"epsilon", "u", "n"}, "screen")
     sidedness = screen.get("sidedness", "two_sided")
     if sidedness not in SIDEDNESS:
         raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
     screen_cfg = ScreenConfig(
-        epsilon=float(screen["epsilon"]),
-        u=float(screen["u"]),
-        n=int(screen["n"]),
+        epsilon=_real(screen["epsilon"], "screen.epsilon"),
+        u=_real(screen["u"], "screen.u"),
+        n=_integer(screen["n"], "screen.n"),
         sidedness=sidedness,
     )
 
-    trials = int(doc["trials"])
+    trials = _integer(doc["trials"], "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
 
+    entries = doc.get("outputs", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError("outputs must be a list of objects")
     outputs = []
-    for entry in doc.get("outputs", []):
+    for entry in entries:
         _require_keys(entry, {"kind", "path"}, {"kind", "path"}, "outputs[]")
         if entry["kind"] not in OUTPUT_KINDS:
             raise ConfigError(f"unknown output kind {entry['kind']!r}")
@@ -162,7 +190,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         observables=obs,
         screen=screen_cfg,
         trials=trials,
-        master_seed=int(doc["seed"]),
+        master_seed=_integer(doc["seed"], "seed"),
         outputs=tuple(outputs),
     )
 
@@ -416,28 +444,45 @@ def compute_bounds(
     return entries
 
 
-def _batch_counts(args) -> tuple[int, int, int]:
-    """Event counts for one contiguous block of trials. Must stay picklable."""
-    (model_spec, obs_spec, epsilon, u, n, sidedness, seed, lo, hi, offset) = args
+def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, offset):
+    """Mean of F minus mu and mean of U minus nu, per trial in ``[lo, hi)``.
+
+    The harness's one Monte Carlo kernel. Each trial's uniforms fill one
+    row of a block of ``BLOCK_SAMPLES // n`` trials; the transform, F and
+    U then run once per block, and each row sums along its contiguous
+    axis, the pairwise summation a per-trial 1-D ``sum`` uses, so every
+    mean is bit-identical to the per-trial path.
+    """
     model = build_model(model_spec)
     pair = build_pair(model, obs_spec)
     sampler = SubstreamSampler(seed)
-    f, uo = pair.f, pair.u
-    mu, nu = pair.mu, pair.nu
-    two_sided = sidedness == "two_sided"
-    screened = screened_err = unscreened_err = 0
-    for t in range(lo, hi):
-        p = sampler.uniforms(offset + t, n)
+    rows = max(1, BLOCK_SAMPLES // n)
+    block = np.empty((rows, n))
+    s_dev = np.empty(hi - lo)
+    t_dev = np.empty(hi - lo)
+    for start in range(lo, hi, rows):
+        p = block[: min(rows, hi - start)]
+        for i, row in enumerate(p):
+            sampler.uniforms(offset + start + i, n, out=row)
         x = transform_uniforms(model, p)
-        s_hat = float(f(x).sum()) / n
-        t_hat = float(uo(x).sum()) / n
-        err = s_hat - mu > epsilon
-        dev = t_hat - nu
-        sc = abs(dev) < u if two_sided else dev < u
-        screened += sc
-        unscreened_err += err
-        screened_err += err and sc
-    return screened, screened_err, unscreened_err
+        done = slice(start - lo, start - lo + len(p))
+        s_dev[done] = pair.f(x).sum(axis=1) / n - pair.mu
+        t_dev[done] = pair.u(x).sum(axis=1) / n - pair.nu
+    return s_dev, t_dev
+
+
+def _batch_counts(args) -> tuple[int, int, int]:
+    """Event counts for one batch of trials. Must stay picklable."""
+    (model_spec, obs_spec, epsilon, u, n, sidedness, seed, lo, hi, offset) = args
+    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, offset)
+    err = s_dev > epsilon
+    screened = (np.abs(t_dev) if sidedness == "two_sided" else t_dev) < u
+    return int(screened.sum()), int((err & screened).sum()), int(err.sum())
+
+
+def _batch_bounds(trials: int) -> list[tuple[int, int]]:
+    """The fixed ``[lo, hi)`` batch decomposition of ``trials`` trials."""
+    return [(lo, min(lo + BATCH_SIZE, trials)) for lo in range(0, trials, BATCH_SIZE)]
 
 
 def _run_batches(worker, arg_list, jobs: int):
@@ -467,23 +512,21 @@ def run_validation(config: ExperimentConfig, jobs: int = 1) -> ValidationReport:
     sc = config.screen
     bounds = compute_bounds(model, pair, config.observables, sc.epsilon, sc.u, sc.n)
 
-    args = []
-    for lo in range(0, config.trials, BATCH_SIZE):
-        hi = min(lo + BATCH_SIZE, config.trials)
-        args.append(
-            (
-                config.model,
-                config.observables,
-                sc.epsilon,
-                sc.u,
-                sc.n,
-                sc.sidedness,
-                config.master_seed,
-                lo,
-                hi,
-                0,
-            )
+    args = [
+        (
+            config.model,
+            config.observables,
+            sc.epsilon,
+            sc.u,
+            sc.n,
+            sc.sidedness,
+            config.master_seed,
+            lo,
+            hi,
+            0,
         )
+        for lo, hi in _batch_bounds(config.trials)
+    ]
     results = _run_batches(_batch_counts, args, jobs)
     screened = sum(r[0] for r in results)
     screened_err = sum(r[1] for r in results)
@@ -535,19 +578,10 @@ def fit_log_slope(n_list, rates) -> float:
 
 
 def _slope_batch(args) -> int:
+    """Plain-estimator error count for one batch of trials."""
     (model_spec, obs_spec, epsilon, n, seed, lo, hi, offset) = args
-    model = build_model(model_spec)
-    pair = build_pair(model, obs_spec)
-    sampler = SubstreamSampler(seed)
-    f = pair.f
-    mu = pair.mu
-    hits = 0
-    for t in range(lo, hi):
-        p = sampler.uniforms(offset + t, n)
-        x = transform_uniforms(model, p)
-        if float(f(x).sum()) / n - mu > epsilon:
-            hits += 1
-    return hits
+    s_dev, _ = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, offset)
+    return int((s_dev > epsilon).sum())
 
 
 @dataclass(frozen=True)
@@ -585,20 +619,21 @@ def run_heavy_tail_slope(
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
         raise InputError("need at least 3 horizons for a slope fit")
-    counts = []
-    for i, n in enumerate(n_list):
-        offset = i * SLOPE_INDEX_STRIDE
-        args = []
-        for lo in range(0, trials, BATCH_SIZE):
-            hi = min(lo + BATCH_SIZE, trials)
-            args.append((model_spec, obs_spec, epsilon, n, seed, lo, hi, offset))
-        hits = sum(_run_batches(_slope_batch, args, jobs))
-        if hits == 0:
+    bounds = _batch_bounds(trials)
+    args = [
+        (model_spec, obs_spec, epsilon, n, seed, lo, hi, i * SLOPE_INDEX_STRIDE)
+        for i, n in enumerate(n_list)
+        for lo, hi in bounds
+    ]
+    hits = _run_batches(_slope_batch, args, jobs)
+    per = len(bounds)
+    counts = [sum(hits[i * per : (i + 1) * per]) for i in range(len(n_list))]
+    for n, count in zip(n_list, counts):
+        if count == 0:
             raise InsufficientTrialsError(
                 f"no error events at n={n} in {trials} trials; "
                 "increase trials or reduce epsilon (target >= 100 hits per horizon)"
             )
-        counts.append(hits)
     slope = fit_log_slope(n_list, [c / trials for c in counts])
     return SlopeResult(
         n_list=tuple(n_list), counts=tuple(counts), trials=trials, slope=slope

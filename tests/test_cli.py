@@ -1,6 +1,8 @@
 import json
 import math
 
+import pytest
+
 from screened_mc.cli import main
 
 
@@ -79,6 +81,52 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, heavy_tail_doc(typo_key=1))
     assert main(["validate", "--config", cfg, "--jobs", "1"]) == 2
     assert "typo_key" in capsys.readouterr().err
+
+
+def _with_screen(**fields):
+    return {**heavy_tail_doc()["screen"], **fields}
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"trials": "abc"}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"trials": 20.5}, "trials"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"screen": 5}, "screen"),
+        ({"screen": _with_screen(n=20.7)}, "screen.n"),
+        ({"screen": _with_screen(n=True)}, "screen.n"),
+        ({"screen": _with_screen(epsilon="x")}, "screen.epsilon"),
+        ({"screen": _with_screen(u=False)}, "screen.u"),
+        ({"model": "pareto_like"}, "model"),
+        ({"observables": ["heavy_tail"]}, "observables"),
+        ({"outputs": {"kind": "report", "path": "report.json"}}, "outputs"),
+        ({"outputs": ["report.json"]}, "outputs"),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path, heavy_tail_doc(**overrides))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{field} must be" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_nonpositive_trials_override_exits_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, heavy_tail_doc())
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--trials", "0"]) == 2
+    assert "--trials must be >= 1" in capsys.readouterr().err
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    cfg = write_config(tmp_path, heavy_tail_doc(trials=2e3, seed=4242.0))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["trials"] == 2000 and doc["seed"] == 4242
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
