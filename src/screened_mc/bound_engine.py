@@ -27,7 +27,7 @@ horizon through ``bound_at(n)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -70,13 +70,7 @@ class BoundReport:
         return math.exp(-n * self.exponent)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "exponent": self.exponent,
-            "alpha_star": self.alpha_star,
-            "zero_event": self.zero_event,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +79,14 @@ class BoundReport:
 
 
 @dataclass(frozen=True)
-class TransformedUpperMargin:
+class TransformedMargin:
     """Margin of the normalized pair from the raw-pair margin.
 
     sup[(F - mu)/c - beta (U - nu)/s] =
         (sup[F - (beta c / s) U] - mu)/c + beta nu / s,
-    and replacing mu by any lower bound keeps it an upper bound.
+    and replacing mu by any lower bound keeps it an upper bound.  With
+    ``u_sign`` = -1 the same map takes the raw inf[F + b U] to
+    inf[(F - mu)/c + beta (U - nu)/s].
     """
 
     raw: MarginOracle
@@ -98,25 +94,12 @@ class TransformedUpperMargin:
     u_scale: float
     nu: float
     mu_used: float
+    u_sign: float = 1.0
 
     def __call__(self, beta: float) -> float:
         b = beta * self.f_scale / self.u_scale
-        return (self.raw(b) - self.mu_used) / self.f_scale + beta * self.nu / self.u_scale
-
-
-@dataclass(frozen=True)
-class TransformedSumLower:
-    """inf[(F - mu)/c + beta (U - nu)/s] from the raw inf[F + b U]."""
-
-    raw: MarginOracle
-    f_scale: float
-    u_scale: float
-    nu: float
-    mu_used: float
-
-    def __call__(self, beta: float) -> float:
-        b = beta * self.f_scale / self.u_scale
-        return (self.raw(b) - self.mu_used) / self.f_scale - beta * self.nu / self.u_scale
+        shift = self.u_sign * beta * self.nu / self.u_scale
+        return (self.raw(b) - self.mu_used) / self.f_scale + shift
 
 
 def _is_normalized(pair: ObservablePair, tol: float = 1e-9) -> bool:
@@ -168,10 +151,10 @@ def normalize_observables(
     mu_used = pair.mu if mu_lower is None else mu_lower
     exact_center = mu_lower is None
 
-    def wrap_upper(raw: MarginOracle | None, kind) -> MarginOracle | None:
+    def wrap(raw: MarginOracle | None, u_sign: float) -> MarginOracle | None:
         if raw is None:
             return None
-        fn = kind(raw, f_scale, u_scale, pair.nu, mu_used)
+        fn = TransformedMargin(raw, f_scale, u_scale, pair.nu, mu_used, u_sign)
         return MarginOracle(fn, exact=raw.exact and exact_center)
 
     return ObservablePair(
@@ -183,8 +166,8 @@ def normalize_observables(
         var_u=1.0,
         gamma=pair.gamma / (f_scale * u_scale),
         gamma_flag=pair.gamma_flag,
-        margin=wrap_upper(pair.margin, TransformedUpperMargin),
-        sum_lower_margin=wrap_upper(pair.sum_lower_margin, TransformedSumLower),
+        margin=wrap(pair.margin, 1.0),
+        sum_lower_margin=wrap(pair.sum_lower_margin, -1.0),
         f_unbounded_above=pair.f_unbounded_above,
         u_unbounded_above=pair.u_unbounded_above,
         normalized=True,
@@ -391,21 +374,7 @@ class Prop11Report:
     bound_iv: float
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "u": self.u,
-            "n": self.n,
-            "constant_iii_quoted": self.constant_iii_quoted,
-            "constant_iv_quoted": self.constant_iv_quoted,
-            "constant_iii_optimized": self.constant_iii_optimized,
-            "alpha_iii": self.alpha_iii,
-            "constant_iv_optimized": self.constant_iv_optimized,
-            "alpha_iv": self.alpha_iv,
-            "value_iii_at_reference_alpha": self.value_iii_at_reference_alpha,
-            "value_iv_at_reference_alpha": self.value_iv_at_reference_alpha,
-            "bound_iii": self.bound_iii,
-            "bound_iv": self.bound_iv,
-        }
+        return asdict(self)
 
 
 REFERENCE_ALPHA_III = 0.0552083

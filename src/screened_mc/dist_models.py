@@ -454,25 +454,7 @@ def counterexample_pair(
     model = sign_product(magnitude_atoms, magnitude_probs)
     center = float(model.magnitude_probs @ model.magnitude_atoms)
     f, u = AbsCentered(center), SignOf()
-    fv = tuple(f(model.atoms))
-    uv = tuple(u(model.atoms))
-    p = model.probs
-    fa = np.asarray(fv)
-    ua = np.asarray(uv)
-    pair = ObservablePair(
-        f=f,
-        u=u,
-        mu=float(p @ fa),
-        nu=float(p @ ua),
-        var_f=float(p @ fa**2 - (p @ fa) ** 2),
-        var_u=float(p @ ua**2 - (p @ ua) ** 2),
-        gamma=float(p @ (fa * ua) - (p @ fa) * (p @ ua)),
-        margin=MarginOracle(FiniteMargin(fv, uv, -1.0, "max")),
-        lower_margin=MarginOracle(FiniteMargin(fv, uv, -1.0, "min")),
-        sum_margin=MarginOracle(FiniteMargin(fv, uv, +1.0, "max")),
-        sum_lower_margin=MarginOracle(FiniteMargin(fv, uv, +1.0, "min")),
-    )
-    return model, pair
+    return model, replace(tabulated_pair(model, f(model.atoms), u(model.atoms)), f=f, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +595,10 @@ def _panel_block_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     return q.ravel(), logw.ravel()
 
 
-def _pareto_log_exp_integral(h: Callable, panel_cap: int = 1280) -> float:
-    """log of int_0^1 exp(h(x(q))) dq with x(q) = q**(-2/5).
+def _pareto_log_exp_integral(
+    h: Callable, panel_cap: int = 1280
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """log of int_0^1 exp(h(x(q))) dq with x(q) = q**(-2/5), and its nodes.
 
     Dyadic panels [2^-k-1, 2^-k] with fixed Gauss-Legendre nodes,
     evaluated a block at a time; the panel walk continues past any
@@ -624,26 +608,57 @@ def _pareto_log_exp_integral(h: Callable, panel_cap: int = 1280) -> float:
     log domain: for small theta2/theta1 the integrand peaks at
     astronomically large x and exp(h) overflows any linear-scale
     representation long before the result does.
+
+    Returns the log-integral, the nodes x the walk used, and the
+    log-terms h(x) + log-weight whose log-sum it is.
     """
     total = -math.inf
     last_max = math.inf
+    xs, logterms = [], []
     for k0 in range(0, panel_cap, _PANEL_BLOCK):
         q, logw = _panel_block_nodes(k0)
         x = q ** (-0.4)
         vals = np.asarray(h(x), dtype=float)
         if np.any(np.isnan(vals)):
             raise NumericError(f"log-MGF integrand produced NaN near panel k={k0}")
-        terms = (vals + logw).reshape(_PANEL_BLOCK, -1)
+        terms = vals + logw
+        xs.append(x)
+        logterms.append(terms)
+        panels = terms.reshape(_PANEL_BLOCK, -1)
         vmaxes = vals.reshape(_PANEL_BLOCK, -1).max(axis=1)
         for i in range(_PANEL_BLOCK):
-            panel = _logsumexp(terms[i])
+            panel = _logsumexp(panels[i])
             total = float(np.logaddexp(total, panel))
             vmax = float(vmaxes[i])
             decaying = vmax <= last_max
             last_max = vmax
             if decaying and panel < total + _LOG_REL_CUTOFF:
-                return total
+                used = (i + 1) * panels.shape[1]
+                xs[-1], logterms[-1] = x[:used], terms[:used]
+                return total, np.concatenate(xs), np.concatenate(logterms)
     raise NumericError("log-MGF quadrature did not converge within the panel cap")
+
+
+def _log_mgf_nodes(model: DistributionModel, pair: ObservablePair, a: float, b: float):
+    """log E[exp(a F(X) + b U(X))], its nodes (atoms or quadrature nodes) and
+    log-terms; the nodes and terms are None when the integral diverges."""
+    if model.is_finite:
+        p = model.probs
+        f = np.asarray(pair.f(model.atoms), dtype=float)
+        u = np.asarray(pair.u(model.atoms), dtype=float)
+        terms = np.log(p) + a * f + b * u
+        return _logsumexp(terms), model.atoms, terms
+
+    # divergence is decided by metadata, not by numeric overflow
+    if b > 0.0 and pair.u_unbounded_above:
+        return math.inf, None, None
+    if b == 0.0 and a > 0.0 and pair.f_unbounded_above:
+        return math.inf, None, None
+    if b < 0.0 and a > 0.0 and pair.f_unbounded_above and pair.margin is None:
+        raise CapabilityError(
+            "log-MGF with an unbounded F needs a finite margin oracle for F - beta*U"
+        )
+    return _pareto_log_exp_integral(lambda x: a * pair.f(x) + b * pair.u(x))
 
 
 def log_mgf_signed(model: DistributionModel, pair: ObservablePair, a: float, b: float) -> float:
@@ -653,22 +668,29 @@ def log_mgf_signed(model: DistributionModel, pair: ObservablePair, a: float, b: 
     """
     if a == 0.0 and b == 0.0:
         return 0.0
-    if model.is_finite:
-        p = model.probs
-        f = np.asarray(pair.f(model.atoms), dtype=float)
-        u = np.asarray(pair.u(model.atoms), dtype=float)
-        return _logsumexp(np.log(p) + a * f + b * u)
+    return _log_mgf_nodes(model, pair, a, b)[0]
 
-    # divergence is decided by metadata, not by numeric overflow
-    if b > 0.0 and pair.u_unbounded_above:
-        return math.inf
-    if b == 0.0 and a > 0.0 and pair.f_unbounded_above:
-        return math.inf
-    if b < 0.0 and a > 0.0 and pair.f_unbounded_above and pair.margin is None:
-        raise CapabilityError(
-            "log-MGF with an unbounded F needs a finite margin oracle for F - beta*U"
-        )
-    return _pareto_log_exp_integral(lambda x: a * pair.f(x) + b * pair.u(x))
+
+def tilted_moments(model: DistributionModel, pair: ObservablePair, a: float, b: float):
+    """(log-MGF, mean, covariance) of (F, U) under the law tilted by exp(aF + bU).
+
+    The mean and covariance are the gradient and Hessian of the log-MGF
+    in (a, b), reduced from the nodes of the same log-sum that
+    ``log_mgf_signed`` evaluates: no extra quadrature, and the exact
+    derivatives of the computed value.  Raises DivergenceError where
+    the log-MGF is +inf.
+    """
+    lam, x, terms = _log_mgf_nodes(model, pair, a, b)
+    if x is None:
+        raise DivergenceError(f"the log-MGF diverges at ({a}, {b}): no tilted law")
+    w = np.exp(terms - lam)
+    w /= w.sum()
+    fu = np.vstack([pair.f(x), pair.u(x)]).astype(float)
+    mean = fu @ w
+    dev = fu - mean[:, None]
+    if a == 0.0 and b == 0.0:
+        lam = 0.0  # exact, as in log_mgf_signed
+    return lam, mean, (dev * w) @ dev.T
 
 
 def log_mgf_joint(

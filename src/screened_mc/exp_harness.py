@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -112,10 +112,22 @@ def _real(value, where: str) -> float:
     return float(value)
 
 
+def _reals(value, where: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_real(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be an object")
     return value
+
+
+_MODEL_ARRAYS = {
+    "finite_support": ("atoms", "probs"),
+    "sign_product": ("magnitude_atoms", "magnitude_probs"),
+}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -134,15 +146,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     kind = model_spec["kind"]
     if kind == "pareto_like":
         _require_keys(model_spec, {"kind"}, {"kind"}, "model")
-    elif kind == "finite_support":
-        _require_keys(model_spec, {"kind", "atoms", "probs"}, {"kind", "atoms", "probs"}, "model")
-    elif kind == "sign_product":
-        _require_keys(
-            model_spec,
-            {"kind", "magnitude_atoms", "magnitude_probs"},
-            {"kind", "magnitude_atoms", "magnitude_probs"},
-            "model",
-        )
+    elif kind in _MODEL_ARRAYS:
+        arrays = _MODEL_ARRAYS[kind]
+        _require_keys(model_spec, {"kind", *arrays}, {"kind", *arrays}, "model")
+        for key in arrays:
+            _reals(model_spec[key], f"model.{key}")
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -211,6 +219,11 @@ def _validate_form(spec: dict, where: str) -> None:
         raise ConfigError(f"unknown form {spec['form']!r} in {where}")
     allowed, required = _FORM_KEYS[spec["form"]]
     _require_keys(spec, allowed, required, where)
+    for key in ("exponent", "center"):
+        if key in spec:
+            _real(spec[key], f"{where}.{key}")
+    if "values" in spec:
+        _reals(spec["values"], f"{where}.values")
 
 
 def build_model(spec: dict) -> DistributionModel:
@@ -392,47 +405,22 @@ def compute_bounds(
     if _is_heavy_tail_preset(obs_spec):
         norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
         eps_n, u_n = norm.map_thresholds(epsilon, u)
-        rep = bound_thm31_ii(norm, eps_n, u_n)
-        add(BoundReport(rep.method, rep.exponent, rep.alpha_star, rep.zero_event, "gamma=exact"))
+        add(replace(bound_thm31_ii(norm, eps_n, u_n), note="gamma=exact"))
         worst = with_gamma(norm, -1.0)
-        rep_w = bound_thm31_ii(worst, eps_n, u_n)
-        add(
-            BoundReport(
-                rep_w.method, rep_w.exponent, rep_w.alpha_star, rep_w.zero_event, "gamma=worst_case"
-            )
-        )
+        add(replace(bound_thm31_ii(worst, eps_n, u_n), note="gamma=worst_case"))
         K = u_n / eps_n
-        rep3 = bound_thm31_iii(norm, eps_n, K)
-        add(BoundReport(rep3.method, rep3.exponent, rep3.alpha_star, rep3.zero_event, f"K={K!r}"))
+        add(replace(bound_thm31_iii(norm, eps_n, K), note=f"K={K!r}"))
         if 0.0 < u <= epsilon / 20.0:
-            add(
-                BoundReport(
-                    "thm31_ii",
-                    CONSTANT_III_QUOTED * epsilon**2,
-                    None,
-                    False,
-                    "quoted_constant_iii",
-                )
-            )
-            add(
-                BoundReport(
-                    "thm31_ii",
-                    CONSTANT_IV_QUOTED * epsilon**2,
-                    None,
-                    False,
-                    "quoted_constant_iv",
-                )
-            )
+            for constant, name in ((CONSTANT_III_QUOTED, "iii"), (CONSTANT_IV_QUOTED, "iv")):
+                add(BoundReport("thm31_ii", constant * epsilon**2, note=f"quoted_constant_{name}"))
         else:
             skip("thm31_ii", "quoted constants require u <= epsilon/20")
     elif model.is_finite:
         try:
             norm = normalize_observables(pair)
             eps_n, u_n = norm.map_thresholds(epsilon, u)
-            rep = bound_thm31_ii(norm, eps_n, u_n)
-            add(BoundReport(rep.method, rep.exponent, rep.alpha_star, rep.zero_event, "gamma=exact"))
-            rep3 = bound_thm31_iii(norm, eps_n, u_n / eps_n)
-            add(BoundReport(rep3.method, rep3.exponent, rep3.alpha_star, rep3.zero_event, ""))
+            add(replace(bound_thm31_ii(norm, eps_n, u_n), note="gamma=exact"))
+            add(bound_thm31_iii(norm, eps_n, u_n / eps_n))
         except ScreenedMcError as exc:
             skip("thm31_ii", f"normalization unavailable: {exc}")
 
@@ -534,12 +522,7 @@ def run_validation(config: ExperimentConfig, jobs: int = 1) -> ValidationReport:
 
     p_hat = screened_err / config.trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / config.trials)
-    passes = []
-    for entry in bounds:
-        if entry.skipped:
-            passes.append(True)
-        else:
-            passes.append(p_hat <= entry.bound_value + 3.0 * se)
+    passes = [entry.skipped or p_hat <= entry.bound_value + 3.0 * se for entry in bounds]
 
     return ValidationReport(
         epsilon=sc.epsilon,
@@ -592,13 +575,8 @@ class SlopeResult:
     slope: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_list": list(self.n_list),
-            "counts": list(self.counts),
-            "trials": self.trials,
-            "rates": [c / self.trials for c in self.counts],
-            "slope": self.slope,
-        }
+        doc = {**asdict(self), "n_list": list(self.n_list), "counts": list(self.counts)}
+        return {**doc, "rates": [c / self.trials for c in self.counts]}
 
 
 def run_heavy_tail_slope(

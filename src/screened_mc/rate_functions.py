@@ -17,6 +17,13 @@ Each variant needs its own domination assumption (a finite margin in the
 matching direction); missing margins raise CapabilityError rather than
 silently returning junk.
 
+Every supremum is one damped Newton ascent (``legendre_sup``) on the
+tilted mean and covariance of (F, U), the gradient and Hessian of the
+log-MGF, from ``dist_models.tilted_moments``; ``log_mgf_signed`` is the
+value oracle of its line search.  A margin certificate decides +inf
+first; an ascent still improving beyond THETA_MAX_CERTIFY = 2^60
+certifies +inf as well.
+
 The exponent gap delta(eps, u) = max(lambda_plus, gamma_plus) - plain
 Chernoff rate quantifies how much screening improves the error exponent
 in the light-tailed case; it vanishes exactly when F(X) and U(X) are
@@ -26,23 +33,30 @@ uncorrelated in the independent-factor sense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._optim import golden_min, min_convex_gap
-from .dist_models import DistributionModel, ObservablePair, log_mgf_signed
+from ._optim import min_convex_gap
+from .dist_models import DistributionModel, ObservablePair, log_mgf_signed, tilted_moments
 from .errors import CapabilityError, NumericError
 
 THETA_MAX_CERTIFY = 2.0**60
 DELTA_CLAMP_TOL = 1e-6
+NEWTON_MAX_ITER = 100
+_ARMIJO = 1e-4  # fraction of the predicted ascent a step must realize
+_RESOLUTION = 1e-15  # relative gain below which the value oracle sees nothing
+_DECREMENT_NOISE = 1e-9  # a failed search below this decrement is rounding
+_KKT_TOL = 1e-8  # projected gradient times (1 + |theta|), relative to 1 + |value|
+_FLAT_CURVATURE = 1e-13  # eigenvalues below this fraction of the largest count as 0
 
+# variant -> (sign of F, sign of U, the margin oracle bounding its extremum)
 _VARIANTS = {
-    "lambda_plus": (+1.0, -1.0),
-    "gamma_plus": (+1.0, +1.0),
-    "lambda_minus": (-1.0, -1.0),
-    "gamma_minus": (-1.0, +1.0),
+    "lambda_plus": (+1.0, -1.0, "margin"),
+    "gamma_plus": (+1.0, +1.0, "sum_margin"),
+    "lambda_minus": (-1.0, -1.0, "sum_lower_margin"),
+    "gamma_minus": (-1.0, +1.0, "lower_margin"),
 }
 
 
@@ -59,15 +73,7 @@ class RatePoint:
     theta_star: tuple[float, float] | None
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "u": self.u,
-            "lambda_star": self.lambda_star,
-            "lambda_plus_star": self.lambda_plus_star,
-            "gamma_plus_star": self.gamma_plus_star,
-            "delta": self.delta,
-            "theta_star": list(self.theta_star) if self.theta_star else None,
-        }
+        return {**asdict(self), "theta_star": list(self.theta_star) if self.theta_star else None}
 
 
 # ---------------------------------------------------------------------------
@@ -75,148 +81,160 @@ class RatePoint:
 # ---------------------------------------------------------------------------
 
 
-def _coordinate_grid(theta_max: float) -> np.ndarray:
-    ks = np.arange(-16, max(4, int(math.ceil(math.log2(theta_max)))) + 1)
-    pts = 2.0**ks
-    pts = pts[pts <= theta_max]
-    return np.concatenate([[0.0], pts])
+def _newton_step(theta: np.ndarray, grad: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+    """Newton ascent step, holding at 0 the coordinates it would push below.
 
-
-def _line_max(
-    fn: Callable[[float], float],
-    x0: float,
-    f0: float,
-    hi_cap: float,
-    rel_tol: float,
-) -> tuple[float, float]:
-    """Maximize a concave slice by bracket expansion then golden section.
-
-    The bracket grows geometrically from the current point until the
-    value stops improving on both sides (or hits 0 / the box ceiling);
-    concavity of the slice makes the bracketed maximum global.
+    ``curvature`` (minus the Hessian) is a tilted covariance: positive
+    semidefinite, and singular where some combination of F and U is
+    constant or the tilted law sits on one atom.  On its flat
+    eigenvectors the objective is linear and the step is the gradient's
+    component.  Blocked coordinates are held one at a time, the one the
+    gradient pulls outward hardest first.
     """
-    h = max(abs(x0), 1e-3)
-    lo = max(0.0, x0 - h)
-    hi = min(hi_cap, x0 + h)
-    f_lo, f_hi = fn(lo), fn(hi)
-    for _ in range(80):
-        grew = False
-        if f_hi >= max(f0, f_lo) and hi < hi_cap:
-            hi = min(hi_cap, hi + 2.0 * (hi - x0))
-            f_hi = fn(hi)
-            grew = True
-        if f_lo >= max(f0, f_hi) and lo > 0.0:
-            lo = max(0.0, lo - 2.0 * (x0 - lo))
-            f_lo = fn(lo)
-            grew = True
-        if not grew:
-            break
-    x, neg = golden_min(lambda t: -fn(t), lo, hi, rel_tol)
-    fx = -neg
-    for cand, val in ((x0, f0), (lo, f_lo), (hi, f_hi)):
-        if val > fx:
-            x, fx = cand, val
-    return x, fx
+    free = np.ones(theta.size, dtype=bool)
+    while True:
+        step = np.zeros_like(theta)
+        if free.any():
+            w, vecs = np.linalg.eigh(curvature[np.ix_(free, free)])
+            flat = w <= _FLAT_CURVATURE * max(float(w.max()), 0.0)
+            step[free] = vecs @ ((vecs.T @ grad[free]) / np.where(flat, 1.0, w))
+        blocked = np.flatnonzero(free & (theta == 0.0) & (step < 0.0))
+        if blocked.size == 0:
+            return step
+        free[blocked[np.argmin(grad[blocked])]] = False
 
 
-def _check_value(value: float, point) -> float:
-    if math.isnan(value):
-        raise NumericError(f"objective evaluated to NaN at {point}")
-    return value
+def _line_search(value, theta, v, step, slope, floor, last=False):
+    """Armijo search along ``step``, cut where it leaves the orthant.
+
+    Halves from the full (or cut) step while the predicted gain stays
+    above ``floor``; a first step gaining 3/4 of its linear prediction
+    (the model overstates the curvature) doubles while the value rises.
+    ``last`` takes the first step as it is.  Returns the point (None if
+    none is accepted) and the best value seen.
+    """
+    out = np.flatnonzero(step < 0.0)
+    cut = theta[out] / -step[out]
+    limit = float(cut.min(initial=math.inf))
+
+    def trial(alpha: float) -> tuple[float, np.ndarray]:
+        point = np.maximum(theta + alpha * step, 0.0)
+        point[out[cut <= alpha]] = 0.0  # what the step zeroes lands on 0 exactly
+        fv = value(point)
+        if math.isnan(fv):
+            raise NumericError(f"objective evaluated to NaN at {tuple(point)}")
+        return fv, point
+
+    alpha = min(1.0, limit)
+    fv, point = trial(alpha)
+    if last or fv >= v + 0.75 * alpha * slope:
+        while not last and alpha < limit and float(point.max()) <= THETA_MAX_CERTIFY:
+            alpha = min(2.0 * alpha, limit)
+            longer = trial(alpha)
+            if longer[0] <= fv:
+                break
+            fv, point = longer
+        return (point if fv > -math.inf else None), fv
+    reached = fv
+    while fv < v + _ARMIJO * alpha * slope:
+        alpha *= 0.5
+        if alpha * slope <= floor:
+            return None, reached
+        fv, point = trial(alpha)
+        reached = max(reached, fv)
+    return point, fv
 
 
 def legendre_sup(
-    objective: Callable[[np.ndarray], float], dim: int = 2
+    value: Callable[[np.ndarray], float],
+    derivatives: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+    dim: int = 2,
 ) -> tuple[float, np.ndarray]:
     """Supremum of a concave objective over the nonnegative orthant.
 
-    Multi-start log-spaced grid, then coordinate-wise golden-section
-    ascent; the box ceiling doubles until the maximizer is interior and
-    the objective stops improving along the ray through it.  If it still
-    improves at a ceiling of 2^60 the supremum is certified unbounded
-    and +inf is returned (an empty screened event).  -inf objective
-    values mark hard infeasibility (a diverging log-MGF) and are simply
-    never selected.
+    ``value(theta)`` is the objective, -inf outside its domain;
+    ``derivatives(theta)`` gives the value, gradient and Hessian at a
+    point of the domain.  Damped Newton from theta = 0.  Once the
+    decrement grad . step is below the value oracle's resolution,
+    1e-15 (1 + |value|), full Newton steps go on while the KKT residual
+    (projected gradient times 1 + |theta|) falls.  The point is returned
+    once the residual is below 1e-8 (1 + |value|); a residual that stops
+    falling raises NumericError.
+
+    A search that finds no point of the domain gives the coordinates it
+    holds at 0 the largest push into the interior that keeps half the
+    ascent rate (on the heavy tail theta2 = 0 < theta1 is outside the
+    domain).  With nothing held, or when the pushed search resolves no
+    gain either, the point is a maximum on the domain's edge to within
+    the value oracle's resolution (theta = 0 for a law with no positive
+    exponential moment).  Other failed searches raise NumericError,
+    unless the decrement is below 1e-9 (1 + |value|), and so does
+    running NEWTON_MAX_ITER iterations.  An improving iterate beyond
+    THETA_MAX_CERTIFY certifies +inf.
     """
-    theta_max = 8.0
-    while True:
-        value, arg = _grid_ascend(objective, dim, theta_max)
-        if math.isinf(value) and value > 0:
-            return value, arg
-        at_boundary = bool(np.any(arg > 0.45 * theta_max))
-        if not at_boundary and np.any(arg > 0):
-            # coordinate ascent can stall mid-box on a ray along which the
-            # objective is unbounded; a probe up the ray exposes that
-            probe = _check_value(objective(2.0 * arg), tuple(2.0 * arg))
-            at_boundary = probe > value + 1e-9 * abs(value) + 1e-12
-        if not at_boundary:
-            return value, arg
-        if theta_max >= THETA_MAX_CERTIFY:
-            return math.inf, arg
-        theta_max *= 4.0
+    theta, polished, last_kkt = np.zeros(dim), False, math.inf
+    for _ in range(NEWTON_MAX_ITER):
+        v, grad, hess = derivatives(theta)
+        if not (np.isfinite(v) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+            raise NumericError(f"objective or its derivatives not finite at {tuple(theta)}")
+        step = _newton_step(theta, grad, -hess)
+        decrement, scale = float(grad @ step), 1.0 + abs(v)
+        point, floor = None, _RESOLUTION * scale
+        if decrement > floor:
+            point, reached = _line_search(value, theta, v, step, decrement, floor)
+            held = (theta == 0.0) & (step == 0.0) & (grad < 0.0)
+            if point is None and reached == -math.inf and held.any():
+                # the face held at 0 is outside the domain: push into the interior
+                step[held] = decrement / (2.0 * held.sum() * -grad[held])
+                decrement *= 0.5
+                point, _ = _line_search(value, theta, v, step, decrement, floor)
+                reached = -math.inf
+            if point is None and reached == -math.inf:
+                return v, theta
+            if point is None and decrement > _DECREMENT_NOISE * scale:
+                raise NumericError(f"no Newton ascent from {tuple(theta)} ({decrement=:.3g})")
+        if point is None:
+            # the value oracle no longer resolves the gain: full steps while the KKT residual falls
+            pg = np.where(theta > 0.0, grad, np.maximum(grad, 0.0))
+            kkt = float(np.abs(pg).max()) * (1.0 + float(theta.max()))
+            if polished and kkt <= _KKT_TOL * scale:
+                return v, theta
+            if kkt >= last_kkt:
+                raise NumericError(f"Newton ascent stalled at {tuple(theta)} ({grad=})")
+            point, _ = _line_search(value, theta, v, step, decrement, floor, last=True)
+            if point is None:
+                raise NumericError(f"a converged Newton step leaves the domain at {tuple(theta)}")
+            polished, last_kkt = True, kkt
+        else:
+            polished, last_kkt = False, math.inf
+        if float(point.max()) > THETA_MAX_CERTIFY:
+            return math.inf, point
+        theta = point
+    raise NumericError(f"Newton ascent did not converge in {NEWTON_MAX_ITER} iterations")
 
 
-def _grid_ascend(
-    objective: Callable[[np.ndarray], float], dim: int, theta_max: float
+def _tilt_sup(
+    model: DistributionModel, pair: ObservablePair, signs, c
 ) -> tuple[float, np.ndarray]:
-    pts = _coordinate_grid(theta_max)
-    best_val = -math.inf
-    best = np.zeros(dim)
-    if dim == 1:
-        for t in pts:
-            v = _check_value(objective(np.array([t])), (t,))
-            if v > best_val:
-                best_val, best = v, np.array([t])
-    else:
-        for t1 in pts:
-            for t2 in pts:
-                point = np.array([t1, t2])
-                v = _check_value(objective(point), (t1, t2))
-                if v > best_val:
-                    best_val, best = v, point
+    """sup over theta >= 0 of theta . c - log E[exp(sum_i signs_i theta_i G_i)].
 
-    current = best.copy()
-    value = best_val
-    # coarse sweeps position the point cheaply; tight sweeps finish it
-    for rel_tol, max_sweeps in ((1e-5, 30), (1e-12, 60)):
-        for _ in range(max_sweeps):
-            sweep_start = current.copy()
-            improved = value
-            for i in range(dim):
-                def slice_fn(t: float, i=i) -> float:
-                    p = current.copy()
-                    p[i] = t
-                    return _check_value(objective(p), tuple(p))
+    G = (F, U), cut to the first len(c) coordinates.
+    """
+    dim = len(c)
+    s, c = np.asarray(signs[:dim], dtype=float), np.asarray(c, dtype=float)
 
-                t_i, v_i = _line_max(slice_fn, current[i], value, theta_max, rel_tol)
-                if v_i > value:
-                    value = v_i
-                    current[i] = t_i
-            # accelerate along the sweep displacement: coordinate moves
-            # alone zigzag hopelessly on the narrow ridges these
-            # objectives develop when the tilt coordinates are nearly
-            # collinear
-            direction = current - sweep_start
-            if dim > 1 and float(np.max(np.abs(direction))) > 0.0:
-                s_max = math.inf
-                for i in range(dim):
-                    if direction[i] > 0:
-                        s_max = min(s_max, (theta_max - sweep_start[i]) / direction[i])
-                    elif direction[i] < 0:
-                        s_max = min(s_max, sweep_start[i] / -direction[i])
+    def coefficients(theta: np.ndarray) -> tuple[float, float]:
+        return float(s[0] * theta[0]), float(s[1] * theta[1]) if dim == 2 else 0.0
 
-                def ray_fn(s: float) -> float:
-                    p = np.maximum(sweep_start + s * direction, 0.0)
-                    return _check_value(objective(p), tuple(p))
+    def value(theta: np.ndarray) -> float:
+        lam = log_mgf_signed(model, pair, *coefficients(theta))
+        return -math.inf if math.isinf(lam) else float(theta @ c) - lam
 
-                if s_max > 1.0:
-                    s_i, v_i = _line_max(ray_fn, 1.0, value, s_max, rel_tol)
-                    if v_i > value:
-                        value = v_i
-                        current = np.maximum(sweep_start + s_i * direction, 0.0)
-            if value - improved <= 1e-13 * (1.0 + abs(value)):
-                break
-    return value, current
+    def derivatives(theta: np.ndarray):
+        lam, mean, cov = tilted_moments(model, pair, *coefficients(theta))
+        return float(theta @ c) - lam, c - s * mean[:dim], -cov[:dim, :dim] * np.outer(s, s)
+
+    return legendre_sup(value, derivatives, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -240,39 +258,8 @@ def _lambda_star_detail(
     model: DistributionModel, pair: ObservablePair, epsilon: float
 ) -> tuple[float, float]:
     """``rate_lambda_star`` together with its maximizing tilt theta."""
-
-    def objective(theta: np.ndarray) -> float:
-        t = float(theta[0])
-        lam = log_mgf_signed(model, pair, t, 0.0)
-        if math.isinf(lam):
-            return -math.inf
-        return t * (pair.mu + epsilon) - lam
-
-    value, arg = legendre_sup(objective, dim=1)
+    value, arg = _tilt_sup(model, pair, (1.0,), (pair.mu + epsilon,))
     return max(value, 0.0), float(arg[0])
-
-
-def _variant_sup_oracle(pair: ObservablePair, variant: str):
-    """(name, callable giving an upper bound on sup[s_f F + beta s_u U])."""
-    if variant == "lambda_plus":
-        return "margin", (None if pair.margin is None else pair.margin)
-    if variant == "gamma_plus":
-        return "sum_margin", (None if pair.sum_margin is None else pair.sum_margin)
-    if variant == "lambda_minus":
-        oracle = pair.sum_lower_margin
-        return "sum_lower_margin", (None if oracle is None else lambda b: -oracle(b))
-    oracle = pair.lower_margin
-    return "lower_margin", (None if oracle is None else lambda b: -oracle(b))
-
-
-def _require_margin(pair: ObservablePair, variant: str):
-    name, oracle = _variant_sup_oracle(pair, variant)
-    if oracle is None:
-        raise CapabilityError(
-            f"variant {variant} needs the {name} domination oracle, "
-            "which this pair does not declare"
-        )
-    return oracle
 
 
 def _event_is_empty(sup_oracle, c1: float, c2: float) -> bool:
@@ -315,21 +302,21 @@ def rate_plus_star_detail(
     """The rate together with its maximizing tilt (theta1, theta2)."""
     if variant not in _VARIANTS:
         raise CapabilityError(f"unknown variant {variant!r}")
-    sup_oracle = _require_margin(pair, variant)
-    s_f, s_u = _VARIANTS[variant]
+    s_f, s_u, name = _VARIANTS[variant]
+    oracle = getattr(pair, name)
+    if oracle is None:
+        raise CapabilityError(
+            f"variant {variant} needs the {name} domination oracle, "
+            "which this pair does not declare"
+        )
+    # a lower margin bounds an infimum; negated, it bounds sup[s_f F + beta s_u U]
+    sup_oracle = (lambda b: -oracle(b)) if "lower" in name else oracle
     c1 = s_f * pair.mu + epsilon
     c2 = s_u * pair.nu - u
     if _event_is_empty(sup_oracle, c1, c2):
         return math.inf, (math.inf, math.inf)
 
-    def objective(theta: np.ndarray) -> float:
-        t1, t2 = float(theta[0]), float(theta[1])
-        lam = log_mgf_signed(model, pair, s_f * t1, s_u * t2)
-        if math.isinf(lam):
-            return -math.inf
-        return t1 * c1 + t2 * c2 - lam
-
-    value, arg = legendre_sup(objective, dim=2)
+    value, arg = _tilt_sup(model, pair, (s_f, s_u), (c1, c2))
     return max(value, 0.0), (float(arg[0]), float(arg[1]))
 
 
@@ -348,11 +335,7 @@ def two_sided_bound(
         return 2.0
     lam_plus = rate_plus_star(model, pair, epsilon, u, "lambda_plus")
     lam_minus = rate_plus_star(model, pair, epsilon, u, "lambda_minus")
-
-    def term(rate: float) -> float:
-        return 0.0 if math.isinf(rate) else math.exp(-n * rate)
-
-    return term(lam_plus) + term(lam_minus)
+    return math.exp(-n * lam_plus) + math.exp(-n * lam_minus)  # exp(-inf) = 0
 
 
 def delta_exponent(

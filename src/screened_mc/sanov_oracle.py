@@ -21,7 +21,7 @@ meeting at the same number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -44,18 +44,11 @@ class SanovResult:
     degenerate: bool = False
     primal_entropy: float = math.inf
     dual_entropy: float = math.inf
+    primal_converged: bool | None = None  # SLSQP status; None when no primal solve ran
 
     def to_dict(self) -> dict:
-        return {
-            "q_star": None if self.q_star is None else [float(v) for v in self.q_star],
-            "entropy": self.entropy,
-            "fenchel_value": self.fenchel_value,
-            "gap": self.gap,
-            "feasible": self.feasible,
-            "degenerate": self.degenerate,
-            "primal_entropy": self.primal_entropy,
-            "dual_entropy": self.dual_entropy,
-        }
+        q_star = None if self.q_star is None else [float(v) for v in self.q_star]
+        return {**asdict(self), "q_star": q_star}
 
 
 def relative_entropy(q, p) -> float:
@@ -217,7 +210,7 @@ def _primal_descent(
     halfspaces: list[tuple[np.ndarray, float]],
     f: np.ndarray,
     f_floor: float,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, bool]:
     """Primal minimization of H(q||p) over the constrained simplex.
 
     Sequential quadratic programming with the exact entropy gradient,
@@ -228,6 +221,9 @@ def _primal_descent(
     when the minimizer carries atoms of mass ~1e-8 (the entropy Hessian
     is diag(1/q)), so a curvature-aware solver is a necessity here, not
     a luxury.
+
+    Also returns whether SLSQP reported convergence; when it did not,
+    the result may be the starting projection.
     """
     all_hs = halfspaces + [(-f, -f_floor)]
     q0 = np.maximum(_project_constrained_simplex(p.copy(), all_hs), 0.0)
@@ -278,8 +274,8 @@ def _primal_descent(
         if val < best_val:
             best_q, best_val = cand, val
     if best_q is None:
-        return q0, relative_entropy(q0, p)
-    return best_q, best_val
+        best_q, best_val = q0, relative_entropy(q0, p)
+    return best_q, best_val, bool(res.success)
 
 
 def sanov_rate(
@@ -337,7 +333,7 @@ def sanov_rate(
         # feasible only on a degenerate face: the tilt runs away, so the
         # dual route contributes nothing useful
         q_dual, h_dual = None, math.inf
-    q_primal, h_primal = _primal_descent(p, halfspaces, f, f_floor)
+    q_primal, h_primal, primal_converged = _primal_descent(p, halfspaces, f, f_floor)
     if h_dual <= h_primal:
         q_star, entropy = q_dual, h_dual
     else:
@@ -354,6 +350,7 @@ def sanov_rate(
         degenerate=degenerate,
         primal_entropy=h_primal,
         dual_entropy=h_dual,
+        primal_converged=primal_converged,
     )
 
 

@@ -104,6 +104,15 @@ def _with_screen(**fields):
         ({"observables": ["heavy_tail"]}, "observables"),
         ({"outputs": {"kind": "report", "path": "report.json"}}, "outputs"),
         ({"outputs": ["report.json"]}, "outputs"),
+        ({"model": {"kind": "finite_support", "atoms": [0.0, 1.0], "probs": "ab"}}, "model.probs"),
+        (
+            {"observables": {"f": {"form": "power", "exponent": "x"}, "u": {"form": "identity"}}},
+            "observables.f.exponent",
+        ),
+        (
+            {"observables": {"f": {"form": "table", "values": "zz"}, "u": {"form": "identity"}}},
+            "observables.f.values",
+        ),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, overrides, field):

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from scipy import integrate
 
 import screened_mc as sm
+from screened_mc import rate_functions
 
 
 def two_point():
@@ -23,28 +26,61 @@ def four_atom_correlated():
 # ---------------------------------------------------------------------------
 
 
+def _objective_1d(value, grad, hess):
+    """(value, derivatives) oracles of a 1-d objective given in closed form."""
+
+    def derivatives(t):
+        x = float(t[0])
+        return value(x), np.array([grad(x)]), np.array([[hess(x)]])
+
+    return lambda t: value(float(t[0])), derivatives
+
+
 def test_legendre_sup_gaussian_rate():
     eps = 0.7
-    value, arg = sm.legendre_sup(lambda t: float(t[0]) * eps - float(t[0]) ** 2 / 2.0, dim=1)
+    value, derivatives = _objective_1d(
+        lambda t: t * eps - t**2 / 2.0, lambda t: eps - t, lambda t: -1.0
+    )
+    value, arg = sm.legendre_sup(value, derivatives, dim=1)
     assert value == pytest.approx(eps**2 / 2.0, rel=1e-9)
     assert float(arg[0]) == pytest.approx(eps, abs=1e-5)
 
 
 def test_legendre_sup_constant_zero():
-    value, _ = sm.legendre_sup(lambda t: 0.0, dim=1)
+    # zero curvature: the singular-Hessian (flat direction) path
+    value, derivatives = _objective_1d(lambda t: 0.0, lambda t: 0.0, lambda t: 0.0)
+    value, _ = sm.legendre_sup(value, derivatives, dim=1)
     assert value == 0.0
 
 
 def test_legendre_sup_binary_rate():
-    value, _ = sm.legendre_sup(
-        lambda t: float(t[0]) * 0.5 - math.log(math.cosh(float(t[0]))), dim=1
+    value, derivatives = _objective_1d(
+        lambda t: t * 0.5 - math.log(math.cosh(t)),
+        lambda t: 0.5 - math.tanh(t),
+        lambda t: -(1.0 - math.tanh(t) ** 2),
     )
+    value, _ = sm.legendre_sup(value, derivatives, dim=1)
     assert value == pytest.approx(sm.binary_kl(0.75, 0.5), rel=1e-9)
 
 
 def test_legendre_sup_nan_objective_raises():
+    value, derivatives = _objective_1d(lambda t: math.nan, lambda t: math.nan, lambda t: math.nan)
     with pytest.raises(sm.NumericError):
-        sm.legendre_sup(lambda t: math.nan, dim=1)
+        sm.legendre_sup(value, derivatives, dim=1)
+
+
+def test_legendre_sup_iteration_cap_raises(monkeypatch):
+    # the two-point rate at eps = 1 is log 2, reached only as theta -> inf;
+    # Newton then advances about 1/2 per step, so two steps cannot finish
+    value, derivatives = _objective_1d(
+        lambda t: t - math.log(math.cosh(t)),
+        lambda t: 1.0 - math.tanh(t),
+        lambda t: -(1.0 - math.tanh(t) ** 2),
+    )
+    assert sm.legendre_sup(value, derivatives, dim=1)[0] == pytest.approx(math.log(2.0), rel=1e-12)
+    monkeypatch.setattr(rate_functions, "NEWTON_MAX_ITER", 2)
+    with pytest.raises(sm.NumericError, match="did not converge"):
+        sm.legendre_sup(value, derivatives, dim=1)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +94,8 @@ def test_lambda_star_two_point():
         sm.binary_kl(0.75, 0.5), rel=1e-8
     )
     assert sm.rate_lambda_star(model, pair, 0.0) == 0.0
+    # at eps = 1 the supremum log 2 is reached only as theta -> inf
+    assert sm.rate_lambda_star(model, pair, 1.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_lambda_star_heavy_tail_is_zero():
@@ -100,6 +138,49 @@ def test_heavy_tail_pair_rate_positive_finite_in_feasible_window():
     eps_n, u_n = norm.map_thresholds(0.03, 0.005)
     rep = sm.bound_thm31_ii(norm, eps_n, u_n)
     assert rep.exponent <= value + 1e-9
+
+
+def _heavy_tail_log_mgf_by_quad(t1, t2):
+    """log E[exp(t1 X^(3/4) - t2 X)] for the density 5/(2 x^(7/2)) on [1, inf)."""
+    peak = max(1.0, (0.75 * t1 / t2) ** 4)
+    h_max = t1 * peak**0.75 - t2 * peak
+
+    def integrand(x):
+        return 2.5 * x**-3.5 * math.exp(t1 * x**0.75 - t2 * x - h_max)
+
+    pieces = [(1.0, peak), (peak, 4.0 * peak + 10.0), (4.0 * peak + 10.0, math.inf)]
+    total = sum(
+        integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in pieces
+        if hi > lo
+    )
+    return h_max + math.log(total)
+
+
+@pytest.mark.parametrize("eps, u, floor", [(0.03, 0.005, 0.1882723), (0.02, 0.002, 0.0463703)])
+def test_heavy_tail_rate_meets_kkt(monkeypatch, eps, u, floor):
+    model, pair = sm.heavy_tail_pair()
+    quadratures = []
+
+    def counted(fn):
+        def wrapper(*args):
+            quadratures.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    tilted_moments = rate_functions.tilted_moments
+    for name in ("log_mgf_signed", "tilted_moments"):
+        monkeypatch.setattr(rate_functions, name, counted(getattr(rate_functions, name)))
+    value, (t1, t2) = sm.rate_plus_star_detail(model, pair, eps, u)
+    assert floor <= value < math.inf
+    assert len(quadratures) <= 200
+    # KKT at an interior maximizer: the tilted mean hits the thresholds
+    lam, mean, _ = tilted_moments(model, pair, t1, -t2)
+    assert mean[0] == pytest.approx(pair.mu + eps, rel=1e-9)
+    assert mean[1] == pytest.approx(pair.nu + u, rel=1e-9)
+    assert lam == pytest.approx(_heavy_tail_log_mgf_by_quad(t1, t2), abs=1e-10)
+    assert value == pytest.approx(t1 * (pair.mu + eps) - t2 * (pair.nu + u) - lam, abs=1e-12)
 
 
 def test_heavy_tail_pair_rate_infinite_beyond_concavity_threshold():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
 import screened_mc as sm
+from screened_mc import sanov_oracle
 from screened_mc.sanov_oracle import _project_constrained_simplex, _project_simplex
 
 
@@ -106,6 +108,21 @@ def test_sanov_matches_fenchel_on_four_atom():
     assert float(f @ res.q_star) >= pair.mu + 0.1 - 1e-8
     assert float(uv @ res.q_star) <= pair.nu + 0.05 + 1e-8
     assert res.q_star.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_sanov_reports_primal_convergence(monkeypatch):
+    model, pair = four_atom()
+    res = sm.sanov_rate(model, pair, 0.1, 0.05)
+    assert res.primal_converged is True
+    assert res.to_dict()["primal_converged"] is True
+
+    def failed_minimize(fun, x0, **kwargs):
+        return OptimizeResult(x=x0, success=False, status=9, nit=800, message="iteration limit")
+
+    monkeypatch.setattr(sanov_oracle, "minimize", failed_minimize)
+    res = sm.sanov_rate(model, pair, 0.1, 0.05)
+    assert res.primal_converged is False
+    assert res.to_dict()["primal_converged"] is False
 
 
 def test_sanov_two_sided_constraint():
