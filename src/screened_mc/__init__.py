@@ -28,7 +28,6 @@ from .bound_engine import (
 )
 from .dist_models import (
     DistributionModel,
-    MarginOracle,
     ObservablePair,
     counterexample_pair,
     exact_moments,
@@ -104,7 +103,6 @@ __all__ = [
     # models and observables
     "DistributionModel",
     "ObservablePair",
-    "MarginOracle",
     "pareto_like",
     "finite_support",
     "sign_product",

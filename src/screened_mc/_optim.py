@@ -77,19 +77,20 @@ def grid_min(
 
 
 def min_convex_gap(
-    sup_oracle: Callable[[float], float], c1: float, c2: float, grid: Sequence[float]
+    sup_oracle: Callable, c1: float, c2: float, grid: np.ndarray
 ) -> float:
     """Minimum over beta > 0 of sup[G1 + beta G2] - (c1 + beta c2).
 
-    ``sup_oracle(beta)`` bounds sup[G1 + beta G2] from above.  The gap is
+    ``sup_oracle(beta)`` bounds sup[G1 + beta G2] from above, for a float
+    beta and elementwise for an array; the grid takes one call.  The gap is
     convex in beta (a sup of affine maps minus an affine map), so the
     refined minimum of a positive log-spaced grid is its global minimum
     over the grid's span.  A negative value certifies that no law puts
     mean G1 >= c1 and mean G2 >= c2 at once.
     """
 
-    def gap(beta: float) -> float:
+    def gap(beta):
         return sup_oracle(beta) - (c1 + beta * c2)
 
-    _, best = grid_min(gap, grid, [gap(float(b)) for b in grid], log=True)
+    _, best = grid_min(gap, grid, gap(grid), log=True)
     return best

@@ -136,31 +136,11 @@ def canonical_power(form) -> tuple[float, float, float] | None:
 
 
 # ---------------------------------------------------------------------------
-# margin oracles
+# margin oracles: plain callables taking beta > 0, a float or an array, to a
+# bound on an essential extremum of F -/+ beta*U of the same shape (a float
+# for a float).  Grids take one call; the golden refinement calls with
+# floats, a path kept free of numpy overhead.  Callers check the domain.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarginOracle:
-    """beta -> bound on an essential extremum of F -/+ beta*U.
-
-    ``fn`` must return a finite value for every beta in the open domain
-    (beta_min, beta_max]; ``exact`` records whether the value is the
-    essential extremum itself or only a one-sided bound.
-    """
-
-    fn: Callable[[float], float]
-    beta_min: float = 0.0
-    beta_max: float = math.inf
-    exact: bool = True
-
-    def __call__(self, beta: float) -> float:
-        if not (self.beta_min < beta <= self.beta_max):
-            raise DomainError(
-                f"margin argument beta={beta} outside domain "
-                f"({self.beta_min}, {self.beta_max}]"
-            )
-        return float(self.fn(beta))
 
 
 @dataclass(frozen=True)
@@ -171,17 +151,19 @@ class ParetoPowerMargin:
     for b <= 3/4; beyond that the maximum sits at x = 1.
     """
 
-    def __call__(self, b: float) -> float:
-        if b <= 0.75:
-            return 0.25 * (3.0 / (4.0 * b)) ** 3
-        return 1.0 - b
+    def __call__(self, b):
+        if not isinstance(b, np.ndarray):
+            return 0.25 * (3.0 / (4.0 * b)) ** 3 if b <= 0.75 else 1.0 - b
+        # float_power runs C pow per element, as Python's ** does; the
+        # SIMD loop of np.power can differ from it in the last bit
+        return np.where(b <= 0.75, 0.25 * np.float_power(3.0 / (4.0 * b), 3), 1.0 - b)
 
 
 @dataclass(frozen=True)
 class ParetoSumInf:
     """inf over x >= 1 of x**(3/4) + b*x = 1 + b (both terms increase)."""
 
-    def __call__(self, b: float) -> float:
+    def __call__(self, b):
         return 1.0 + b
 
 
@@ -194,32 +176,44 @@ class FiniteMargin:
     u_sign: float  # +1 for f + beta*u, -1 for f - beta*u
     sense: str  # "max" | "min"
 
-    def __call__(self, beta: float) -> float:
-        f = np.asarray(self.f_values, dtype=float)
-        u = np.asarray(self.u_values, dtype=float)
-        vals = f + self.u_sign * beta * u
-        return float(vals.max() if self.sense == "max" else vals.min())
+    def __call__(self, beta):
+        if not isinstance(beta, np.ndarray):
+            vals = np.asarray(self.f_values) + self.u_sign * beta * np.asarray(self.u_values)
+            return float(vals.max() if self.sense == "max" else vals.min())
+        # atom by atom: a (beta, atom) table is paged in afresh every call
+        pick = np.maximum if self.sense == "max" else np.minimum
+        scaled = self.u_sign * beta
+        ext = self.f_values[0] + scaled * self.u_values[0]
+        for f, u in zip(self.f_values[1:], self.u_values[1:]):
+            pick(ext, f + scaled * u, out=ext)
+        return ext
+
+
+GRID_SEARCH_X_MAX = 1e12
+_GRID_SEARCH_XS = np.geomspace(1.0, GRID_SEARCH_X_MAX, 600)
 
 
 @dataclass(frozen=True)
 class GridSearchMargin:
-    """Bracketed scalar search for sup over x >= 1 of f(x) - beta*u(x).
+    """Bracketed scalar search for sup over 1 <= x <= GRID_SEARCH_X_MAX of f - beta*u.
 
     Assumes the profile is unimodal in x (true for the concave-minus-
     linear families used here).  Coarse log grid, then golden-section
-    refinement in log-x around the best point.
+    refinement in log-x around the best point.  An array of beta is
+    searched one element at a time.
     """
 
     f: Callable
     u: Callable
-    x_max: float = 1e12
 
-    def __call__(self, beta: float) -> float:
+    def __call__(self, beta):
+        if isinstance(beta, np.ndarray):
+            return np.array([self(b) for b in beta.ravel().tolist()]).reshape(beta.shape)
+
         def neg_profile(x):
             return -(self.f(x) - beta * self.u(x))
 
-        grid = np.geomspace(1.0, self.x_max, 600)
-        _, neg = grid_min(neg_profile, grid, neg_profile(grid), log=True)
+        _, neg = grid_min(neg_profile, _GRID_SEARCH_XS, neg_profile(_GRID_SEARCH_XS), log=True)
         return -neg
 
 
@@ -322,10 +316,11 @@ class ObservablePair:
     var_u: float
     gamma: float
     gamma_flag: str = "exact"
-    margin: MarginOracle | None = None  # bound on sup[F - beta U]
-    sum_lower_margin: MarginOracle | None = None  # bound on inf[F + beta U]
-    sum_margin: MarginOracle | None = None  # bound on sup[F + beta U]
-    lower_margin: MarginOracle | None = None  # bound on inf[F - beta U]
+    # margin oracles: beta > 0 (float or array) -> bound of the same shape
+    margin: Callable | None = None  # upper bound on sup[F - beta U]
+    sum_lower_margin: Callable | None = None  # lower bound on inf[F + beta U]
+    sum_margin: Callable | None = None  # upper bound on sup[F + beta U]
+    lower_margin: Callable | None = None  # lower bound on inf[F - beta U]
     f_unbounded_above: bool = False
     u_unbounded_above: bool = False
     normalized: bool = False
@@ -371,8 +366,8 @@ def heavy_tail_pair() -> tuple[DistributionModel, ObservablePair]:
         var_u=20.0 / 9.0,
         gamma=20.0 / 21.0,
         gamma_flag="exact",
-        margin=MarginOracle(ParetoPowerMargin(), exact=True),
-        sum_lower_margin=MarginOracle(ParetoSumInf(), exact=True),
+        margin=ParetoPowerMargin(),
+        sum_lower_margin=ParetoSumInf(),
         f_unbounded_above=True,
         u_unbounded_above=True,
     )
@@ -404,10 +399,10 @@ def tabulated_pair(
         var_f=var_f,
         var_u=var_u,
         gamma=gamma,
-        margin=MarginOracle(FiniteMargin(fv, uv, -1.0, "max")),
-        lower_margin=MarginOracle(FiniteMargin(fv, uv, -1.0, "min")),
-        sum_margin=MarginOracle(FiniteMargin(fv, uv, +1.0, "max")),
-        sum_lower_margin=MarginOracle(FiniteMargin(fv, uv, +1.0, "min")),
+        margin=FiniteMargin(fv, uv, -1.0, "max"),
+        lower_margin=FiniteMargin(fv, uv, -1.0, "min"),
+        sum_margin=FiniteMargin(fv, uv, +1.0, "max"),
+        sum_lower_margin=FiniteMargin(fv, uv, +1.0, "min"),
     )
 
 
@@ -423,10 +418,9 @@ def pair_from_callables(model: DistributionModel, f, u) -> ObservablePair:
     f_unbounded = cf is None or (cf[1] > 0 and cf[0] > 0)
     u_unbounded = cu is None or (cu[1] > 0 and cu[0] > 0)
     if isinstance(f, Power) and f.exponent == 0.75 and isinstance(u, Identity):
-        margin = MarginOracle(ParetoPowerMargin(), exact=True)
-        sum_lower = MarginOracle(ParetoSumInf(), exact=True)
+        margin, sum_lower = ParetoPowerMargin(), ParetoSumInf()
     else:
-        margin = MarginOracle(GridSearchMargin(f, u), exact=False)
+        margin = GridSearchMargin(f, u)
         sum_lower = None
     return ObservablePair(
         f=f,

@@ -2,7 +2,8 @@
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them
 all).  The heavy Monte Carlo criteria (4 and 5) are the slow part of
-the suite; together they need a few minutes.
+the suite; together they need a few minutes.  They are marked ``slow``,
+so ``pytest -m "not slow"`` runs everything else.
 """
 
 import json
@@ -81,6 +82,7 @@ def test_criterion_3_headline_bound_values():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_4_soundness_vs_simulation():
     t0 = time.perf_counter()
     cfg = parse_config(
@@ -113,6 +115,7 @@ def test_criterion_4_soundness_vs_simulation():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_heavy_tail_decay_slope():
     t0 = time.perf_counter()
     res = sm.run_heavy_tail_slope(

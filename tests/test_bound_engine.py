@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import screened_mc as sm
+from screened_mc import bound_engine
+from screened_mc._optim import grid_min
 from screened_mc.bound_engine import (
     REFERENCE_ALPHA_III,
     REFERENCE_ALPHA_IV,
@@ -18,6 +20,11 @@ SQRT5 = math.sqrt(5.0)
 def normalized_heavy_tail():
     model, pair = sm.heavy_tail_pair()
     return model, sm.normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
+
+
+def _finite_normalized_pair():
+    model = sm.finite_support([1.0, 2.0, 3.0], [0.25, 0.5, 0.25])
+    return sm.normalize_observables(sm.tabulated_pair(model, [2.0, -1.0, 3.0], [1.0, 4.0, 6.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +105,27 @@ def test_margin_matches_brute_force_maximization(normalized_heavy_tail):
         # sits above the true supremum by at most (mu - 1)/2
         assert sm.margin(norm, beta) >= brute - 1e-9
         assert sm.margin(norm, beta) <= brute + (10.0 / 7.0 - 1.0) / 2.0 + 1e-9
+
+
+def test_margin_on_arrays_matches_scalar_calls(normalized_heavy_tail):
+    # the normalized margins are TransformedMargin over the raw oracles
+    _, norm = normalized_heavy_tail
+    finite = _finite_normalized_pair()
+    betas = np.concatenate([np.geomspace(1e-4, 20.0, 2001), [SQRT5 / 4.0]])
+    for oracle in (norm.margin, norm.sum_lower_margin, finite.margin, finite.sum_lower_margin):
+        assert isinstance(oracle, bound_engine.TransformedMargin)
+        got = oracle(betas)
+        assert np.array_equal(got, np.array([oracle(b) for b in betas.tolist()]))
+    assert np.array_equal(sm.margin(norm, betas), norm.margin(betas))
+
+
+def test_margin_rejects_arrays_with_a_nonpositive_beta(normalized_heavy_tail):
+    _, norm = normalized_heavy_tail
+    for bad in ([0.1, 0.0], [0.1, -1.0], [0.1, math.nan]):
+        with pytest.raises(sm.DomainError):
+            sm.margin(norm, np.array(bad))
+    with pytest.raises(sm.DomainError):
+        sm.margin(norm, math.nan)
 
 
 def test_margin_interior_maximizer_location():
@@ -213,6 +241,67 @@ def test_thm31_ii_reference_alpha_values(normalized_heavy_tail):
     assert got_iv == pytest.approx(0.036642, abs=1e-5)
 
 
+def _thm31_ii_by_scalar_loop(pair, epsilon, u):
+    """The alpha grid evaluated one scalar call at a time (the reference)."""
+
+    def neg_exponent(alpha):
+        return -thm31_ii_exponent_at(pair, epsilon, u, alpha)
+
+    alphas = np.arange(1e-4, 1.0, 1e-4)
+    a_star, neg = grid_min(neg_exponent, alphas, [neg_exponent(float(a)) for a in alphas])
+    return -neg, a_star
+
+
+def test_thm31_ii_array_grid_matches_scalar_loop(normalized_heavy_tail):
+    _, norm = normalized_heavy_tail
+    cases = [(pair, *norm.map_thresholds(eps, u))
+             for pair in (norm, sm.with_gamma(norm, -1.0))
+             for eps, u in ((0.2, 0.005), (0.05, 0.001))]
+    cases.append((_finite_normalized_pair(), 0.5, 0.1))
+    for pair, eps_n, u_n in cases:
+        rep = sm.bound_thm31_ii(pair, eps_n, u_n)
+        assert rep.method == "thm31_ii" and 0.0 < rep.exponent < math.inf
+        assert (rep.exponent, rep.alpha_star) == _thm31_ii_by_scalar_loop(pair, eps_n, u_n)
+
+
+def test_thm31_ii_exponent_at_on_arrays(normalized_heavy_tail):
+    # F = U: m(beta) = |1 - beta| is 0 at beta = 1, i.e. at alpha = 0.5
+    model = sm.finite_support([-1.0, 1.0], [0.5, 0.5])
+    same = sm.tabulated_pair(model, [-1.0, 1.0], [-1.0, 1.0])
+    alphas = np.array([0.25, 0.5, 0.75])
+    got = thm31_ii_exponent_at(same, 1.0, 0.5, alphas)
+    scalars = [thm31_ii_exponent_at(same, 1.0, 0.5, a) for a in alphas.tolist()]
+    assert all(type(v) is float for v in scalars) and scalars[1] == math.inf
+    assert np.array_equal(got, np.array(scalars))
+    with pytest.raises(sm.DomainError):
+        thm31_ii_exponent_at(same, 1.0, 0.5, np.array([0.5, 1.0]))
+    # a surrogate gamma far above 1 drives the Bennett denominator negative
+    _, norm = normalized_heavy_tail
+    bogus = sm.with_gamma(norm, 50.0)
+    with pytest.raises(sm.NumericError):
+        thm31_ii_exponent_at(bogus, 0.1, 0.1, 0.5)
+    with pytest.raises(sm.NumericError):
+        thm31_ii_exponent_at(bogus, 0.1, 0.1, np.array([0.001, 0.5]))
+
+
+def test_thm31_ii_takes_one_margin_call_per_grid(normalized_heavy_tail, monkeypatch):
+    _, norm = normalized_heavy_tail
+    eps_n, u_n = norm.map_thresholds(0.2, 0.005)
+    calls = []
+
+    def counted(pair, beta):
+        calls.append(isinstance(beta, np.ndarray))
+        return sm.margin(pair, beta)
+
+    monkeypatch.setattr(bound_engine, "margin", counted)
+    rep = bound_engine.bound_thm31_ii(norm, eps_n, u_n)
+    assert rep.method == "thm31_ii"
+    # one array call for the certificate's beta grid, one for the alpha grid;
+    # only the two golden refinements call with floats
+    assert calls.count(True) == 2
+    assert 0 < calls.count(False) < 200
+
+
 def test_thm31_ii_zero_event_precedence():
     model = sm.finite_support([-1.0, 1.0], [0.5, 0.5])
     pair = sm.tabulated_pair(model, [-1.0, 1.0], [-1.0, 1.0])
@@ -303,6 +392,17 @@ def test_prop11_constants_and_alphas():
     assert rep.value_iii_at_reference_alpha == pytest.approx(0.005054, abs=1e-5)
     assert rep.value_iv_at_reference_alpha == pytest.approx(0.036642, abs=1e-5)
     assert rep.alpha_iii == pytest.approx(0.0548, abs=2e-3)
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [bound_engine._restricted_objective_worst, bound_engine._restricted_objective_cov],
+)
+def test_restricted_maximum_in_blocks_matches_the_whole_grid(objective):
+    # reference: the whole grid as one numpy expression
+    alphas = np.arange(3.0 / 80.0, 1.0, 1e-5)
+    a_ref, neg = grid_min(lambda a: -objective(a), alphas, -objective(alphas))
+    assert bound_engine._maximize_restricted(objective) == (a_ref, -neg)
 
 
 def test_prop11_quoted_bounds():

@@ -208,3 +208,47 @@ def test_grid_search_margin_matches_closed_form():
     closed = ParetoPowerMargin()
     for b in np.geomspace(1e-3, 5.0, 40):
         assert searched(float(b)) == pytest.approx(closed(float(b)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# margin oracles on arrays: exactly their scalar calls, element by element
+# ---------------------------------------------------------------------------
+
+
+def _assert_array_matches_scalar_calls(oracle, betas):
+    got = oracle(betas)
+    scalars = [oracle(b) for b in betas.ravel().tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert isinstance(got, np.ndarray) and got.shape == betas.shape
+    assert np.array_equal(got.ravel(), np.array(scalars))
+
+
+def test_pareto_margins_on_arrays_match_scalar_calls():
+    from screened_mc.dist_models import ParetoPowerMargin, ParetoSumInf
+
+    edge = [np.nextafter(0.75, 0.0), 0.75, np.nextafter(0.75, 1.0)]
+    betas = np.concatenate([np.geomspace(1e-6, 0.75, 20_001), edge, np.geomspace(0.75, 50.0, 999)])
+    assert np.any(betas < 0.75) and np.any(betas == 0.75) and np.any(betas > 0.75)
+    for oracle in (ParetoPowerMargin(), ParetoSumInf()):
+        _assert_array_matches_scalar_calls(oracle, betas)
+        _assert_array_matches_scalar_calls(oracle, betas[:1000].reshape(20, 50))
+
+
+def test_finite_margins_on_arrays_match_scalar_calls():
+    from screened_mc.dist_models import FiniteMargin
+
+    rng = np.random.default_rng(11)
+    fv, uv = tuple(rng.normal(size=7)), tuple(rng.normal(size=7))
+    betas = np.geomspace(1e-4, 1e4, 301)
+    for u_sign in (-1.0, +1.0):
+        for sense in ("max", "min"):
+            oracle = FiniteMargin(fv, uv, u_sign, sense)
+            _assert_array_matches_scalar_calls(oracle, betas)
+            _assert_array_matches_scalar_calls(oracle, betas[:300].reshape(3, 100))
+
+
+def test_grid_search_margin_on_arrays_matches_scalar_calls():
+    from screened_mc.dist_models import GridSearchMargin
+
+    oracle = GridSearchMargin(Power(0.5), Identity())
+    _assert_array_matches_scalar_calls(oracle, np.geomspace(1e-3, 5.0, 24).reshape(4, 6))

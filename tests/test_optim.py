@@ -78,7 +78,7 @@ def test_grid_min_negation_picks_the_argmax_index():
 def test_min_convex_gap_zero_gap_separates_the_two_certificates():
     # two atoms (1, -1) and (-1, 1): every law has mean G1 + mean G2 = 0
     def sup_oracle(beta):
-        return max(1.0 - beta, -1.0 + beta)
+        return np.maximum(1.0 - beta, -1.0 + beta)
 
     # (0.5, -0.5) is a reachable pair of means: the gap touches 0 at beta = 1
     assert min_convex_gap(sup_oracle, 0.5, -0.5, 2.0 ** np.arange(-30, 31)) == 0.0
@@ -86,3 +86,11 @@ def test_min_convex_gap_zero_gap_separates_the_two_certificates():
     # (0.5, 0.6) is not reachable: a negative gap certifies it
     assert min_convex_gap(sup_oracle, 0.5, 0.6, 2.0 ** np.arange(-30, 31)) < 0.0
     assert _event_is_empty(sup_oracle, 0.5, 0.6) is True
+
+
+def test_min_convex_gap_evaluates_its_grid_in_one_call():
+    fn, calls = _recording(lambda beta: np.maximum(1.0 - beta, -1.0 + beta))
+    min_convex_gap(fn, 0.5, 0.6, 2.0 ** np.arange(-30, 31))
+    grids = [x for x, _ in calls if isinstance(x, np.ndarray)]
+    assert len(grids) == 1 and grids[0].shape == (61,)
+    assert all(type(x) is float for x, _ in calls[1:])

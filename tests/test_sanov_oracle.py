@@ -74,6 +74,53 @@ def test_constrained_projection_feasible_and_optimal():
             assert np.sum((z - v) ** 2) <= np.sum((cand - v) ** 2) + 1e-12
 
 
+def truncation(x_max):
+    """The heavy-tail truncation of the trend test: p, f, u, mu, nu."""
+    grid = np.geomspace(1.0, x_max, 24)
+    probs = np.maximum(np.diff(np.concatenate([[0.0], 1.0 - grid**-2.5])), 1e-12)
+    probs = probs / probs.sum()
+    f = grid**0.75
+    return probs, f, grid, float(probs @ f), float(probs @ grid)
+
+
+@pytest.mark.parametrize("x_max", [10.0, 100.0, 1000.0])
+def test_constrained_projection_on_thin_wedges(x_max):
+    # the moment sets of the heavy-tail truncations are thin wedges, where
+    # a fixed number of coordinate-bisection sweeps left the projection
+    # outside the set; the least-distance solve lands inside, and no
+    # feasible point along the set's edges is closer
+    p, f, u, mu, nu = truncation(x_max)
+    halfspaces = [(u, nu + 0.05), (-f, -(mu + 0.03))]
+    z = _project_constrained_simplex(p, halfspaces)
+    assert z.min() >= 0.0
+    assert z.sum() == pytest.approx(1.0, abs=1e-12)
+    for a, b in halfspaces:
+        assert float(a @ z) <= b + 1e-12 * (1.0 + abs(b))
+    dist = np.sum((z - p) ** 2)
+    for i in range(len(p)):
+        for j in range(len(p)):
+            for t in (1e-9, 1e-6):
+                cand = z.copy()
+                cand[i] += t
+                cand[j] -= t
+                if cand[j] < 0 or any(float(a @ cand) > b for a, b in halfspaces):
+                    continue
+                assert dist <= np.sum((cand - p) ** 2) + 1e-15
+
+
+def test_constrained_projection_floor_and_empty_set():
+    p, f, u, mu, nu = truncation(100.0)
+    halfspaces = [(u, nu + 0.05), (-f, -(mu + 0.03))]
+    floor = 1e-2 * p
+    z = _project_constrained_simplex(p, halfspaces, floor)
+    assert np.all(z >= floor)
+    for a, b in halfspaces:
+        assert float(a @ z) <= b + 1e-12 * (1.0 + abs(b))
+    # F cannot exceed its largest atom, with or without a floor
+    assert _project_constrained_simplex(p, [(-f, -(f.max() + 1.0))]) is None
+    assert _project_constrained_simplex(p, halfspaces, 0.5 * p + 0.1) is None
+
+
 # ---------------------------------------------------------------------------
 # the oracle
 # ---------------------------------------------------------------------------
@@ -205,3 +252,25 @@ def test_heavy_tail_truncation_trend():
     # so screening's relative advantage grows without bound
     ratios = [s / p for s, p in zip(screened, plain)]
     assert ratios[0] < ratios[1] < ratios[2]
+
+
+def test_tilted_dual_stays_in_the_moment_set():
+    # the x_max = 100 truncation of the trend test, with a tilt slightly
+    # short of the optimum: the projection repair must not hand back a law
+    # outside {f.q >= mu + eps, u.q <= nu + u}
+    grid = np.geomspace(1.0, 100.0, 24)
+    probs = np.maximum(np.diff(np.concatenate([[0.0], 1.0 - grid**-2.5])), 1e-12)
+    model = sm.finite_support(grid, probs / probs.sum())
+    pair = sm.tabulated_pair(model, grid**0.75, grid)
+    eps, u = 0.03, 0.05
+    _, (t1, t2) = sm.rate_plus_star_detail(model, pair, eps, u, "lambda_plus")
+    f, u_vals = grid**0.75, grid
+    q, h = sanov_oracle._tilted_dual(
+        model.probs, f, u_vals, (t1 * (1.0 - 1e-6), t2), [(u_vals, pair.nu + u)], pair.mu + eps
+    )
+    if q is None:
+        assert h == math.inf
+    else:
+        assert f @ q >= pair.mu + eps - 1e-12
+        assert u_vals @ q <= pair.nu + u + 1e-12
+        assert h == sm.relative_entropy(q, model.probs)
