@@ -1,8 +1,9 @@
 """Seeded Monte Carlo validation of every certified bound.
 
 A validation run counts final-step screened and unscreened error events
-over many independent trials (each trial on its own substream keyed by
-the trial index, so worker count never changes the answer) and checks
+over many independent trials (each trial on its own run of Philox
+counters fixed by the trial index, so worker count never changes the
+answer) and checks
 the empirical rates against every applicable bound.
 
 This is the desk-scale version of the full validation; the acceptance

@@ -63,9 +63,9 @@ def _load_config(args) -> ExperimentConfig:
         raise ConfigError("this command requires --config PATH")
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if args.seed is not None and isinstance(doc, dict):
+        doc["seed"] = args.seed  # checked by parse_config like the file's own seed
     cfg = parse_config(doc)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
     if args.trials is not None:
         if args.trials < 1:
             raise ConfigError("--trials must be >= 1")

@@ -108,16 +108,18 @@ class Table:
     atoms: tuple
     values: tuple
 
+    @functools.cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        order = np.argsort(self.atoms)
+        return np.asarray(self.atoms)[order], np.asarray(self.values, dtype=float)[order]
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        atoms = np.asarray(self.atoms)
-        values = np.asarray(self.values, dtype=float)
-        order = np.argsort(atoms)
-        idx = np.searchsorted(atoms[order], x)
-        idx = np.clip(idx, 0, len(atoms) - 1)
-        if not np.all(atoms[order][idx] == x):
+        atoms, values = self._sorted
+        idx = np.minimum(np.searchsorted(atoms, x), len(atoms) - 1)
+        if not np.all(atoms[idx] == x):
             raise InputError("table form evaluated off the model support")
-        return values[order][idx]
+        return values[idx]
 
 
 def canonical_power(form) -> tuple[float, float, float] | None:
@@ -458,10 +460,7 @@ def counterexample_pair(
 
 def sample(model: DistributionModel, stream: RandomStream, count: int) -> np.ndarray:
     """``count`` i.i.d. draws; identical (seed, count) is bit-for-bit stable."""
-    if count < 1:
-        raise InputError("count must be >= 1")
-    p = stream.uniform(count)
-    return transform_uniforms(model, p)
+    return transform_uniforms(model, stream.uniform(count))
 
 
 def transform_uniforms(model: DistributionModel, p: np.ndarray) -> np.ndarray:

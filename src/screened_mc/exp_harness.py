@@ -2,15 +2,15 @@
 heavy-tail decay measurement, and byte-deterministic result emission.
 
 Determinism contract: identical (config, seed) produce byte-identical
-output files regardless of worker count or scheduling.  Trials draw
-from substreams keyed by (master seed, trial index), batches have a
-fixed size independent of the worker pool, and aggregation is exact
-integer addition.
+output files regardless of worker count or scheduling.  Trial t owns a
+fixed run of Philox counters under the key (master seed, namespace), see
+``streams``; batches have a fixed size independent of the worker pool,
+and aggregation is exact integer addition.
 
 Validation and the slope runner share one block kernel,
-``_trial_deviations``: it fills a block of trials' uniforms row by row,
-then transforms them and evaluates F and U once per block.  Each trial's
-uniforms and means are bit-identical to evaluating the trial alone.
+``_trial_deviations``: one sampler call fills a block of trials' uniforms,
+then F and U are evaluated once per block.  Each trial's uniforms and
+means are bit-identical to evaluating the trial alone.
 """
 
 from __future__ import annotations
@@ -57,14 +57,13 @@ from .errors import (
     ScreenedMcError,
 )
 from .rate_functions import rate_plus_star
-from .screen_core import SIDEDNESS, ScreenConfig, TrajectoryRecord
-from .streams import SubstreamSampler
+from .screen_core import ScreenConfig, TrajectoryRecord
+from .streams import STREAM_CONTRACT, SubstreamSampler
 
 BATCH_SIZE = 8192  # fixed: batch decomposition must not depend on --jobs
 BLOCK_SAMPLES = 1 << 14  # uniforms per kernel block; bounds the kernel's working memory
 OUTPUT_KINDS = ("trajectory_csv", "report", "rates_table")
 WILSON_Z = 3.0  # 99.7%-equivalent score interval
-SLOPE_INDEX_STRIDE = 1 << 40  # trial-index namespace per horizon
 
 
 # ---------------------------------------------------------------------------
@@ -166,19 +165,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     screen = _object(doc["screen"], "screen")
     _require_keys(screen, {"epsilon", "u", "n", "sidedness"}, {"epsilon", "u", "n"}, "screen")
-    sidedness = screen.get("sidedness", "two_sided")
-    if sidedness not in SIDEDNESS:
-        raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
-    screen_cfg = ScreenConfig(
+    screen_cfg = ScreenConfig(  # checks the ranges and the sidedness
         epsilon=_real(screen["epsilon"], "screen.epsilon"),
         u=_real(screen["u"], "screen.u"),
         n=_integer(screen["n"], "screen.n"),
-        sidedness=sidedness,
+        sidedness=screen.get("sidedness", "two_sided"),
     )
 
     trials = _integer(doc["trials"], "trials")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    seed = _integer(doc["seed"], "seed")
+    if not 0 <= seed < 1 << 64:  # one word of the Philox key
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
 
     entries = doc.get("outputs", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
@@ -198,7 +197,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         observables=obs,
         screen=screen_cfg,
         trials=trials,
-        master_seed=_integer(doc["seed"], "seed"),
+        master_seed=seed,
         outputs=tuple(outputs),
     )
 
@@ -374,10 +373,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _is_heavy_tail_preset(obs: dict) -> bool:
-    return obs.get("preset") == "heavy_tail"
-
-
 def compute_bounds(
     model: DistributionModel,
     pair: ObservablePair,
@@ -402,7 +397,7 @@ def compute_bounds(
             )
         )
 
-    if _is_heavy_tail_preset(obs_spec):
+    if obs_spec.get("preset") == "heavy_tail":
         norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
         eps_n, u_n = norm.map_thresholds(epsilon, u)
         add(replace(bound_thm31_ii(norm, eps_n, u_n), note="gamma=exact"))
@@ -432,28 +427,25 @@ def compute_bounds(
     return entries
 
 
-def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, offset):
+def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace):
     """Mean of F minus mu and mean of U minus nu, per trial in ``[lo, hi)``.
 
-    The harness's one Monte Carlo kernel. Each trial's uniforms fill one
-    row of a block of ``BLOCK_SAMPLES // n`` trials; the transform, F and
-    U then run once per block, and each row sums along its contiguous
-    axis, the pairwise summation a per-trial 1-D ``sum`` uses, so every
-    mean is bit-identical to the per-trial path.
+    The harness's one Monte Carlo kernel. A block of ``BLOCK_SAMPLES // n``
+    trials, one per row, is one sampler call (one counter write); the
+    transform, F and U then run once per block, and each row sums along
+    its contiguous axis, the pairwise summation a per-trial 1-D ``sum``
+    uses, so every mean is bit-identical to the per-trial path.
     """
     model = build_model(model_spec)
     pair = build_pair(model, obs_spec)
-    sampler = SubstreamSampler(seed)
+    sampler = SubstreamSampler(seed, namespace)
     rows = max(1, BLOCK_SAMPLES // n)
     block = np.empty((rows, n))
     s_dev = np.empty(hi - lo)
     t_dev = np.empty(hi - lo)
     for start in range(lo, hi, rows):
-        p = block[: min(rows, hi - start)]
-        for i, row in enumerate(p):
-            sampler.uniforms(offset + start + i, n, out=row)
-        x = transform_uniforms(model, p)
-        done = slice(start - lo, start - lo + len(p))
+        x = transform_uniforms(model, sampler.uniforms(start, n, out=block[: hi - start]))
+        done = slice(start - lo, start - lo + len(x))
         s_dev[done] = pair.f(x).sum(axis=1) / n - pair.mu
         t_dev[done] = pair.u(x).sum(axis=1) / n - pair.nu
     return s_dev, t_dev
@@ -461,8 +453,8 @@ def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, offset):
 
 def _batch_counts(args) -> tuple[int, int, int]:
     """Event counts for one batch of trials. Must stay picklable."""
-    (model_spec, obs_spec, epsilon, u, n, sidedness, seed, lo, hi, offset) = args
-    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, offset)
+    (model_spec, obs_spec, epsilon, u, n, sidedness, seed, lo, hi, namespace) = args
+    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace)
     err = s_dev > epsilon
     screened = (np.abs(t_dev) if sidedness == "two_sided" else t_dev) < u
     return int(screened.sum()), int((err & screened).sum()), int(err.sum())
@@ -537,7 +529,8 @@ def run_validation(config: ExperimentConfig, jobs: int = 1) -> ValidationReport:
         bounds=bounds,
         bound_passes=passes,
         event_inclusion=screened_err <= unscreened_err,
-        runtime={"batch_size": BATCH_SIZE, "package_version": __version__},
+        runtime={"batch_size": BATCH_SIZE, "package_version": __version__,
+                 "stream_contract": STREAM_CONTRACT},
     )
 
 
@@ -562,8 +555,8 @@ def fit_log_slope(n_list, rates) -> float:
 
 def _slope_batch(args) -> int:
     """Plain-estimator error count for one batch of trials."""
-    (model_spec, obs_spec, epsilon, n, seed, lo, hi, offset) = args
-    s_dev, _ = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, offset)
+    (model_spec, obs_spec, epsilon, n, seed, lo, hi, namespace) = args
+    s_dev, _ = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace)
     return int((s_dev > epsilon).sum())
 
 
@@ -590,16 +583,16 @@ def run_heavy_tail_slope(
 ) -> SlopeResult:
     """Fitted decay slope of the plain estimator's error rate in n.
 
-    Each horizon uses its own substream namespace; at least three
-    horizons are required, and every horizon must register at least one
-    hit (a hundred or more is advisable for a stable fit).
+    Horizon ``i`` draws from namespace ``i`` (Philox key word 2); at least
+    three horizons are required, and every horizon must register at least
+    one hit (a hundred or more is advisable for a stable fit).
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
         raise InputError("need at least 3 horizons for a slope fit")
     bounds = _batch_bounds(trials)
     args = [
-        (model_spec, obs_spec, epsilon, n, seed, lo, hi, i * SLOPE_INDEX_STRIDE)
+        (model_spec, obs_spec, epsilon, n, seed, lo, hi, i)
         for i, n in enumerate(n_list)
         for lo, hi in bounds
     ]

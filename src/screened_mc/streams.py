@@ -1,11 +1,13 @@
-"""Counter-based random streams with per-trial substreams.
+"""Counter-addressed random streams (stream contract 2).
 
-Streams are built on Philox keyed directly by ``(master_seed, index)``,
-so the substream for trial ``t`` is a pure function of the master seed
-and ``t``: trial results do not depend on scheduling, worker count, or
-the order in which substreams are consumed.
-
-A stream instance is single-owner: share seeds, never stream objects.
+Trial ``t`` of namespace ``h`` at width ``n`` draws from Philox keyed by
+``(seed, h)``: with ``w = 4*ceil(n/4)`` it owns the counter blocks
+``[t*w/4, (t+1)*w/4)``, ``w`` doubles, and takes the first ``n``.  (Block
+``b`` is Philox at counter ``b + 1``: numpy increments, then evaluates.)
+So a row range ``[lo, hi)`` is one counter write and one
+``Generator.random`` call, and each trial is a pure function of
+``(seed, h, t, n)``, whatever the worker count, block size or draw order
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 """
 
 from __future__ import annotations
@@ -14,66 +16,72 @@ import numpy as np
 
 from .errors import InputError
 
-_MASK64 = (1 << 64) - 1
+STREAM_CONTRACT = 2  # recorded in reports; bumped whenever any trial's uniforms change
+_WORD = 1 << 64
 
 
-def _philox(seed: int, index: int) -> np.random.Philox:
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Philox(key=key)
-
-
-class RandomStream:
-    """Seeded deterministic uniform source with derivable substreams."""
-
-    def __init__(self, seed: int, index: int = 0):
-        if not isinstance(seed, int) or not isinstance(index, int):
-            raise InputError("seed and index must be integers")
-        if index < 0:
-            raise InputError("substream index must be nonnegative")
-        self.seed = seed
-        self.index = index
-        self._gen = np.random.Generator(_philox(seed, index))
-
-    def substream(self, index: int) -> "RandomStream":
-        """Independent stream for trial ``index``, derived from the master seed."""
-        return RandomStream(self.seed, index)
-
-    def uniform(self, count: int) -> np.ndarray:
-        """Next ``count`` uniforms in [0, 1); advances the stream."""
-        if count < 1:
-            raise InputError("count must be >= 1")
-        return self._gen.random(count)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RandomStream(seed={self.seed}, index={self.index})"
+def _word(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < _WORD:
+        raise InputError(f"{name} must be an integer in [0, 2^64), got {value!r}")
+    return value
 
 
 class SubstreamSampler:
-    """Bulk substream iterator, bit-compatible with RandomStream.
+    """Rows of trials under one ``(seed, namespace)`` key; single-owner.
 
-    ``uniforms(t, n)`` returns exactly the array
-    ``RandomStream(seed).substream(t).uniform(n)`` would, but reuses one
-    Philox instance by writing its state. Constructing a fresh bit
-    generator per trial costs ~25us. Reading ``.state`` builds a new dict
-    of arrays and cost ~11.5us per trial with the write, so the dict of
-    a fresh generator (counter zero, output buffer empty) is read once,
-    here. Nothing writes those fields back into it, so a trial only sets
-    ``key[1]`` to its index and assigns the dict: ~3us.
+    The state dict of the fresh generator (counter zero, buffer empty) is
+    read once: reading ``.state`` builds a new dict.  A call writes
+    ``counter[0]``, assigns the dict (~3us) and draws all its rows at once.
     """
 
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._bg = _philox(seed, 0)
+    def __init__(self, seed: int, namespace: int = 0):
+        key = np.array([_word(seed, "seed"), _word(namespace, "namespace")], dtype=np.uint64)
+        self._bg = np.random.Philox(key=key)
         self._gen = np.random.Generator(self._bg)
         self._state = self._bg.state
-        self._key = self._state["state"]["key"]
+        self._counter = self._state["state"]["counter"]
 
-    def uniforms(self, trial_index: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Trial ``trial_index``'s first ``count`` uniforms, written into ``out`` if given."""
-        self._key[1] = trial_index & _MASK64
+    def uniforms(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The first ``count`` uniforms of trials ``start, start + 1, ...``.
+
+        ``out`` is a C-contiguous ``(rows, count)`` block, one trial per
+        row, or one 1-D row; without it, trial ``start``'s row is returned.
+        """
+        if count < 1:
+            raise InputError("count must be >= 1")
+        out = np.empty(count) if out is None else out
+        if out.shape[-1] != count:
+            raise InputError("out must hold exactly count uniforms per row")
+        blocks = -(-count // 4)
+        if start < 0 or (start + (len(out) if out.ndim == 2 else 1)) * blocks >= _WORD:
+            raise InputError(f"trials from {start} at width {4 * blocks} overflow the counter")
+        self._counter[0] = start * blocks
         self._bg.state = self._state
-        if out is None:
-            return self._gen.random(count)
-        if len(out) != count:
-            raise InputError("out must hold exactly count uniforms")
-        return self._gen.random(out=out)  # passing size too costs ~1us more
+        if count % 4 == 0:
+            return self._gen.random(out=out)  # passing size too costs ~1us more
+        out[...] = self._gen.random(out.shape[:-1] + (4 * blocks,))[..., :count]
+        return out
+
+
+class RandomStream:
+    """Trial ``index``'s stream: its row of ``SubstreamSampler(seed)``, at any width.
+
+    A second draw would run into trial ``index + 1``'s counters, so it raises.
+    """
+
+    def __init__(self, seed: int, index: int = 0):
+        self.seed = _word(seed, "seed")
+        self.index = _word(index, "substream index")
+        self._drawn = False
+
+    def substream(self, index: int) -> "RandomStream":
+        """Trial ``index``'s stream, derived from the master seed."""
+        return RandomStream(self.seed, index)
+
+    def uniform(self, count: int) -> np.ndarray:
+        """This trial's first ``count`` uniforms in [0, 1); allowed once."""
+        if self._drawn:
+            raise InputError("a trial stream draws once; draw wider or take another substream")
+        row = SubstreamSampler(self.seed).uniforms(self.index, count)
+        self._drawn = True
+        return row

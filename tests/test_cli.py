@@ -113,6 +113,9 @@ def _with_screen(**fields):
             {"observables": {"f": {"form": "table", "values": "zz"}, "u": {"form": "identity"}}},
             "observables.f.values",
         ),
+        # a seed is one 64-bit Philox key word: nothing outside it is masked into it
+        ({"seed": -1}, "seed"),
+        ({"seed": 1 << 64}, "seed"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, overrides, field):
@@ -122,6 +125,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, overrides, field):
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{field} must be" in err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("seed, code", [("-1", 2), (str(1 << 64), 2), (str((1 << 64) - 1), 0)])
+def test_seed_override_must_fit_a_key_word(tmp_path, capsys, seed, code):
+    cfg = write_config(tmp_path, heavy_tail_doc(trials=100))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path), "--seed", seed]) == code
+    assert ("seed must be in [0, 2^64)" in capsys.readouterr().err) == (code == 2)
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])

@@ -181,9 +181,12 @@ def test_substream_sampler_bit_compatible():
     from screened_mc.streams import SubstreamSampler
 
     sampler = SubstreamSampler(31415)
+    block = sampler.uniforms(0, 64, out=np.empty((6, 64)))  # trials 0..5, one per row
     for t in (0, 1, 5, 123456):
         direct = sm.RandomStream(31415).substream(t).uniform(64)
         assert np.array_equal(sampler.uniforms(t, 64), direct)
+        if t < len(block):
+            assert np.array_equal(block[t], direct)
 
 
 @given(st.lists(st.floats(min_value=1e-6, max_value=1 - 1e-6), min_size=1, max_size=64))

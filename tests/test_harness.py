@@ -119,7 +119,7 @@ def test_validation_document_is_canonical(small_validation):
     doc = canonicalize(rep.to_document())
     text = json.dumps(doc, sort_keys=True)
     assert "screened_error_rate" in text
-    assert "runtime" in text
+    assert doc["runtime"]["stream_contract"] == 2  # counter-addressed trial streams
     # round-trips through JSON unchanged
     assert json.loads(text) == doc
 

@@ -213,14 +213,12 @@ def test_sanov_bound_validates_against_simulation():
     from screened_mc.dist_models import transform_uniforms
 
     sampler = SubstreamSampler(12345)
-    f, uo = pair.f, pair.u
-    for t in range(trials):
-        p = sampler.uniforms(t, n)
-        x = transform_uniforms(model, p)
-        s_hat = float(np.asarray(f(x)).sum()) / n
-        t_hat = float(np.asarray(uo(x)).sum()) / n
-        if s_hat - pair.mu > eps and t_hat - pair.nu < u_thr:
-            hits += 1
+    rows = 1000  # trials per sampler call, one per row
+    for start in range(0, trials, rows):
+        x = transform_uniforms(model, sampler.uniforms(start, n, out=np.empty((rows, n))))
+        s_hat = pair.f(x).sum(axis=1) / n
+        t_hat = pair.u(x).sum(axis=1) / n
+        hits += int(np.sum((s_hat - pair.mu > eps) & (t_hat - pair.nu < u_thr)))
     p_hat = hits / trials
     se = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     assert p_hat <= bound + 3.0 * se
