@@ -282,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=default_jobs(),
-            help="worker processes (default: available parallelism)",
+            help="worker processes, used by validate only; one pool per process, reused "
+            "by later calls with the same value, whose workers see module state as of "
+            "their fork (default: available parallelism)",
         )
         if name == "prop11":
             p.add_argument("--epsilon", type=float, default=None)

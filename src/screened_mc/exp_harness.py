@@ -11,6 +11,13 @@ Validation and the slope runner share one block kernel,
 ``_trial_deviations``: one sampler call fills a block of trials' uniforms,
 then F and U are evaluated once per block.  Each trial's uniforms and
 means are bit-identical to evaluating the trial alone.
+
+Only those two use worker processes: at ``jobs > 1``, one pool per
+process, built on first use and reused by later calls with the same
+``jobs``.  Another ``jobs``, a dead worker (that call raises
+``BrokenProcessPool``) or a ``fork`` makes the next call build a new one.
+Workers see module state as of their fork, so a later monkeypatch does
+not reach them.
 """
 
 from __future__ import annotations
@@ -18,7 +25,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -465,11 +474,33 @@ def _batch_bounds(trials: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + BATCH_SIZE, trials)) for lo in range(0, trials, BATCH_SIZE)]
 
 
+_POOL = None  # (creating pid, jobs, executor), built on first use at jobs > 1
+_POOL_LOCK = threading.RLock()  # callers in several threads share the one pool
+
+
+def _shutdown_pool() -> None:
+    """Stop the pool; one inherited through ``fork`` belongs to the parent and is only dropped."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and _POOL[0] == os.getpid():
+            _POOL[2].shutdown()
+        _POOL = None
+
+
 def _run_batches(worker, arg_list, jobs: int):
+    global _POOL
     if jobs <= 1:
         return [worker(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, arg_list, chunksize=1))
+    try:
+        with _POOL_LOCK:  # map submits every batch before it returns, so no rebuild cuts in
+            if _POOL is None or _POOL[:2] != (os.getpid(), jobs) or _POOL[2]._broken:
+                _shutdown_pool()
+                _POOL = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+            results = _POOL[2].map(worker, arg_list, chunksize=1)
+        return list(results)
+    except BrokenProcessPool:  # a worker died: name it, and start afresh next call
+        _shutdown_pool()
+        raise
 
 
 def default_jobs() -> int:

@@ -1,11 +1,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 import screened_mc as sm
+from screened_mc import exp_harness
 from screened_mc.exp_harness import (
     BATCH_SIZE,
     build_model,
@@ -154,6 +160,143 @@ def test_wilson_interval_degenerate_trials():
 
 
 # ---------------------------------------------------------------------------
+# worker pool
+# ---------------------------------------------------------------------------
+
+
+def _worker_pid(_):
+    return os.getpid()
+
+
+def _die(_):
+    os._exit(1)
+
+
+def _counts(rep):
+    return rep.screened_count, rep.screened_error_count, rep.unscreened_error_count
+
+
+@pytest.fixture
+def fresh_pool():
+    exp_harness._shutdown_pool()
+    yield
+    exp_harness._shutdown_pool()
+
+
+def test_worker_pool_persists_across_calls(fresh_pool):
+    first = exp_harness._run_batches(_worker_pid, range(4), 2)
+    second = exp_harness._run_batches(_worker_pid, range(4), 2)
+    assert os.getpid() not in first
+    assert len(set(first) | set(second)) <= 2  # the same two workers served both calls
+
+
+def test_counts_survive_jobs_changes(fresh_pool):
+    cfg = parse_config(heavy_tail_config(trials=3 * BATCH_SIZE))
+    expected = _counts(sm.run_validation(cfg, jobs=2))
+    pool = exp_harness._POOL
+    assert _counts(sm.run_validation(cfg, jobs=1)) == expected
+    assert exp_harness._POOL is pool  # jobs=1 runs in-process, leaving the pool
+    assert _counts(sm.run_validation(cfg, jobs=3)) == expected
+    assert exp_harness._POOL[1] == 3
+    assert _counts(sm.run_validation(cfg, jobs=2)) == expected
+    assert exp_harness._POOL[2] is not pool[2]  # rebuilt after the jobs=3 pool
+
+
+def test_dead_worker_is_named_and_the_next_call_starts_afresh(fresh_pool):
+    before = set(exp_harness._run_batches(_worker_pid, range(2), 2))
+    with pytest.raises(BrokenProcessPool):
+        exp_harness._run_batches(_die, range(2), 2)
+    assert exp_harness._POOL is None
+    cfg = parse_config(heavy_tail_config(trials=2 * BATCH_SIZE))
+    assert _counts(sm.run_validation(cfg, jobs=2)) == _counts(sm.run_validation(cfg, jobs=1))
+    assert not set(exp_harness._run_batches(_worker_pid, range(2), 2)) & before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_pool(fresh_pool):
+    cfg = parse_config(heavy_tail_config(trials=BATCH_SIZE + 100))
+    expected = _counts(sm.run_validation(cfg, jobs=2))
+    pool = exp_harness._POOL[2]
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit code only
+        code = 1
+        try:
+            ok = _counts(sm.run_validation(cfg, jobs=2)) == expected
+            own = exp_harness._POOL[:2] == (os.getpid(), 2) and exp_harness._POOL[2] is not pool
+            code = 0 if ok and own else 3
+        finally:
+            exp_harness._shutdown_pool()
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert _counts(sm.run_validation(cfg, jobs=2)) == expected
+    assert exp_harness._POOL[2] is pool  # the parent's pool is untouched
+
+
+def test_threads_changing_jobs_share_the_pool_safely(fresh_pool):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            calls = [
+                threads.submit(exp_harness._run_batches, _worker_pid, range(4), 2 + i % 2)
+                for i in range(24)
+            ]
+            results = [call.result(timeout=60) for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(pids) == 4 and os.getpid() not in pids for pids in results)
+
+
+def test_validate_process_exits_promptly_and_leaves_no_worker(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(heavy_tail_config(trials=2 * BATCH_SIZE)))
+    script = (
+        "import multiprocessing, sys\n"
+        "from screened_mc.cli import main\n"
+        f"code = main(['validate', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}, "
+        "'--jobs', '2'])\n"
+        "print('workers', *[p.pid for p in multiprocessing.active_children()])\n"
+        "sys.exit(code)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "stdout.txt"
+    with open(out, "w") as fh:  # a file, not a pipe, which a stray worker would hold open
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, stdout=fh, stderr=subprocess.STDOUT,
+            timeout=30,
+        )
+    text = out.read_text()
+    assert proc.returncode == 0, text
+    workers = [int(p) for p in text.splitlines()[-1].split()[1:]]
+    assert len(workers) == 2  # the pool was alive when the command returned
+    deadline = time.monotonic() + 5.0
+    try:
+        for pid in workers:
+            while _alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(pid), f"worker {pid} outlived its interpreter"
+    finally:
+        for pid in filter(_alive, workers):
+            os.kill(pid, 9)
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # heavy-tail slope
 # ---------------------------------------------------------------------------
 
@@ -182,6 +325,14 @@ def test_run_heavy_tail_slope_smoke():
     assert res.slope < -1.0
     assert all(c > 0 for c in res.counts)
     assert res.to_dict()["rates"][0] > res.to_dict()["rates"][-1]
+
+
+def test_run_heavy_tail_slope_jobs_invariance(fresh_pool):
+    args = ({"kind": "pareto_like"}, {"preset": "heavy_tail"}, 0.5, [25, 50, 100], 20_000, 7)
+    one = sm.run_heavy_tail_slope(*args, jobs=1)
+    two = sm.run_heavy_tail_slope(*args, jobs=2)
+    assert one.counts == two.counts and min(one.counts) > 0
+    assert one.to_dict() == two.to_dict()
 
 
 def test_run_heavy_tail_slope_insufficient_trials():
