@@ -319,20 +319,12 @@ def test_fit_log_slope_input_errors():
 
 
 def test_run_heavy_tail_slope_smoke():
-    res = sm.run_heavy_tail_slope(
-        {"kind": "pareto_like"}, {"preset": "heavy_tail"}, 0.5, [25, 50, 100], 40_000, 999, jobs=2
-    )
+    args = ({"kind": "pareto_like"}, {"preset": "heavy_tail"}, 0.5, [25, 50, 100], 40_000, 999)
+    res = sm.run_heavy_tail_slope(*args, jobs=2)
     assert res.slope < -1.0
     assert all(c > 0 for c in res.counts)
     assert res.to_dict()["rates"][0] > res.to_dict()["rates"][-1]
-
-
-def test_run_heavy_tail_slope_jobs_invariance(fresh_pool):
-    args = ({"kind": "pareto_like"}, {"preset": "heavy_tail"}, 0.5, [25, 50, 100], 20_000, 7)
-    one = sm.run_heavy_tail_slope(*args, jobs=1)
-    two = sm.run_heavy_tail_slope(*args, jobs=2)
-    assert one.counts == two.counts and min(one.counts) > 0
-    assert one.to_dict() == two.to_dict()
+    assert sm.run_heavy_tail_slope(*args, jobs=1) == res  # counts do not depend on jobs
 
 
 def test_run_heavy_tail_slope_insufficient_trials():
