@@ -10,7 +10,8 @@ Subcommands::
     prop11     golden reproduction of the worked example's numbers
 
 The exit code is 0 only when every soundness check the command ran has
-passed; configuration problems exit with 2.
+passed; configuration problems exit with 2, and any other exception
+prints its traceback to stderr and exits with 3.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import replace
 
 from .bound_engine import (
@@ -307,6 +309,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

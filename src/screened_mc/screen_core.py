@@ -5,7 +5,12 @@ The screened estimator keeps the running mean of F(X_i) but only
 its known mean.  All comparisons are strict: a boundary hit counts as
 not screened and not an error, matching the open error event the bounds
 are stated for.  Running means use the stable one-pass recurrence
-because heavy-tailed samples produce large magnitudes.
+m <- m + (v - m)/k on doubles, because heavy-tailed samples produce
+large magnitudes.  ``update_stream`` and ``screen_decision`` state the
+recurrence and the predicate one step at a time; ``run_trajectory``
+performs the same IEEE operations on plain floats in one loop, so its
+records, and the trajectory CSVs written from them, are bit-identical
+to stepping the reference functions (the tests pin both).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ class StreamState:
     t_hat: float = 0.0  # running mean of U values
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrajectoryRecord:
     k: int
     s_hat: float
@@ -104,18 +109,17 @@ def run_trajectory(
     diagnostics.
     """
     xs = sample(model, stream, config.n)
-    f_vals = np.asarray(pair.f(xs), dtype=float)
-    u_vals = np.asarray(pair.u(xs), dtype=float)
-    state = StreamState()
+    f_vals = np.asarray(pair.f(xs), dtype=float).tolist()
+    u_vals = np.asarray(pair.u(xs), dtype=float).tolist()
+    nu, u = float(pair.nu), config.u
+    two_sided = config.sidedness == "two_sided"
+    s_hat = t_hat = 0.0
     records: list[TrajectoryRecord] = []
-    for k in range(config.n):
-        state = update_stream(state, float(f_vals[k]), float(u_vals[k]))
-        records.append(
-            TrajectoryRecord(
-                k=state.k,
-                s_hat=state.s_hat,
-                t_hat=state.t_hat,
-                screened=screen_decision(state, pair.nu, config.u, config.sidedness),
-            )
-        )
+    append = records.append
+    for k, f_value, u_value in zip(range(1, config.n + 1), f_vals, u_vals, strict=True):
+        # update_stream and screen_decision, inlined
+        s_hat += (f_value - s_hat) / k
+        t_hat += (u_value - t_hat) / k
+        screened = abs(t_hat - nu) < u if two_sided else t_hat - nu < u
+        append(TrajectoryRecord(k, s_hat, t_hat, screened))
     return records

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
+from screened_mc import cli
 from screened_mc.cli import main
 
 
@@ -240,3 +242,53 @@ def test_simulate_single_and_multi(tmp_path):
     assert main(["simulate", "--config", cfg3, "--out", str(tmp_path), "--jobs", "1"]) == 0
     names = sorted(p.name for p in tmp_path.glob("multi_*.csv"))
     assert names == ["multi_000.csv", "multi_001.csv", "multi_002.csv"]
+
+
+# sha256 of `simulate` outputs for the README config at n = 1000, 3 trials,
+# seed 20240808: pins the stream contract, the running-mean recurrence and
+# the CSV format together.
+_SIMULATE_DIGESTS = {
+    "two_sided": {
+        "summary.json": "9c97bd832b1112ae6992362e92b03aeba9c878d3c2605419b50f195d0b760b95",
+        "traj_000.csv": "6656366626d83800d027dbbbfaef895e656d11d7dbc375bb20cfe5b4a430897d",
+        "traj_001.csv": "982620df03c34fa884c9a1ea4edc843ae163b26c793a158888a24ffb3a2bac76",
+        "traj_002.csv": "c8da3bd1a1d0888e95cc86842a78be2933179965c5a416fee845e41446a7a59c",
+    },
+    "one_sided": {
+        "summary.json": "703aa43b8bc035c1eeb1b658b91f835efbc7072ca144c8a7cdd2691b54e8dad3",
+        "traj_000.csv": "834c611d2c173cf9efb7fc70619bc9995d37cfb4565f13fbc392694355db7be4",
+        "traj_001.csv": "4b64506d31831019aa02c78190720b162a407c22fb160510623bb15da1413aa2",
+        "traj_002.csv": "83523b57ac775f34f06795599cf16d47ae00f32545cd1f07f109de3ede5254db",
+    },
+}
+
+
+@pytest.mark.parametrize("sidedness", sorted(_SIMULATE_DIGESTS))
+def test_simulate_outputs_match_golden_digests(tmp_path, sidedness):
+    doc = heavy_tail_doc(
+        screen={"epsilon": 0.5, "u": 0.025, "n": 1000, "sidedness": sidedness},
+        trials=3,
+        seed=20240808,
+        outputs=[
+            {"kind": "trajectory_csv", "path": "traj.csv"},
+            {"kind": "report", "path": "summary.json"},
+        ],
+    )
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == _SIMULATE_DIGESTS[sidedness]
+
+
+def test_unexpected_exception_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
+    def boom(*args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "run_trajectory", boom)
+    doc = heavy_tail_doc(trials=1, outputs=[{"kind": "trajectory_csv", "path": "t.csv"}])
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: injected fault" in err

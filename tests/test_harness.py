@@ -357,6 +357,36 @@ def test_emit_trajectory_csv_layout(tmp_path):
     assert float(s) == recs[0].s_hat  # 17 significant digits round-trip exactly
 
 
+def _reference_csv(records) -> str:
+    """The per-row f-string emitter that emit_trajectory_csv replaces."""
+    lines = ["k,s_hat,t_hat,screened"]
+    for rec in records:
+        lines.append(f"{rec.k},{rec.s_hat:.17g},{rec.t_hat:.17g},{int(rec.screened)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_trajectory_csv_matches_reference_emitter(tmp_path):
+    model, pair = sm.heavy_tail_pair()
+    cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=1000)
+    heavy = sm.run_trajectory(model, pair, cfg, sm.RandomStream(6).substream(0))
+    model, pair = sm.counterexample_pair([0.5, 1.0, 3.0], [0.5, 0.3, 0.2])
+    signed = sm.run_trajectory(model, pair, cfg, sm.RandomStream(6).substream(1))
+    edge = [
+        sm.TrajectoryRecord(1, -0.0, 0.0, False),
+        sm.TrajectoryRecord(2, 0.0, -0.0, True),
+        sm.TrajectoryRecord(3, -2.5, -5e-324, True),
+        sm.TrajectoryRecord(4, -1.7976931348623157e308, 1e-300, False),
+        sm.TrajectoryRecord(5, 0.1, -1.0 / 3.0, True),
+        sm.TrajectoryRecord(6, math.inf, -math.inf, False),
+        sm.TrajectoryRecord(7, math.nan, 123456789.0, True),
+    ]
+    assert any(r.s_hat < 0.0 for r in signed) and any(r.t_hat < 0.0 for r in signed)
+    for i, records in enumerate([heavy, signed, edge, heavy[:1], []]):
+        path = tmp_path / f"t{i}.csv"
+        sm.emit_trajectory_csv(records, str(path))
+        assert path.read_bytes() == _reference_csv(records).encode()
+
+
 def test_emit_trajectory_csv_rerun_byte_identical(tmp_path):
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=500)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import screened_mc as sm
-from screened_mc.screen_core import StreamState
+from screened_mc.screen_core import SIDEDNESS, StreamState
 
 
 def test_update_stream_single_and_double():
@@ -115,6 +115,58 @@ def test_run_trajectory_single_step():
     assert len(recs) == 1
     assert recs[0].k == 1
     assert recs[0].s_hat == pytest.approx(float(x[0] ** 0.75), rel=1e-15)
+
+
+def _reference_trajectory(model, pair, config, stream):
+    """The per-step loop run_trajectory replaces: update_stream + screen_decision."""
+    xs = sm.sample(model, stream, config.n)
+    f_vals = np.asarray(pair.f(xs), dtype=float)
+    u_vals = np.asarray(pair.u(xs), dtype=float)
+    state = StreamState()
+    records = []
+    for k in range(config.n):
+        state = sm.update_stream(state, float(f_vals[k]), float(u_vals[k]))
+        records.append(
+            sm.TrajectoryRecord(
+                k=state.k,
+                s_hat=state.s_hat,
+                t_hat=state.t_hat,
+                screened=sm.screen_decision(state, pair.nu, config.u, config.sidedness),
+            )
+        )
+    return records
+
+
+def _finite_table_pair():
+    model = sm.finite_support([1.0, 2.0, 3.0, 4.0], [0.25] * 4)
+    return model, sm.tabulated_pair(model, [-1.0, 0.0, 0.0, 1.0], [-1.0, -1.0, 1.0, 1.0])
+
+
+def _sign_product_pair():
+    return sm.counterexample_pair([0.5, 1.0, 3.0], [0.5, 0.3, 0.2])
+
+
+@pytest.mark.parametrize("sidedness", SIDEDNESS)
+@pytest.mark.parametrize(
+    "build, n, u",
+    [
+        (sm.heavy_tail_pair, 1, 0.5),
+        (sm.heavy_tail_pair, 2, 0.5),
+        (sm.heavy_tail_pair, 7, 0.05),
+        (sm.heavy_tail_pair, 1000, 0.025),
+        (_finite_table_pair, 500, 0.05),
+        (_sign_product_pair, 500, 0.05),
+    ],
+)
+def test_run_trajectory_equals_reference_loop(build, n, u, sidedness):
+    model, pair = build()
+    cfg = sm.ScreenConfig(epsilon=0.1, u=u, n=n, sidedness=sidedness)
+    for t in range(3):
+        got = sm.run_trajectory(model, pair, cfg, sm.RandomStream(31).substream(t))
+        want = _reference_trajectory(model, pair, cfg, sm.RandomStream(31).substream(t))
+        assert got == want  # exact: the same IEEE operations in the same order
+        bits = [(r.s_hat.hex(), r.t_hat.hex()) for r in got]  # tells -0.0 from 0.0
+        assert bits == [(r.s_hat.hex(), r.t_hat.hex()) for r in want]
 
 
 def test_trajectory_screened_set_is_consistent():
