@@ -26,6 +26,7 @@ horizon through ``bound_at(n)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
@@ -355,6 +356,13 @@ def _maximize_restricted(fn: Callable[[float], float]) -> tuple[float, float]:
     return a_star, -neg
 
 
+@functools.cache
+def _optimized_constants() -> tuple[tuple[float, float], tuple[float, float]]:
+    """(alpha, c) maximizing each restricted objective; fixed, so computed once."""
+    objectives = (_restricted_objective_worst, _restricted_objective_cov)
+    return tuple(map(_maximize_restricted, objectives))
+
+
 @dataclass(frozen=True)
 class Prop11Report:
     """Constants and bound values for the worked heavy-tail example.
@@ -400,8 +408,7 @@ def prop11_report(epsilon: float, u: float, n: int) -> Prop11Report:
         raise PreconditionError(
             f"requires 0 < u <= epsilon/20; got u={u}, epsilon/20={epsilon / 20.0}"
         )
-    a3, c3 = _maximize_restricted(_restricted_objective_worst)
-    a4, c4 = _maximize_restricted(_restricted_objective_cov)
+    (a3, c3), (a4, c4) = _optimized_constants()
     return Prop11Report(
         epsilon=epsilon,
         u=u,

@@ -17,6 +17,7 @@ prints its traceback to stderr and exits with 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,12 +30,13 @@ from .bound_engine import (
     bound_thm31_iii,
     normalize_observables,
     prop11_report,
-    zero_event_check,
+    zero_event_check,  # unused here: perfbench/layers.py traces it as a cli name
 )
 from .dist_models import with_gamma
 from .errors import CapabilityError, ConfigError, ScreenedMcError
 from .exp_harness import (
     ExperimentConfig,
+    _write_text,
     build_model,
     build_pair,
     canonicalize,
@@ -44,7 +46,8 @@ from .exp_harness import (
     parse_config,
     run_validation,
 )
-from .rate_functions import delta_exponent, rate_lambda_star, rate_plus_star_detail
+from .rate_functions import _delta_point, rate_lambda_star, rate_plus_star_detail
+from .rate_functions import delta_exponent  # unused here: perfbench/layers.py traces it
 from .sanov_oracle import duality_suite, sanov_rate
 from .screen_core import run_trajectory
 from .streams import RandomStream
@@ -135,10 +138,10 @@ def _cmd_bound(args) -> int:
         norm = normalize_observables(pair)
     eps_n, u_n = norm.map_thresholds(sc.epsilon, sc.u)
     doc["normalized_thresholds"] = [eps_n, u_n]
-    doc["zero_event"] = zero_event_check(norm, eps_n, u_n)
     rep = bound_thm31_ii(norm, eps_n, u_n)
+    doc["zero_event"] = rep.zero_event
     doc["thm31_ii"] = {**rep.to_dict(), "bound_value": rep.bound_at(sc.n)}
-    rep_w = bound_thm31_ii(with_gamma(norm, -1.0), eps_n, u_n)
+    rep_w = rep if rep.zero_event else bound_thm31_ii(with_gamma(norm, -1.0), eps_n, u_n)
     doc["thm31_ii_worst_gamma"] = {**rep_w.to_dict(), "bound_value": rep_w.bound_at(sc.n)}
     rep3 = bound_thm31_iii(norm, eps_n, u_n / eps_n)
     doc["thm31_iii"] = {**rep3.to_dict(), "bound_value": rep3.bound_at(sc.n)}
@@ -161,7 +164,7 @@ def _cmd_rates(args) -> int:
     doc["theta_star"] = list(theta)
     gamma_plus = delta = None
     try:
-        point = delta_exponent(model, pair, sc.epsilon, sc.u)
+        point = _delta_point(model, pair, sc.epsilon, sc.u, lam_star, lam_plus, theta)
         gamma_plus, delta = point.gamma_plus_star, point.delta
     except CapabilityError as exc:
         doc["delta_note"] = str(exc)
@@ -169,15 +172,8 @@ def _cmd_rates(args) -> int:
     doc["delta"] = delta
 
     header = "epsilon,u,lambda_star,lambda_plus_star,gamma_plus_star,delta"
-
-    def cell(v):
-        return "" if v is None else f"{v:.17g}"
-
-    row = ",".join(
-        [f"{sc.epsilon:.17g}", f"{sc.u:.17g}", cell(lam_star), cell(lam_plus), cell(gamma_plus), cell(delta)]
-    )
-    from .exp_harness import _write_text
-
+    values = (sc.epsilon, sc.u, lam_star, lam_plus, gamma_plus, delta)
+    row = ",".join("" if v is None else f"{v:.17g}" for v in values)
     for spec in cfg.outputs:
         if spec.kind == "rates_table":
             _write_text(_out_path(args, spec.path), header + "\n" + row + "\n")
@@ -216,7 +212,7 @@ def _cmd_sanov(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = _load_config(args)
     t0 = time.perf_counter()
-    report = run_validation(cfg, jobs=args.jobs)
+    report = run_validation(cfg, jobs=default_jobs() if args.jobs is None else args.jobs)
     elapsed = time.perf_counter() - t0
     doc = report.to_document()
     _emit_or_print(args, cfg, doc)
@@ -260,6 +256,7 @@ def _cmd_prop11(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="screened-mc",
@@ -283,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=int,
-            default=default_jobs(),
+            default=None,
             help="worker processes, used by validate only; one pool per process, reused "
             "by later calls with the same value, whose workers see module state as of "
-            "their fork (default: available parallelism)",
+            "their fork (default: available parallelism, read when validate runs)",
         )
         if name == "prop11":
             p.add_argument("--epsilon", type=float, default=None)

@@ -632,14 +632,25 @@ def _pareto_log_exp_integral(
     raise NumericError("log-MGF quadrature did not converge within the panel cap")
 
 
+_NODE_VALUES: tuple = (None, None, None)  # the last (pair, nodes, values) evaluated
+
+
+def _node_values(pair: ObservablePair, x: np.ndarray) -> np.ndarray:
+    """(F, U) at the nodes x, kept for the last (pair, x): a finite model's atoms are one array."""
+    global _NODE_VALUES
+    last_pair, last_x, fu = _NODE_VALUES
+    if last_pair is not pair or last_x is not x:
+        fu = np.vstack([pair.f(x), pair.u(x)]).astype(float)
+        _NODE_VALUES = (pair, x, fu)
+    return fu
+
+
 def _log_mgf_nodes(model: DistributionModel, pair: ObservablePair, a: float, b: float):
     """log E[exp(a F(X) + b U(X))], its nodes (atoms or quadrature nodes) and
     log-terms; the nodes and terms are None when the integral diverges."""
     if model.is_finite:
-        p = model.probs
-        f = np.asarray(pair.f(model.atoms), dtype=float)
-        u = np.asarray(pair.u(model.atoms), dtype=float)
-        terms = np.log(p) + a * f + b * u
+        fu = _node_values(pair, model.atoms)
+        terms = np.log(model.probs) + a * fu[0] + b * fu[1]
         return _logsumexp(terms), model.atoms, terms
 
     # divergence is decided by metadata, not by numeric overflow
@@ -678,7 +689,7 @@ def tilted_moments(model: DistributionModel, pair: ObservablePair, a: float, b: 
         raise DivergenceError(f"the log-MGF diverges at ({a}, {b}): no tilted law")
     w = np.exp(terms - lam)
     w /= w.sum()
-    fu = np.vstack([pair.f(x), pair.u(x)]).astype(float)
+    fu = _node_values(pair, x)
     mean = fu @ w
     dev = fu - mean[:, None]
     if a == 0.0 and b == 0.0:

@@ -348,12 +348,22 @@ def delta_exponent(
     tolerance, since both suprema come from the same optimizer and a
     zero gap is exact at independence.
     """
+    _require_light_tail(model)
+    lam_star = rate_lambda_star(model, pair, epsilon)
+    lam_plus, arg_plus = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
+    return _delta_point(model, pair, epsilon, u, lam_star, lam_plus, arg_plus)
+
+
+def _require_light_tail(model: DistributionModel) -> None:
     if not model.finite_exponential_moments:
         raise CapabilityError(
             "the exponent gap is a light-tail construct; this model is heavy-tailed"
         )
-    lam_star = rate_lambda_star(model, pair, epsilon)
-    lam_plus, arg_plus = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
+
+
+def _delta_point(model, pair, epsilon, u, lam_star, lam_plus, arg_plus) -> RatePoint:
+    """``delta_exponent`` from lambda_star and (lambda_plus, theta) already solved."""
+    _require_light_tail(model)
     gam_plus, arg_gam = rate_plus_star_detail(model, pair, epsilon, u, "gamma_plus")
     best = max(lam_plus, gam_plus)
     raw = best - lam_star

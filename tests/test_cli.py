@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from screened_mc import cli
+from screened_mc import bound_engine, cli, rate_functions
 from screened_mc.cli import main
 
 
@@ -292,3 +292,130 @@ def test_unexpected_exception_exits_3_with_traceback(tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert "RuntimeError: injected fault" in err
+
+
+# sha256 of the JSON that `bound` and `rates` print, on the README config,
+# on a heavy-tail point with u <= eps/20 (so `bound` adds the prop11 block)
+# and on three finite-support table configs (the four-atom one twice: at
+# eps = 1 the zero-event certificate empties the event, at eps = 0.1 it
+# does not), and that `prop11` prints.
+_FINITE_THREE_ATOMS = {
+    "model": {
+        "kind": "finite_support",
+        "atoms": [0.15319435675564286, 0.7149141514346704, 1.737583795343661],
+        "probs": [0.09870981692887273, 0.2827271212239274, 0.6185630618471999],
+    },
+    "observables": {
+        "f": {"form": "table", "values": [0.6523059630426672, -0.4215940288906705, 1.4825857649341232]},
+        "u": {"form": "table", "values": [0.2814927017439339, 0.08960834788875513, -0.6151317142858498]},
+    },
+    "screen": {"epsilon": 0.29931595025411445, "u": 0.14973181087206583, "n": 200, "sidedness": "two_sided"},
+    "trials": 1,
+    "seed": 1,
+}
+_REPORT_CONFIGS = {
+    "readme": heavy_tail_doc(
+        screen={"epsilon": 0.5, "u": 0.025, "n": 200, "sidedness": "two_sided"},
+        trials=1_000_000,
+        seed=20240808,
+        outputs=[],
+    ),
+    "heavy_prop11": heavy_tail_doc(
+        screen={"epsilon": 0.2, "u": 0.005, "n": 200, "sidedness": "two_sided"}, outputs=[]
+    ),
+    "finite_four_atoms": finite_doc(outputs=[]),
+    "finite_four_atoms_empty": finite_doc(screen={"epsilon": 1.0, "u": 0.05, "n": 100}, outputs=[]),
+    "finite_three_atoms": _FINITE_THREE_ATOMS,
+}
+_REPORT_DIGESTS = {
+    ("bound", "readme"): "a0dd13d380c5446d00b46ba0938efe83b9b0c152aabb4554f6a2350008b21bd9",
+    ("rates", "readme"): "70c75c123d400862bdcdcadfa445e70befb9e8de2fa2d634b9cbe8e9270a9297",
+    ("bound", "heavy_prop11"): "e65b3abc3d9619d466c26508f7525c7a1aa558de6c4b278016c692799425a143",
+    ("rates", "heavy_prop11"): "7c768a03205c775e56534b4b02414de5497889a54457e0a4ed4d9ca62adc8cc5",
+    ("bound", "finite_four_atoms"): "6a1cf4bc2e8f3b4fa83693241a8995b9c292085348061dcdf63f379d5b0b30dc",
+    ("rates", "finite_four_atoms"): "74979c4c2de434edf2f826c2b4040772d212f7f3fdcd7f27db493cb5a744ce52",
+    ("bound", "finite_four_atoms_empty"): "8d9bf17930331753ed1cf9ca0b7cfba8e2a4e34ce0ce6e93a1aed1dc4454d1d0",
+    ("rates", "finite_four_atoms_empty"): "2d6b14b8442e0838c9c281187c9dd548a3a5e27e3454e0cdcfc4861ce8eba204",
+    ("bound", "finite_three_atoms"): "eb4839af4229b98d0b2d224a572035fb16d72d79444cc6e183eba835316a139b",
+    ("rates", "finite_three_atoms"): "e0b39ff55a8801626a8af8cf5404a722520ee016575f3eb802eae5a2f757a72e",
+    ("prop11", ""): "fa01693d956ea96979dc2e33b701f79007f47f53d1da6581363cd26825cd4e9f",
+}
+
+
+def _printed_digest(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command, name", sorted(k for k in _REPORT_DIGESTS if k[0] != "prop11"))
+def test_bound_and_rates_outputs_match_golden_digests(tmp_path, capsys, command, name):
+    cfg = write_config(tmp_path, _REPORT_CONFIGS[name])
+    assert _printed_digest(capsys, [command, "--config", cfg]) == _REPORT_DIGESTS[command, name]
+
+
+def test_prop11_output_matches_golden_digest(capsys):
+    assert _printed_digest(capsys, ["prop11"]) == _REPORT_DIGESTS["prop11", ""]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "doc, solves",
+    [
+        (finite_doc(outputs=[]), 3),  # lambda_star, lambda_plus, gamma_plus
+        (heavy_tail_doc(screen={"epsilon": 0.03, "u": 0.005, "n": 100}, outputs=[]), 2),
+    ],
+    ids=["finite", "heavy_tail"],
+)
+def test_rates_solves_each_rate_once(tmp_path, monkeypatch, capsys, doc, solves):
+    calls = []
+    _count_calls(monkeypatch, rate_functions, "legendre_sup", calls)
+    assert main(["rates", "--config", write_config(tmp_path, doc)]) == 0
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("name, most", [("finite_four_atoms_empty", 1), ("finite_four_atoms", 2)])
+def test_bound_runs_the_zero_event_certificate_once_per_report(
+    tmp_path, monkeypatch, capsys, name, most
+):
+    calls = []
+    for module in (cli, bound_engine):
+        _count_calls(monkeypatch, module, "zero_event_check", calls)
+    assert main(["bound", "--config", write_config(tmp_path, _REPORT_CONFIGS[name])]) == 0
+    assert json.loads(capsys.readouterr().out)["zero_event"] is (most == 1)
+    assert 1 <= len(calls) <= most
+
+
+def test_prop11_constants_are_optimized_once_per_process(monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, bound_engine, "_maximize_restricted", calls)
+    bound_engine._optimized_constants.cache_clear()
+    first = bound_engine.prop11_report(0.2, 0.005, 5000)
+    second = bound_engine.prop11_report(0.1, 0.005, 10_000)
+    assert len(calls) <= 2
+    assert first.constant_iv_optimized == second.constant_iv_optimized
+
+
+def test_jobs_default_is_read_when_validate_runs(tmp_path, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    real = cli.run_validation
+
+    def spy(cfg, jobs):
+        seen.append(jobs)
+        return real(cfg, jobs=1)
+
+    monkeypatch.setattr(cli, "default_jobs", lambda: 5)
+    monkeypatch.setattr(cli, "run_validation", spy)
+    cfg = write_config(tmp_path, heavy_tail_doc(trials=100))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 0
+    assert seen == [5, 2]

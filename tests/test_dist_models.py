@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import screened_mc as sm
-from screened_mc.dist_models import Identity, Power, log_mgf_signed, transform_uniforms
+from screened_mc.dist_models import (
+    Identity,
+    Power,
+    Table,
+    log_mgf_signed,
+    tilted_moments,
+    transform_uniforms,
+)
 
 
 def test_pareto_quantile_endpoints():
@@ -255,3 +262,29 @@ def test_grid_search_margin_on_arrays_matches_scalar_calls():
 
     oracle = GridSearchMargin(Power(0.5), Identity())
     _assert_array_matches_scalar_calls(oracle, np.geomspace(1e-3, 5.0, 24).reshape(4, 6))
+
+
+def test_finite_log_mgf_evaluates_each_table_once_per_pair(monkeypatch):
+    calls = []
+    lookup = Table.__call__
+
+    def counted(self, x):
+        calls.append(self)
+        return lookup(self, x)
+
+    monkeypatch.setattr(Table, "__call__", counted)
+    model = sm.finite_support([-1.0, 0.0, 2.0], [0.2, 0.5, 0.3])
+    tables = [([1.0, 0.0, -1.0], [0.5, 1.0, 0.0]), ([0.0, 2.0, 1.0], [1.0, -1.0, 0.5])]
+    pairs = [sm.tabulated_pair(model, f, u) for f, u in tables]
+    # pair 0, then pair 1, then back: each switch must see the new pair's values
+    for k in (0, 1, 0):
+        f, u = (np.asarray(v) for v in tables[k])
+        for a, b in ((0.3, -0.2), (0.0, 0.0), (-1.0, 0.7)):
+            terms = np.log(model.probs) + a * f + b * u
+            lam_ref = float(np.logaddexp.reduce(terms))
+            w = np.exp(terms - lam_ref)
+            lam, mean, _ = tilted_moments(model, pairs[k], a, b)
+            assert log_mgf_signed(model, pairs[k], a, b) == pytest.approx(lam_ref, abs=1e-14)
+            assert lam == pytest.approx(lam_ref, abs=1e-14)
+            np.testing.assert_allclose(mean, [w @ f, w @ u], rtol=1e-12)
+    assert len(calls) == 2 * 3  # F and U once per switch of pair

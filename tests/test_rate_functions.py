@@ -269,9 +269,13 @@ def test_delta_vanishes_for_large_u():
     assert point.lambda_plus_star == pytest.approx(point.lambda_star, abs=1e-9)
 
 
-def test_delta_requires_light_tails():
+def test_delta_requires_light_tails(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the light-tail check must come before any solve")
+
+    monkeypatch.setattr(rate_functions, "legendre_sup", no_solve)
     model, pair = sm.heavy_tail_pair()
-    with pytest.raises(sm.CapabilityError):
+    with pytest.raises(sm.CapabilityError, match="light-tail construct"):
         sm.delta_exponent(model, pair, 0.1, 0.05)
 
 
