@@ -197,8 +197,8 @@ def zero_event_check(pair: ObservablePair, epsilon: float, u: float) -> bool:
     so on it mean F - beta mean U > eps - beta*u >= m(beta), which no
     sample can reach.
     """
-    if not (epsilon > 0.0 and u > 0.0):
-        raise DomainError("zero_event_check requires epsilon > 0 and u > 0")
+    if not (0.0 < epsilon < math.inf and 0.0 < u < math.inf):
+        raise DomainError("zero_event_check requires finite epsilon > 0 and u > 0")
     hi = epsilon / u
     grid = np.geomspace(hi * 1e-9, hi * (1.0 - 1e-12), 256)
     return min_convex_gap(lambda beta: margin(pair, beta), epsilon, -u, grid) <= 0.0

@@ -171,7 +171,14 @@ class ParetoSumInf:
 
 @dataclass(frozen=True)
 class FiniteMargin:
-    """Exact extremum of f +/- beta*u over a finite support."""
+    """Exact extremum of f +/- beta*u over a finite support.
+
+    The tables hold finite Python floats, so a float beta takes Python's
+    max or min of f + (u_sign*beta)*u over the atoms: the IEEE operations
+    of the array expression, in its order, without building an array.
+    On finite values the two agree but for a tie of +0.0 with -0.0,
+    where Python keeps the first and numpy the last.
+    """
 
     f_values: tuple
     u_values: tuple
@@ -180,8 +187,9 @@ class FiniteMargin:
 
     def __call__(self, beta):
         if not isinstance(beta, np.ndarray):
-            vals = np.asarray(self.f_values) + self.u_sign * beta * np.asarray(self.u_values)
-            return float(vals.max() if self.sense == "max" else vals.min())
+            scaled = self.u_sign * float(beta)
+            pick = max if self.sense == "max" else min
+            return float(pick(f + scaled * u for f, u in zip(self.f_values, self.u_values)))
         # atom by atom: a (beta, atom) table is paged in afresh every call
         pick = np.maximum if self.sense == "max" else np.minimum
         scaled = self.u_sign * beta
@@ -242,6 +250,8 @@ class DistributionModel:
             probs = np.asarray(self.probs, dtype=float)
             if atoms.ndim != 1 or probs.shape != atoms.shape or atoms.size == 0:
                 raise ConfigError("atoms and probs must be equal-length 1-d arrays")
+            if not (np.all(np.isfinite(atoms)) and np.all(np.isfinite(probs))):
+                raise ConfigError("atoms and probs must be finite numbers")
             if np.any(probs <= 0.0):
                 raise ConfigError("all atom probabilities must be strictly positive")
             if abs(float(probs.sum()) - 1.0) > _PMF_TOL:
@@ -386,13 +396,15 @@ def tabulated_pair(
     u_values = np.asarray(u_values, dtype=float)
     if f_values.shape != model.atoms.shape or u_values.shape != model.atoms.shape:
         raise InputError("value tables must match the model support size")
+    if not (np.all(np.isfinite(f_values)) and np.all(np.isfinite(u_values))):
+        raise InputError("value tables must hold finite numbers")
     p = model.probs
     mu = float(p @ f_values)
     nu = float(p @ u_values)
     var_f = float(p @ f_values**2 - mu**2)
     var_u = float(p @ u_values**2 - nu**2)
     gamma = float(p @ (f_values * u_values) - mu * nu)
-    fv, uv = tuple(f_values), tuple(u_values)
+    fv, uv = tuple(f_values.tolist()), tuple(u_values.tolist())
     return ObservablePair(
         f=Table(tuple(model.atoms), fv),
         u=Table(tuple(model.atoms), uv),

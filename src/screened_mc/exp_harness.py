@@ -117,7 +117,13 @@ def _integer(value, where: str) -> int:
 def _real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        real = float(value)
+    except OverflowError:  # an int beyond the double range
+        real = math.inf
+    if not math.isfinite(real):  # JSON admits NaN and Infinity
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return real
 
 
 def _reals(value, where: str) -> list[float]:

@@ -89,19 +89,25 @@ def _newton_step(theta: np.ndarray, grad: np.ndarray, curvature: np.ndarray) -> 
     constant or the tilted law sits on one atom.  On its flat
     eigenvectors the objective is linear and the step is the gradient's
     component.  Blocked coordinates are held one at a time, the one the
-    gradient pulls outward hardest first.
+    gradient pulls outward hardest first.  One free coordinate takes g/c,
+    or g where c is flat (c <= 0): what eigh gives on a 1x1 matrix.
     """
-    free = np.ones(theta.size, dtype=bool)
+    free = list(range(theta.size))
     while True:
         step = np.zeros_like(theta)
-        if free.any():
-            w, vecs = np.linalg.eigh(curvature[np.ix_(free, free)])
+        if len(free) == 1:
+            (i,) = free
+            c = float(curvature[i, i])
+            step[i] = grad[i] / c if c > 0.0 else grad[i]
+        elif free:
+            sub = curvature if len(free) == theta.size else curvature[np.ix_(free, free)]
+            w, vecs = np.linalg.eigh(sub)
             flat = w <= _FLAT_CURVATURE * max(float(w.max()), 0.0)
             step[free] = vecs @ ((vecs.T @ grad[free]) / np.where(flat, 1.0, w))
-        blocked = np.flatnonzero(free & (theta == 0.0) & (step < 0.0))
-        if blocked.size == 0:
+        blocked = [i for i in free if theta[i] == 0.0 and step[i] < 0.0]
+        if not blocked:
             return step
-        free[blocked[np.argmin(grad[blocked])]] = False
+        free.remove(min(blocked, key=grad.__getitem__))
 
 
 def _line_search(value, theta, v, step, slope, floor, last=False):

@@ -127,37 +127,40 @@ def _project_constrained_simplex(
 
 
 # ---------------------------------------------------------------------------
-# feasibility (exact small LP)
+# feasibility (vertex enumeration)
 # ---------------------------------------------------------------------------
 
 
 def _feasibility(
-    p: np.ndarray,
     f: np.ndarray,
     halfspaces: list[tuple[np.ndarray, float]],
     f_target: float,
 ) -> tuple[bool, bool]:
     """(feasible, degenerate): can int F dQ reach f_target under the half-spaces?
 
+    The half-spaces are the screen: none, one, or the two sides of a slab
+    of positive width, so a point on one boundary lies inside the other.
+    The largest mean F over the simplex they cut is a linear program,
+    attained at a vertex: a single atom inside every half-space, or a
+    mixture of two atoms on one boundary.  The maximum is the best of
+    these m atoms and at most m(m-1)/2 pairs per boundary, enumerated
+    exactly: no solver and no solver tolerance.
+
     Degenerate means the target is attained only with equality, i.e. the
     feasible set is a face on which the F constraint is active for every
     point.
     """
-    m = len(p)
-    a_ub = np.array([a for a, _ in halfspaces]) if halfspaces else None
-    b_ub = np.array([b for _, b in halfspaces]) if halfspaces else None
-    res = linprog(
-        -f,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=np.ones((1, m)),
-        b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * m,
-        method="highs",
-    )
-    if res.status != 0:
-        return False, False
-    f_max = -res.fun
+    inside = np.ones(f.size, dtype=bool)
+    for a, b in halfspaces:
+        inside &= a <= b
+    f_max = float(f[inside].max(initial=-math.inf))
+    i, j = np.triu_indices(f.size, 1)
+    for a, b in halfspaces:
+        # the pairs strictly on opposite sides of the boundary a.q = b
+        cross = ((a[i] < b) & (a[j] > b)) | ((a[i] > b) & (a[j] < b))
+        ii, jj = i[cross], j[cross]
+        t = (b - a[jj]) / (a[ii] - a[jj])  # the mass on atom ii
+        f_max = max(f_max, float((t * f[ii] + (1.0 - t) * f[jj]).max(initial=-math.inf)))
     scale = 1.0 + abs(f_target)
     if f_max < f_target - _FEAS_TOL * scale:
         return False, False
@@ -232,7 +235,7 @@ def _primal_descent(
     q0 = _project_constrained_simplex(p, all_hs, START_FLOOR * p)
     if q0 is None:  # no interior start: the set is thin, or only a face
         q0 = _project_constrained_simplex(p, all_hs)
-    if q0 is None:  # empty up to the feasibility LP's tolerance
+    if q0 is None:  # empty up to the feasibility rule's tolerance
         q0 = p
     q0 = q0 / q0.sum()
     floor = 1e-300
@@ -306,7 +309,7 @@ def sanov_rate(
         if sidedness == "two_sided":
             halfspaces.append((-u_vals, -(pair.nu - u)))
 
-    feasible, degenerate = _feasibility(p, f, halfspaces, f_floor)
+    feasible, degenerate = _feasibility(f, halfspaces, f_floor)
     if math.isfinite(u):
         fenchel, theta = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
     else:

@@ -146,6 +146,14 @@ def test_zero_event_for_identical_observables():
     assert sm.zero_event_check(pair, 1.0, 0.5) is True
 
 
+@pytest.mark.parametrize("epsilon, u", [(math.inf, 0.5), (1.0, math.inf), (math.nan, 0.5), (1.0, math.nan)])
+def test_zero_event_check_rejects_non_finite_thresholds(epsilon, u):
+    model = sm.finite_support([-1.0, 1.0], [0.5, 0.5])
+    pair = sm.tabulated_pair(model, [-1.0, 1.0], [-1.0, 1.0])
+    with pytest.raises(sm.DomainError):
+        sm.zero_event_check(pair, epsilon, u)
+
+
 def test_zero_event_false_for_heavy_tail_pair_at_small_epsilon(normalized_heavy_tail):
     _, norm = normalized_heavy_tail
     # the margin never drops below 1/4, so epsilon = 0.1 cannot certify

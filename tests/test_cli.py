@@ -129,6 +129,36 @@ def test_malformed_config_exits_2(tmp_path, capsys, overrides, field):
     assert not (tmp_path / "report.json").exists()
 
 
+def _finite_with(section, key, index, value):
+    doc = finite_doc(outputs=[])
+    if section == "model":
+        doc["model"][key][index] = value
+    else:
+        doc["observables"][key]["values"][index] = value
+    return doc
+
+
+# json reads NaN and Infinity; none of them may reach a certificate
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("bound", _finite_with("model", "atoms", 1, math.nan), "model.atoms[1]"),
+        ("bound", _finite_with("model", "probs", 0, math.inf), "model.probs[0]"),
+        ("sanov", _finite_with("model", "probs", 2, math.nan), "model.probs[2]"),
+        ("sanov", _finite_with("observables", "f", 3, math.nan), "observables.f.values[3]"),
+        ("rates", _finite_with("observables", "u", 0, -math.inf), "observables.u.values[0]"),
+        ("bound", heavy_tail_doc(screen=_with_screen(u=math.inf), outputs=[]), "screen.u"),
+        ("bound", heavy_tail_doc(screen=_with_screen(epsilon=math.nan), outputs=[]), "screen.epsilon"),
+        ("bound", heavy_tail_doc(screen=_with_screen(epsilon=10**400), outputs=[]), "screen.epsilon"),
+    ],
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, doc, field):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"{field} must be a finite number" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("seed, code", [("-1", 2), (str(1 << 64), 2), (str((1 << 64) - 1), 0)])
 def test_seed_override_must_fit_a_key_word(tmp_path, capsys, seed, code):
     cfg = write_config(tmp_path, heavy_tail_doc(trials=100))
@@ -298,7 +328,8 @@ def test_unexpected_exception_exits_3_with_traceback(tmp_path, monkeypatch, caps
 # on a heavy-tail point with u <= eps/20 (so `bound` adds the prop11 block)
 # and on three finite-support table configs (the four-atom one twice: at
 # eps = 1 the zero-event certificate empties the event, at eps = 0.1 it
-# does not), and that `prop11` prints.
+# does not), that `prop11` prints, and that `sanov` prints on the
+# four-atom config (the instance and the 50-instance duality suite).
 _FINITE_THREE_ATOMS = {
     "model": {
         "kind": "finite_support",
@@ -339,6 +370,7 @@ _REPORT_DIGESTS = {
     ("bound", "finite_three_atoms"): "eb4839af4229b98d0b2d224a572035fb16d72d79444cc6e183eba835316a139b",
     ("rates", "finite_three_atoms"): "e0b39ff55a8801626a8af8cf5404a722520ee016575f3eb802eae5a2f757a72e",
     ("prop11", ""): "fa01693d956ea96979dc2e33b701f79007f47f53d1da6581363cd26825cd4e9f",
+    ("sanov", "finite_four_atoms"): "99fc929d02b0860bce579df6002248b7bbf801dc61df28a090b3836fe8e3fc7d",
 }
 
 
@@ -347,7 +379,7 @@ def _printed_digest(capsys, argv):
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("command, name", sorted(k for k in _REPORT_DIGESTS if k[0] != "prop11"))
+@pytest.mark.parametrize("command, name", sorted(k for k in _REPORT_DIGESTS if k[0] in ("bound", "rates")))
 def test_bound_and_rates_outputs_match_golden_digests(tmp_path, capsys, command, name):
     cfg = write_config(tmp_path, _REPORT_CONFIGS[name])
     assert _printed_digest(capsys, [command, "--config", cfg]) == _REPORT_DIGESTS[command, name]
@@ -355,6 +387,11 @@ def test_bound_and_rates_outputs_match_golden_digests(tmp_path, capsys, command,
 
 def test_prop11_output_matches_golden_digest(capsys):
     assert _printed_digest(capsys, ["prop11"]) == _REPORT_DIGESTS["prop11", ""]
+
+
+def test_sanov_output_matches_golden_digest(tmp_path, capsys):
+    cfg = write_config(tmp_path, _REPORT_CONFIGS["finite_four_atoms"])
+    assert _printed_digest(capsys, ["sanov", "--config", cfg]) == _REPORT_DIGESTS["sanov", "finite_four_atoms"]
 
 
 def _count_calls(monkeypatch, module, name, calls):

@@ -257,6 +257,43 @@ def test_finite_margins_on_arrays_match_scalar_calls():
             _assert_array_matches_scalar_calls(oracle, betas[:300].reshape(3, 100))
 
 
+def test_finite_margin_scalar_calls_match_the_array_expression():
+    # reference: the array expression the scalar path replaced
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 5, 17, 64):
+        model = sm.finite_support(np.arange(m, dtype=float), np.full(m, 1.0 / m))
+        f, u = rng.normal(size=m) * 3.0, rng.normal(size=m)
+        pair = sm.tabulated_pair(model, f, u)
+        oracles = {
+            (-1.0, "max"): pair.margin,
+            (-1.0, "min"): pair.lower_margin,
+            (+1.0, "max"): pair.sum_margin,
+            (+1.0, "min"): pair.sum_lower_margin,
+        }
+        for (u_sign, sense), oracle in oracles.items():
+            for beta in np.concatenate([rng.uniform(0.0, 5.0, 40), np.geomspace(1e-9, 1e9, 40)]):
+                vals = f + u_sign * float(beta) * u
+                want = float(np.max(vals) if sense == "max" else np.min(vals))
+                for b in (float(beta), beta):  # a float and an np.float64
+                    got = oracle(b)
+                    assert type(got) is float and got == want
+
+
+def test_non_finite_model_and_table_entries_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(sm.ConfigError):
+            sm.finite_support([1.0, bad], [0.5, 0.5])
+        with pytest.raises(sm.ConfigError):
+            sm.finite_support([1.0, 2.0], [0.5, bad])
+        with pytest.raises(sm.ConfigError):
+            sm.sign_product([1.0, bad], [0.5, 0.5])
+        model = sm.finite_support([1.0, 2.0], [0.5, 0.5])
+        with pytest.raises(sm.InputError):
+            sm.tabulated_pair(model, [0.0, bad], [0.0, 1.0])
+        with pytest.raises(sm.InputError):
+            sm.tabulated_pair(model, [0.0, 1.0], [bad, 1.0])
+
+
 def test_grid_search_margin_on_arrays_matches_scalar_calls():
     from screened_mc.dist_models import GridSearchMargin
 

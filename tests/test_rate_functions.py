@@ -83,6 +83,49 @@ def test_legendre_sup_iteration_cap_raises(monkeypatch):
         sm.legendre_sup(value, derivatives, dim=1)
 
 
+def _newton_step_eigh(theta, grad, curvature):
+    """Reference: the Newton step with eigh on every free block, as it was."""
+    free = np.ones(theta.size, dtype=bool)
+    while True:
+        step = np.zeros_like(theta)
+        if free.any():
+            w, vecs = np.linalg.eigh(curvature[np.ix_(free, free)])
+            flat = w <= rate_functions._FLAT_CURVATURE * max(float(w.max()), 0.0)
+            step[free] = vecs @ ((vecs.T @ grad[free]) / np.where(flat, 1.0, w))
+        blocked = np.flatnonzero(free & (theta == 0.0) & (step < 0.0))
+        if blocked.size == 0:
+            return step
+        free[blocked[np.argmin(grad[blocked])]] = False
+
+
+def _newton_step_cases():
+    rng = np.random.default_rng(5)
+    thetas = [np.zeros(2), np.array([0.0, 0.7]), np.array([1.3, 0.0]), np.array([0.4, 2.0])]
+    for _ in range(200):
+        atoms = rng.normal(size=(int(rng.integers(1, 6)), 2))
+        w = rng.dirichlet(np.ones(len(atoms)))
+        centred = atoms - w @ atoms
+        covs = [centred.T @ (centred * w[:, None])]  # PSD, singular on one or two atoms
+        covs.append(covs[0][0, 0] * np.ones((2, 2)))  # F = U: rank one
+        for cov in covs:
+            grad = rng.normal(size=2)
+            for theta in thetas:
+                yield theta, grad, cov
+            # 1-d: the top-left entry, with a flat and a curved direction
+            for c in (cov[0, 0], 0.0, 1e-300):
+                for t in (0.0, 0.5):
+                    yield np.array([t]), grad[:1], np.array([[c]])
+    # both step coordinates point out; holding the one the gradient pulls out frees the other
+    yield np.zeros(2), np.array([0.1, -1.0]), np.array([[1.0, -0.9], [-0.9, 1.0]])
+
+
+def test_newton_step_matches_the_eigh_reference():
+    for theta, grad, cov in _newton_step_cases():
+        got = rate_functions._newton_step(theta, grad, cov)
+        want = _newton_step_eigh(theta, grad, cov)
+        assert got.tobytes() == want.tobytes(), (theta, grad, cov)
+
+
 # ---------------------------------------------------------------------------
 # plain Chernoff rate
 # ---------------------------------------------------------------------------

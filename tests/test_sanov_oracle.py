@@ -1,13 +1,17 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, linprog
 
 import screened_mc as sm
 from screened_mc import sanov_oracle
-from screened_mc.sanov_oracle import _project_constrained_simplex, _project_simplex
+from screened_mc.exp_harness import build_model, build_pair, parse_config
+from screened_mc.sanov_oracle import _feasibility, _project_constrained_simplex, _project_simplex
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def four_atom():
@@ -119,6 +123,95 @@ def test_constrained_projection_floor_and_empty_set():
     # F cannot exceed its largest atom, with or without a floor
     assert _project_constrained_simplex(p, [(-f, -(f.max() + 1.0))]) is None
     assert _project_constrained_simplex(p, halfspaces, 0.5 * p + 0.1) is None
+
+
+# ---------------------------------------------------------------------------
+# feasibility: vertex enumeration against the LP it replaced
+# ---------------------------------------------------------------------------
+
+
+def _feasibility_lp(f, halfspaces, f_target):
+    """Reference: the feasibility decision from HiGHS, as it was made."""
+    m = len(f)
+    res = linprog(
+        -f,
+        A_ub=np.array([a for a, _ in halfspaces]) if halfspaces else None,
+        b_ub=np.array([b for _, b in halfspaces]) if halfspaces else None,
+        A_eq=np.ones((1, m)),
+        b_eq=np.array([1.0]),
+        bounds=[(0.0, None)] * m,
+        method="highs",
+    )
+    if res.status != 0:
+        return False, False
+    scale = 1.0 + abs(f_target)
+    if -res.fun < f_target - sanov_oracle._FEAS_TOL * scale:
+        return False, False
+    return True, -res.fun <= f_target + sanov_oracle._FEAS_TOL * scale
+
+
+def _screen(u_vals, nu, u, sidedness):
+    if not math.isfinite(u):
+        return []
+    halfspaces = [(u_vals, nu + u)]
+    if sidedness == "two_sided":
+        halfspaces.append((-u_vals, -(nu - u)))
+    return halfspaces
+
+
+def test_feasibility_matches_the_lp_on_random_instances(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import finite_instance
+
+    decisions = set()
+    for seed in range(1, 31):
+        for k in range(8):
+            cfg = parse_config(finite_instance(seed, k))
+            model = build_model(cfg.model)
+            pair = build_pair(model, cfg.observables)
+            f, u_vals = pair.f(model.atoms), pair.u(model.atoms)
+            for u, sidedness in (
+                (cfg.screen.u, "one_sided"), (cfg.screen.u, "two_sided"), (math.inf, "one_sided")
+            ):
+                halfspaces = _screen(u_vals, pair.nu, u, sidedness)
+                target = pair.mu + cfg.screen.epsilon
+                got = _feasibility(f, halfspaces, target)
+                assert got == _feasibility_lp(f, halfspaces, target), (seed, k, sidedness, u)
+                decisions.add(got)
+    assert decisions == {(True, False), (False, False)}  # some two-sided screens are empty
+
+
+@pytest.mark.parametrize(
+    "f, u_vals, halfspaces, target, want",
+    [
+        # every atom outside the screen: the set is empty
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.5], 0.0, (False, False)),
+        # no screen: the best atom reaches the target only with equality
+        ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [], 2.0, (True, True)),
+        # the best law mixes two atoms half and half on the boundary
+        ([1.0, 0.0], [1.0, -1.0], [0.0], 0.5, (True, True)),
+        ([1.0, 0.0], [1.0, -1.0], [0.0], 0.5 + 1e-6, (False, False)),
+        ([1.0, 0.0], [1.0, -1.0], [0.0], 0.4, (True, False)),
+        # an atom on the boundary itself (the best law mixes the other two),
+        # and a screen constant over the support
+        ([3.0, 1.0, 0.0], [2.0, 1.0, 0.0], [1.0], 1.5, (True, True)),
+        ([3.0, 1.0, 0.0], [2.0, 1.0, 0.0], [1.0], 1.0, (True, False)),
+        ([3.0, 1.0], [1.0, 1.0], [1.0], 3.0, (True, True)),
+        ([3.0, 1.0], [1.0, 1.0], [0.5], -5.0, (False, False)),
+        # the slab 0.9 <= u <= 1.1 peaks on its lower side (mass 0.3 on u = 3);
+        # its one-sided half keeps the atom u = 0
+        ([0.0, 2.0, 4.0], [3.0, 1.0, 0.0], [1.1, -0.9], 2.8, (True, True)),
+        ([0.0, 2.0, 4.0], [3.0, 1.0, 0.0], [1.1, -0.9], 3.0, (False, False)),
+        ([0.0, 2.0, 4.0], [3.0, 1.0, 0.0], [1.1], 3.0, (True, False)),
+        ([0.0, 2.0, 4.0], [3.0, 1.0, 0.0], [1.1], 4.0, (True, True)),
+    ],
+)
+def test_feasibility_on_constructed_sets(f, u_vals, halfspaces, target, want):
+    f, u_vals = np.asarray(f), np.asarray(u_vals)
+    signs = [1.0, -1.0]  # a second bound is the lower side of a slab
+    hs = [(s * u_vals, b) for s, b in zip(signs, halfspaces)]
+    assert _feasibility(f, hs, target) == want
+    assert _feasibility_lp(f, hs, target) == want
 
 
 # ---------------------------------------------------------------------------
