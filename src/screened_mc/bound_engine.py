@@ -270,7 +270,8 @@ def thm31_ii_exponent_at(pair: ObservablePair, epsilon: float, u: float, alpha):
     """The covariance-aware objective at alpha in (0, 1), or at an array of them.
 
     Where m <= 0 the averaged variable is nonpositive, the event is
-    already empty, and the objective is +inf.
+    already empty, and the objective is +inf.  Where m = +inf it is 0,
+    its limit as m grows.
     """
     _require_normalized(pair)
     grid = isinstance(alpha, np.ndarray)
@@ -279,11 +280,13 @@ def thm31_ii_exponent_at(pair: ObservablePair, epsilon: float, u: float, alpha):
         raise DomainError("alpha must lie in (0, 1)")
     beta = alpha * epsilon / u
     m = margin(pair, beta)
-    empty = m <= 0.0
-    if not grid and empty:
-        return math.inf
+    empty, unbounded = m <= 0.0, m == math.inf
+    if not grid and (empty or unbounded):
+        return math.inf if empty else 0.0
     sigma2 = 1.0 + beta * beta - 2.0 * beta * pair.gamma
-    denom = np.where(empty, 1.0, m * m + sigma2) if grid else m * m + sigma2
+    if grid:
+        m = np.where(unbounded, 0.0, m)
+    denom = np.where(empty | unbounded, 1.0, m * m + sigma2) if grid else m * m + sigma2
     low = denom <= 0.0
     if low.any() if grid else low:
         at = alpha[low][0] if grid else alpha
@@ -319,7 +322,8 @@ def bound_thm31_iii(pair: ObservablePair, epsilon: float, K: float) -> BoundRepo
         raise DomainError("K must be > 0")
     m_big = margin(pair, 1.0 / (2.0 * K))
     denom = m_big * m_big + (1.0 + 1.0 / (2.0 * K)) ** 2
-    exponent = 0.5 * (m_big / denom) ** 2 * epsilon * epsilon
+    # M = +inf gives 0, the exponent's limit as M grows
+    exponent = 0.0 if m_big == math.inf else 0.5 * (m_big / denom) ** 2 * epsilon * epsilon
     return BoundReport(method="thm31_iii", exponent=float(exponent), alpha_star=0.5)
 
 

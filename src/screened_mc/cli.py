@@ -186,7 +186,7 @@ def _cmd_sanov(args) -> int:
     model = build_model(cfg.model)
     pair = build_pair(model, cfg.observables)
     sc = cfg.screen
-    result = sanov_rate(model, pair, sc.epsilon, sc.u)
+    result = sanov_rate(model, pair, sc.epsilon, sc.u, sc.sidedness)
     suite = duality_suite(count=50, seed=cfg.master_seed)
     max_gap = max((r.gap for r in suite if r.feasible), default=0.0)
     max_pd = max(

@@ -1,13 +1,15 @@
 """Distribution models and observable pairs.
 
 A :class:`DistributionModel` is a law P on the reals that supports exact
-sampling, an exact (or quadrature) moment oracle, and a joint log-MGF
-oracle.  Three kinds are provided:
+sampling, an exact moment oracle, and a joint log-MGF oracle.  Three
+kinds are provided:
 
 ``pareto_like``
     The fixed heavy-tailed density f(x) = 5 / (2 x^{7/2}) on [1, inf),
     with CDF F(x) = 1 - x^{-5/2} and quantile x = (1 - p)^{-2/5}.  Every
-    positive exponential moment is infinite.
+    positive exponential moment is infinite.  Observables on it are
+    power forms alpha x^a + delta, whose moments and margins are closed
+    forms.
 
 ``finite_support``
     Atoms x_j with probabilities p_j (p_j > 0, sum p_j = 1).
@@ -19,9 +21,9 @@ oracle.  Three kinds are provided:
 An :class:`ObservablePair` bundles the two observables F (the quantity
 whose mean is estimated) and U (the screening function with known mean)
 together with their known statistics and margin oracles.  The margin
-``m(beta)`` is an upper bound on ess sup[F(X) - beta U(X)]; its
-finiteness for every beta > 0 is what makes screened errors
-exponentially rare even when F(X) is heavy-tailed.
+``m(beta)`` is an upper bound on ess sup[F(X) - beta U(X)], +inf where
+U does not dominate F; its finiteness for every beta > 0 is what makes
+screened errors exponentially rare even when F(X) is heavy-tailed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import grid_min
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -122,51 +123,99 @@ class Table:
         return values[idx]
 
 
-def canonical_power(form) -> tuple[float, float, float] | None:
-    """Decompose a form as alpha * x**a + delta, if possible."""
+def canonical_power(form) -> tuple[float, float, float]:
+    """(alpha, a, delta) with form(x) = alpha * x**a + delta on x >= 1.
+
+    Valid on the pareto_like support x >= 1 only: there |x| - c is x - c
+    and sign(x) is 1 = x**0.  Any other form raises CapabilityError.
+    """
     if isinstance(form, Identity):
         return (1.0, 1.0, 0.0)
     if isinstance(form, Power):
         return (1.0, form.exponent, 0.0)
+    if isinstance(form, AbsCentered):
+        return (1.0, 1.0, -form.center)
+    if isinstance(form, SignOf):
+        return (1.0, 0.0, 0.0)
     if isinstance(form, Standardized):
-        inner = canonical_power(form.inner)
-        if inner is None:
-            return None
-        alpha, a, delta = inner
+        alpha, a, delta = canonical_power(form.inner)
         return (alpha / form.scale, a, (delta - form.shift) / form.scale)
-    return None
+    raise CapabilityError(f"{form!r} is not alpha*x**a + delta, the one form pareto_like takes")
 
 
 # ---------------------------------------------------------------------------
 # margin oracles: plain callables taking beta > 0, a float or an array, to a
 # bound on an essential extremum of F -/+ beta*U of the same shape (a float
-# for a float).  Grids take one call; the golden refinement calls with
-# floats, a path kept free of numpy overhead.  Callers check the domain.
+# for a float); an extremum the support does not bound is +inf or -inf.
+# Grids take one call; the golden refinement calls with floats, a path kept
+# free of numpy overhead.  Callers check the domain.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ParetoPowerMargin:
-    """sup over x >= 1 of x**(3/4) - b*x, in closed form.
+class ParetoMargin:
+    """Exact extremum over x >= 1 of F + u_sign*beta*U for power forms.
 
-    The stationary point x* = (3/(4b))**4 lies inside the support only
-    for b <= 3/4; beyond that the maximum sits at x = 1.
+    With F = alpha_f x**a + delta_f and U = alpha_u x**b + delta_u (alphas
+    nonzero, as ``canonical_power`` gives them) and s = +1 for "max", -1
+    for "min", the oracle is s * sup g, where g = s*(F + u_sign*beta*U) =
+    A x**a + beta B x**b + C + beta D.  The sup is +inf where a positive
+    power with a positive coefficient leads; else g at its one stationary
+    point x* = r**(1/(b-a)), r = -A a / (beta B b), when x* > 1 and g
+    peaks there; else the larger of g(1) and the limit at x = inf.  Signs
+    decide once, at construction, which of these cases can arise.
     """
 
-    def __call__(self, b):
-        if not isinstance(b, np.ndarray):
-            return 0.25 * (3.0 / (4.0 * b)) ** 3 if b <= 0.75 else 1.0 - b
-        # float_power runs C pow per element, as Python's ** does; the
-        # SIMD loop of np.power can differ from it in the last bit
-        return np.where(b <= 0.75, 0.25 * np.float_power(3.0 / (4.0 * b), 3), 1.0 - b)
+    f: tuple  # (alpha_f, a, delta_f)
+    u: tuple  # (alpha_u, b, delta_u)
+    u_sign: float  # +1 for F + beta*U, -1 for F - beta*U
+    sense: str  # "max" | "min"
 
+    def __post_init__(self):
+        s = 1.0 if self.sense == "max" else -1.0
+        (alpha_f, a, delta_f), (alpha_u, b, delta_u) = self.f, self.u
+        A, C = s * alpha_f, s * delta_f
+        B, D = s * self.u_sign * alpha_u, s * self.u_sign * delta_u
+        # the leading power and its coefficient, lead[0] + beta*lead[1]
+        top, lead = (a, (A, B)) if a == b else max((a, (A, 0.0)), (b, (0.0, B)))
+        peaks = a != b and (A * a > 0.0 > B * b if a < b else B * b > 0.0 > A * a)
+        infinite = lead if top > 0.0 and (a == b or sum(lead) > 0.0) else None
+        # (r * beta, A (1 - a/b), a/(b-a), whether x* > 1 means r > 1)
+        peak = (-A * a / (B * b), A * (1.0 - a / b), a / (b - a), b > a) if peaks else None
+        # with no positive power, x**0 = 1 and x**-e -> 0 as x -> inf
+        limit = None if top > 0.0 else (C + (a == 0.0) * A, D + (b == 0.0) * B)
+        object.__setattr__(self, "_cases", (s, A + C, B + D, C, D, infinite, peak, limit))
 
-@dataclass(frozen=True)
-class ParetoSumInf:
-    """inf over x >= 1 of x**(3/4) + b*x = 1 + b (both terms increase)."""
-
-    def __call__(self, b):
-        return 1.0 + b
+    def __call__(self, beta):
+        s, p, q, c, d, infinite, peak, limit = self._cases
+        if isinstance(beta, np.ndarray):
+            value = p + beta * q
+            if limit:
+                value = np.maximum(value, limit[0] + beta * limit[1])
+            if peak:
+                k, coef, power, up = peak
+                r = k / beta
+                # float_power runs C pow per element, as Python's ** does; the
+                # SIMD loop of np.power can differ from it in the last bit
+                with np.errstate(over="ignore"):
+                    at_peak = coef * np.float_power(r, power) + (c + beta * d)
+                value = np.where(r > 1.0 if up else r < 1.0, at_peak, value)
+            if infinite:
+                value = np.where(infinite[0] + beta * infinite[1] > 0.0, math.inf, value)
+            return value if s > 0.0 else -value
+        beta = float(beta)
+        if infinite and infinite[0] + beta * infinite[1] > 0.0:
+            return s * math.inf
+        if peak:
+            k, coef, power, up = peak
+            r = k / beta
+            if r > 1.0 if up else r < 1.0:
+                try:
+                    return s * (coef * r**power + (c + beta * d))
+                except OverflowError:  # a peak beyond the doubles
+                    return s * math.inf
+        value = p + beta * q
+        return s * (max(value, limit[0] + beta * limit[1]) if limit else value)
 
 
 @dataclass(frozen=True)
@@ -197,34 +246,6 @@ class FiniteMargin:
         for f, u in zip(self.f_values[1:], self.u_values[1:]):
             pick(ext, f + scaled * u, out=ext)
         return ext
-
-
-GRID_SEARCH_X_MAX = 1e12
-_GRID_SEARCH_XS = np.geomspace(1.0, GRID_SEARCH_X_MAX, 600)
-
-
-@dataclass(frozen=True)
-class GridSearchMargin:
-    """Bracketed scalar search for sup over 1 <= x <= GRID_SEARCH_X_MAX of f - beta*u.
-
-    Assumes the profile is unimodal in x (true for the concave-minus-
-    linear families used here).  Coarse log grid, then golden-section
-    refinement in log-x around the best point.  An array of beta is
-    searched one element at a time.
-    """
-
-    f: Callable
-    u: Callable
-
-    def __call__(self, beta):
-        if isinstance(beta, np.ndarray):
-            return np.array([self(b) for b in beta.ravel().tolist()]).reshape(beta.shape)
-
-        def neg_profile(x):
-            return -(self.f(x) - beta * self.u(x))
-
-        _, neg = grid_min(neg_profile, _GRID_SEARCH_XS, neg_profile(_GRID_SEARCH_XS), log=True)
-        return -neg
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +387,13 @@ def heavy_tail_pair() -> tuple[DistributionModel, ObservablePair]:
     """The running heavy-tail example: F(x) = x**(3/4), U(x) = x.
 
     Exact statistics: E F = 10/7, E U = 5/3, Var F = 45/98,
-    Var U = 20/9, Cov = 20/21.
+    Var U = 20/9, Cov = 20/21, kept as these fractions: the closed-form
+    moments of the last three differ from them in the last bits.
     """
     model = pareto_like()
-    pair = ObservablePair(
-        f=Power(0.75),
-        u=Identity(),
-        mu=10.0 / 7.0,
-        nu=5.0 / 3.0,
-        var_f=45.0 / 98.0,
-        var_u=20.0 / 9.0,
-        gamma=20.0 / 21.0,
-        gamma_flag="exact",
-        margin=ParetoPowerMargin(),
-        sum_lower_margin=ParetoSumInf(),
-        f_unbounded_above=True,
-        u_unbounded_above=True,
+    pair = replace(
+        pair_from_callables(model, Power(0.75), Identity()),
+        mu=10.0 / 7.0, nu=5.0 / 3.0, var_f=45.0 / 98.0, var_u=20.0 / 9.0, gamma=20.0 / 21.0,
     )
     return model, pair
 
@@ -421,21 +433,11 @@ def tabulated_pair(
 
 
 def pair_from_callables(model: DistributionModel, f, u) -> ObservablePair:
-    """Generic pair construction; statistics come from exact_moments."""
+    """Generic pair construction: tabulated on a finite model, closed forms on pareto_like."""
     if model.is_finite:
         return tabulated_pair(model, f(model.atoms), u(model.atoms))
-    probe = ObservablePair(
-        f=f, u=u, mu=0.0, nu=0.0, var_f=0.0, var_u=0.0, gamma=0.0
-    )
-    mu, nu, var_f, var_u, gamma = exact_moments(model, probe)
     cf, cu = canonical_power(f), canonical_power(u)
-    f_unbounded = cf is None or (cf[1] > 0 and cf[0] > 0)
-    u_unbounded = cu is None or (cu[1] > 0 and cu[0] > 0)
-    if isinstance(f, Power) and f.exponent == 0.75 and isinstance(u, Identity):
-        margin, sum_lower = ParetoPowerMargin(), ParetoSumInf()
-    else:
-        margin = GridSearchMargin(f, u)
-        sum_lower = None
+    mu, nu, var_f, var_u, gamma = _pareto_moments(cf, cu)
     return ObservablePair(
         f=f,
         u=u,
@@ -444,10 +446,10 @@ def pair_from_callables(model: DistributionModel, f, u) -> ObservablePair:
         var_f=var_f,
         var_u=var_u,
         gamma=gamma,
-        margin=margin,
-        sum_lower_margin=sum_lower,
-        f_unbounded_above=f_unbounded,
-        u_unbounded_above=u_unbounded,
+        margin=ParetoMargin(cf, cu, -1.0, "max"),
+        sum_lower_margin=ParetoMargin(cf, cu, +1.0, "min"),
+        f_unbounded_above=cf[1] > 0 and cf[0] > 0,
+        u_unbounded_above=cu[1] > 0 and cu[0] > 0,
     )
 
 
@@ -497,27 +499,29 @@ def _pareto_power_moment(a: float, name: str) -> float:
     return 5.0 / (5.0 - 2.0 * a)
 
 
-def _pareto_expectation_quadrature(g: Callable) -> float:
-    """E[g(X)] = int_0^1 g(w**-2) * 5 w**4 dw by dyadic panels toward w=0.
-
-    Accurate when g grows slower than ~x**2.3; the power-form path should
-    be preferred whenever it applies.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    total = 0.0
-    prev = math.inf
-    for k in range(400):
-        hi = 2.0 ** (-k)
-        lo = hi / 2.0
-        w = lo + (nodes * 0.5 + 0.5) * (hi - lo)
-        wt = weights * 0.5 * (hi - lo)
-        vals = g(w**-2.0) * 5.0 * w**4
-        panel = float(vals @ wt)
-        total += panel
-        if abs(panel) <= prev and abs(panel) < 1e-13 * max(abs(total), 1e-300):
-            return total
-        prev = abs(panel)
-    raise NumericError("pareto moment quadrature did not converge in 400 panels")
+def _pareto_moments(cf: tuple, cu: tuple) -> tuple[float, float, float, float, float]:
+    """(mu, nu, var_F, var_U, gamma) of F, U = alpha x**a + delta on pareto_like."""
+    af_alpha, af, af_delta = cf
+    au_alpha, au, au_delta = cu
+    ef = af_alpha * _pareto_power_moment(af, "E[F]") + af_delta
+    eu = au_alpha * _pareto_power_moment(au, "E[U]") + au_delta
+    ef2 = (
+        af_alpha**2 * _pareto_power_moment(2 * af, "E[F^2]")
+        + 2 * af_alpha * af_delta * _pareto_power_moment(af, "E[F]")
+        + af_delta**2
+    )
+    eu2 = (
+        au_alpha**2 * _pareto_power_moment(2 * au, "E[U^2]")
+        + 2 * au_alpha * au_delta * _pareto_power_moment(au, "E[U]")
+        + au_delta**2
+    )
+    efu = (
+        af_alpha * au_alpha * _pareto_power_moment(af + au, "E[F*U]")
+        + af_alpha * au_delta * _pareto_power_moment(af, "E[F]")
+        + au_alpha * af_delta * _pareto_power_moment(au, "E[U]")
+        + af_delta * au_delta
+    )
+    return (ef, eu, ef2 - ef**2, eu2 - eu**2, efu - ef * eu)
 
 
 def exact_moments(
@@ -536,38 +540,7 @@ def exact_moments(
             float(p @ u**2 - nu**2),
             float(p @ (f * u) - mu * nu),
         )
-
-    cf = canonical_power(pair.f)
-    cu = canonical_power(pair.u)
-    if cf is not None and cu is not None:
-        af_alpha, af, af_delta = cf
-        au_alpha, au, au_delta = cu
-        ef = af_alpha * _pareto_power_moment(af, "E[F]") + af_delta
-        eu = au_alpha * _pareto_power_moment(au, "E[U]") + au_delta
-        ef2 = (
-            af_alpha**2 * _pareto_power_moment(2 * af, "E[F^2]")
-            + 2 * af_alpha * af_delta * _pareto_power_moment(af, "E[F]")
-            + af_delta**2
-        )
-        eu2 = (
-            au_alpha**2 * _pareto_power_moment(2 * au, "E[U^2]")
-            + 2 * au_alpha * au_delta * _pareto_power_moment(au, "E[U]")
-            + au_delta**2
-        )
-        efu = (
-            af_alpha * au_alpha * _pareto_power_moment(af + au, "E[F*U]")
-            + af_alpha * au_delta * _pareto_power_moment(af, "E[F]")
-            + au_alpha * af_delta * _pareto_power_moment(au, "E[U]")
-            + af_delta * au_delta
-        )
-        return (ef, eu, ef2 - ef**2, eu2 - eu**2, efu - ef * eu)
-
-    ef = _pareto_expectation_quadrature(pair.f)
-    eu = _pareto_expectation_quadrature(pair.u)
-    ef2 = _pareto_expectation_quadrature(lambda x: pair.f(x) ** 2)
-    eu2 = _pareto_expectation_quadrature(lambda x: pair.u(x) ** 2)
-    efu = _pareto_expectation_quadrature(lambda x: pair.f(x) * pair.u(x))
-    return (ef, eu, ef2 - ef**2, eu2 - eu**2, efu - ef * eu)
+    return _pareto_moments(canonical_power(pair.f), canonical_power(pair.u))
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +643,9 @@ def _log_mgf_nodes(model: DistributionModel, pair: ObservablePair, a: float, b: 
         return math.inf, None, None
     if b == 0.0 and a > 0.0 and pair.f_unbounded_above:
         return math.inf, None, None
-    if b < 0.0 and a > 0.0 and pair.f_unbounded_above and pair.margin is None:
-        raise CapabilityError(
-            "log-MGF with an unbounded F needs a finite margin oracle for F - beta*U"
-        )
+    # a F + b U = a (F - beta U) at beta = -b/a, unbounded above with its margin
+    if b < 0.0 < a and pair.f_unbounded_above and pair.margin(-b / a) == math.inf:
+        return math.inf, None, None
     return _pareto_log_exp_integral(lambda x: a * pair.f(x) + b * pair.u(x))
 
 

@@ -425,7 +425,7 @@ def compute_bounds(
                 add(BoundReport("thm31_ii", constant * epsilon**2, note=f"quoted_constant_{name}"))
         else:
             skip("thm31_ii", "quoted constants require u <= epsilon/20")
-    elif model.is_finite:
+    else:
         try:
             norm = normalize_observables(pair)
             eps_n, u_n = norm.map_thresholds(epsilon, u)

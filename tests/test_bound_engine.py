@@ -12,6 +12,7 @@ from screened_mc.bound_engine import (
     REFERENCE_ALPHA_IV,
     thm31_ii_exponent_at,
 )
+from screened_mc.dist_models import Identity, Power
 
 SQRT5 = math.sqrt(5.0)
 
@@ -290,6 +291,25 @@ def test_thm31_ii_exponent_at_on_arrays(normalized_heavy_tail):
         thm31_ii_exponent_at(bogus, 0.1, 0.1, 0.5)
     with pytest.raises(sm.NumericError):
         thm31_ii_exponent_at(bogus, 0.1, 0.1, np.array([0.001, 0.5]))
+
+
+def test_an_infinite_margin_gives_exponent_zero():
+    # F = U = x on pareto_like: normalized, F - beta U = (1 - beta) U is
+    # unbounded above for beta < 1 and bounded for beta > 1
+    model = sm.pareto_like()
+    norm = sm.normalize_observables(sm.pair_from_callables(model, Identity(), Identity()))
+    assert norm.margin(0.5) == math.inf and math.isfinite(norm.margin(2.0))
+    alphas = np.array([0.1, 0.25, 0.75, 0.9])
+    got = thm31_ii_exponent_at(norm, 1.0, 0.5, alphas)
+    scalars = [thm31_ii_exponent_at(norm, 1.0, 0.5, a) for a in alphas.tolist()]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(got, np.array(scalars))
+    assert scalars[:2] == [0.0, 0.0] and scalars[-1] > 0.0  # beta = 2 alpha
+    # no alpha has a finite margin: nothing is certified
+    pair = sm.normalize_observables(sm.pair_from_callables(model, Power(0.9), Power(0.5)))
+    eps_n, u_n = pair.map_thresholds(0.2, 0.01)
+    for rep in (sm.bound_thm31_ii(pair, eps_n, u_n), sm.bound_thm31_iii(pair, eps_n, u_n / eps_n)):
+        assert rep.exponent == 0.0 and not rep.zero_event and rep.bound_at(10**6) == 1.0
 
 
 def test_thm31_ii_takes_one_margin_call_per_grid(normalized_heavy_tail, monkeypatch):

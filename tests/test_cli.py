@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
-from screened_mc import bound_engine, cli, rate_functions
+from screened_mc import bound_engine, cli, dist_models, rate_functions
+from screened_mc._optim import grid_min
 from screened_mc.cli import main
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -250,6 +255,96 @@ def test_sanov_subcommand(tmp_path):
 def test_sanov_rejects_heavy_tail(tmp_path, capsys):
     cfg = write_config(tmp_path, heavy_tail_doc())
     assert main(["sanov", "--config", cfg, "--jobs", "1"]) == 2
+
+
+def test_sanov_honours_the_screen_sidedness(tmp_path, capsys, monkeypatch):
+    # the one-sided moment set of this instance is not empty, the two-sided one is
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import finite_instance
+
+    doc = finite_instance(1, 4)
+    assert doc["screen"]["sidedness"] == "two_sided"
+    results = {}
+    for sidedness in ("two_sided", "one_sided"):
+        doc["screen"]["sidedness"] = sidedness
+        cfg = write_config(tmp_path, doc, f"{sidedness}.json")
+        assert main(["sanov", "--config", cfg]) == 0
+        results[sidedness] = json.loads(capsys.readouterr().out)["instance"]
+    assert results["two_sided"]["feasible"] is False
+    assert results["one_sided"]["feasible"] is True
+    assert results["one_sided"]["entropy"] == pytest.approx(0.7799, abs=1e-4)
+
+
+def power_doc(f_exponent, u_form, epsilon, u, **overrides):
+    return heavy_tail_doc(
+        observables={"f": {"form": "power", "exponent": f_exponent}, "u": u_form},
+        screen={"epsilon": epsilon, "u": u, "n": 200, "sidedness": "two_sided"},
+        outputs=[],
+        **overrides,
+    )
+
+
+def test_validate_checks_the_bounds_of_a_power_pair(tmp_path, capsys):
+    doc = power_doc(0.5, {"form": "identity"}, 0.02, 0.01, trials=4000, seed=11)
+    doc["screen"]["n"] = 50
+    assert main(["validate", "--config", write_config(tmp_path, doc), "--jobs", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"]["all_bounds_sound"] is True
+    assert report["counts"]["screened_error"] > 0  # the event is not certified empty
+    thm31 = {b["method"]: b for b in report["bounds"] if b["method"].startswith("thm31")}
+    assert sorted(thm31) == ["thm31_ii", "thm31_iii"]
+    assert all(not b["skipped"] and 0.0 < b["exponent"] < math.inf for b in thm31.values())
+
+
+def test_a_power_pair_u_does_not_dominate_certifies_nothing(tmp_path, capsys):
+    # sup[x**0.9 - beta x**0.5] = +inf for every beta
+    cfg = write_config(tmp_path, power_doc(0.9, {"form": "power", "exponent": 0.5}, 0.2, 0.01))
+    assert main(["bound", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["zero_event"] is False
+    for key in ("thm31_ii", "thm31_ii_worst_gamma", "thm31_iii"):
+        assert doc[key]["exponent"] == 0.0 and doc[key]["bound_value"] == 1.0
+    assert main(["rates", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda_star"] == 0.0 and doc["lambda_plus_star"] == 0.0
+
+
+def _grid_search_margin(f, u, beta):
+    """sup of f - beta*u over a 600-point log grid on [1, 1e12], refined by golden
+    section: the margin of every non-preset pareto_like pair before it had a closed form."""
+    xs = np.geomspace(1.0, 1e12, 600)
+
+    def neg_profile(x):
+        return -(f(x) - beta * u(x))
+
+    return -grid_min(neg_profile, xs, neg_profile(xs), log=True)[1]
+
+
+def test_power_pair_margins_against_the_grid_search_they_replace(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = dist_models.ParetoMargin.__call__
+
+    def spy(self, beta):
+        if self.sense == "max":
+            seen.append(np.ravel(beta))
+        return real(self, beta)
+
+    monkeypatch.setattr(dist_models.ParetoMargin, "__call__", spy)
+    cfg = write_config(tmp_path, power_doc(0.5, {"form": "identity"}, 0.02, 0.01))
+    assert main(["bound", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["thm31_ii"]["exponent"] > 0.0
+    monkeypatch.undo()
+    betas = np.unique(np.concatenate(seen))
+    assert len(betas) > 10_000
+    pair = dist_models.pair_from_callables(
+        dist_models.pareto_like(), dist_models.Power(0.5), dist_models.Identity()
+    )
+    for beta in betas[:: len(betas) // 300].tolist():
+        new = pair.margin(beta)
+        old = _grid_search_margin(pair.f, pair.u, beta)
+        assert new >= old - 1e-15 * abs(old)
+        if 1.0 / (4.0 * beta * beta) <= 1e12:  # the peak x* lies on the old grid
+            assert new == pytest.approx(old, rel=1e-12)
 
 
 def test_simulate_single_and_multi(tmp_path):

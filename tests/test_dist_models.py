@@ -211,13 +211,120 @@ def test_log_mgf_signed_divergence_rules():
     assert log_mgf_signed(model, pair, -0.5, -0.5) < 0.0
 
 
-def test_grid_search_margin_matches_closed_form():
-    from screened_mc.dist_models import GridSearchMargin, ParetoPowerMargin
+# ---------------------------------------------------------------------------
+# the pareto_like margin oracle: F + u_sign*beta*U with F, U = alpha x**e + delta
+# ---------------------------------------------------------------------------
 
-    searched = GridSearchMargin(Power(0.75), Identity())
-    closed = ParetoPowerMargin()
-    for b in np.geomspace(1e-3, 5.0, 40):
-        assert searched(float(b)) == pytest.approx(closed(float(b)), rel=1e-12)
+# (F, U) coefficient triples, one per sign and exponent case
+_POWER_CASES = {
+    "a<b": ((1.0, 0.75, 0.0), (1.0, 1.0, 0.0)),  # the preset: an interior peak
+    "a=b": ((1.0, 1.0, 0.0), (1.0, 1.0, -0.5)),  # (1 - beta) x: +inf below beta = 1
+    "a>b": ((1.0, 0.9, 0.0), (1.0, 0.5, 0.0)),  # U does not dominate F: +inf
+    "negative_alpha": ((-2.0, 0.5, 1.0), (1.0, 0.25, 0.0)),
+    "negative_exponent_f": ((1.0, -0.5, 0.0), (1.0, 1.0, 0.0)),
+    "negative_exponent_u": ((1.0, 0.5, 0.0), (1.0, -0.5, 0.3)),  # F + beta U dips inside
+    "both_negative": ((-1.0, -2.0, 0.0), (-1.0, -1.0, 0.0)),  # a peak at x* = 2/beta
+    "sign_over_reciprocal": ((1.0, 0.0, 0.0), (1.0, -1.0, 0.0)),  # sup only in the limit
+    "reciprocal_over_sign": ((-1.0, -1.0, 0.0), (1.0, 0.0, 0.0)),
+    "abs_centered_over_sign": ((1.0, 1.0, -1.7), (1.0, 0.0, 0.0)),
+}
+_ORIENTATIONS = [(-1.0, "max"), (+1.0, "max"), (-1.0, "min"), (+1.0, "min")]
+_XS = np.geomspace(1.0, 1e15, 400_001)
+
+
+def _power_values(coefficients, x):
+    alpha, exponent, delta = coefficients
+    return alpha * x**exponent + delta
+
+
+@pytest.mark.parametrize("case", sorted(_POWER_CASES))
+def test_pareto_margin_matches_a_dense_reference(case):
+    from screened_mc.dist_models import ParetoMargin
+
+    cf, cu = _POWER_CASES[case]
+    fx, ux = _power_values(cf, _XS), _power_values(cu, _XS)
+    seen_infinite = False  # the reference grows without bound somewhere
+    for u_sign, sense in _ORIENTATIONS:
+        oracle = ParetoMargin(cf, cu, u_sign, sense)
+        s = 1.0 if sense == "max" else -1.0
+        for beta in np.geomspace(1e-2, 1e2, 25).tolist():
+            g = s * (fx + u_sign * beta * ux)  # the oracle is s * sup g
+            ref = float(g.max())
+            got = s * oracle(beta)
+            if got == math.inf:
+                # the reference grows without bound: still rising at 1e15, and huge
+                seen_infinite = True
+                assert int(np.argmax(g)) == len(_XS) - 1 and g[-1] > g[-1000] and ref > 1e5
+                continue
+            scale = 1.0 + abs(ref)
+            assert got >= ref - 1e-12 * scale, (case, u_sign, sense, beta)
+            assert got <= ref + 1e-7 * scale, (case, u_sign, sense, beta)
+    # every case has a positive power in some orientation but these three
+    bounded = ("both_negative", "sign_over_reciprocal", "reciprocal_over_sign")
+    assert seen_infinite == (case not in bounded)
+
+
+def test_pareto_margin_peaks_in_closed_form():
+    from screened_mc.dist_models import ParetoMargin
+
+    # -x**-2 + beta/x peaks at x* = 2/beta with beta**2/4, inside x >= 1 for beta < 2
+    oracle = ParetoMargin(*_POWER_CASES["both_negative"], -1.0, "max")
+    for beta in (0.01, 0.5, 1.9):
+        assert oracle(beta) == pytest.approx(beta * beta / 4.0, rel=1e-14)
+    assert oracle(3.0) == -1.0 + 3.0
+    # x**0.5 - beta x peaks at x* = 1/(4 beta**2) with 1/(4 beta)
+    oracle = ParetoMargin((1.0, 0.5, 0.0), (1.0, 1.0, 0.0), -1.0, "max")
+    assert oracle(1e-3) == pytest.approx(250.0, rel=1e-14)
+
+
+def test_preset_margins_are_bit_for_bit_the_old_closed_forms():
+    # the closed forms the preset used before its oracle was the general one
+    def old_margin(b):
+        return 0.25 * (3.0 / (4.0 * b)) ** 3 if b <= 0.75 else 1.0 - b
+
+    def old_margin_array(b):
+        return np.where(b <= 0.75, 0.25 * np.float_power(3.0 / (4.0 * b), 3), 1.0 - b)
+
+    _, pair = sm.heavy_tail_pair()
+    edge = [np.nextafter(0.75, 0.0), 0.75, np.nextafter(0.75, 1.0)]
+    betas = np.concatenate([np.geomspace(1e-9, 1e9, 100_001), np.linspace(0.7, 0.8, 10_001), edge])
+    assert np.any(betas == 0.75)
+    assert np.array_equal(pair.margin(betas), old_margin_array(betas))
+    assert np.array_equal(pair.sum_lower_margin(betas), 1.0 + betas)
+    for b in betas.tolist():
+        assert pair.margin(b) == old_margin(b) and pair.sum_lower_margin(b) == 1.0 + b
+
+
+def test_non_power_observable_on_pareto_is_a_capability_error():
+    table = Table((1.0, 2.0), (0.0, 1.0))
+    with pytest.raises(sm.CapabilityError, match="^Table.* is not alpha"):
+        sm.pair_from_callables(sm.pareto_like(), Power(0.5), table)
+    with pytest.raises(sm.CapabilityError, match="^<function.* is not alpha"):
+        sm.pair_from_callables(sm.pareto_like(), lambda x: np.log(x), Identity())
+
+
+def test_abs_centered_and_sign_on_pareto_are_power_forms():
+    from screened_mc.dist_models import AbsCentered, SignOf, canonical_power
+
+    assert canonical_power(AbsCentered(1.5)) == (1.0, 1.0, -1.5)
+    assert canonical_power(SignOf()) == (1.0, 0.0, 0.0)
+    pair = sm.pair_from_callables(sm.pareto_like(), AbsCentered(1.5), Power(0.5))
+    assert pair.mu == pytest.approx(5.0 / 3.0 - 1.5, rel=1e-14)
+    assert pair.var_f == pytest.approx(20.0 / 9.0, rel=1e-14)
+    assert pair.gamma == pytest.approx(5.0 / 2.0 - 5.0 / 3.0 * 5.0 / 4.0, rel=1e-14)
+    sign = sm.pair_from_callables(sm.pareto_like(), Power(0.5), SignOf())
+    assert (sign.nu, sign.var_u, sign.u_unbounded_above) == (1.0, 0.0, False)
+
+
+def test_log_mgf_is_infinite_where_the_margin_is():
+    model = sm.pareto_like()
+    pair = sm.pair_from_callables(model, Power(0.9), Power(0.5))
+    assert np.all(pair.margin(np.geomspace(1e-3, 1e3, 7)) == math.inf)
+    assert log_mgf_signed(model, pair, 0.3, -5.0) == math.inf
+    with pytest.raises(sm.DivergenceError):
+        tilted_moments(model, pair, 0.3, -5.0)
+    _, preset = sm.heavy_tail_pair()
+    assert math.isfinite(log_mgf_signed(model, preset, 0.3, -5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +341,25 @@ def _assert_array_matches_scalar_calls(oracle, betas):
 
 
 def test_pareto_margins_on_arrays_match_scalar_calls():
-    from screened_mc.dist_models import ParetoPowerMargin, ParetoSumInf
+    from screened_mc.dist_models import ParetoMargin
 
+    _, pair = sm.heavy_tail_pair()
     edge = [np.nextafter(0.75, 0.0), 0.75, np.nextafter(0.75, 1.0)]
     betas = np.concatenate([np.geomspace(1e-6, 0.75, 20_001), edge, np.geomspace(0.75, 50.0, 999)])
     assert np.any(betas < 0.75) and np.any(betas == 0.75) and np.any(betas > 0.75)
-    for oracle in (ParetoPowerMargin(), ParetoSumInf()):
+    for oracle in (pair.margin, pair.sum_lower_margin):
         _assert_array_matches_scalar_calls(oracle, betas)
         _assert_array_matches_scalar_calls(oracle, betas[:1000].reshape(20, 50))
+    wide = np.geomspace(1e-4, 1e4, 2001)
+    for cf, cu in _POWER_CASES.values():
+        for u_sign, sense in _ORIENTATIONS:
+            oracle = ParetoMargin(cf, cu, u_sign, sense)
+            _assert_array_matches_scalar_calls(oracle, wide)
+            _assert_array_matches_scalar_calls(oracle, wide[:2000].reshape(40, 50))
+    # a peak beyond the doubles is +inf on both paths, with no warning
+    steep = ParetoMargin((1.0, 0.99, 0.0), (1.0, 1.0, 0.0), -1.0, "max")
+    _assert_array_matches_scalar_calls(steep, np.array([1e-9, 1e-3, 0.5]))
+    assert steep(1e-9) == math.inf
 
 
 def test_finite_margins_on_arrays_match_scalar_calls():
@@ -292,13 +410,6 @@ def test_non_finite_model_and_table_entries_rejected():
             sm.tabulated_pair(model, [0.0, bad], [0.0, 1.0])
         with pytest.raises(sm.InputError):
             sm.tabulated_pair(model, [0.0, 1.0], [bad, 1.0])
-
-
-def test_grid_search_margin_on_arrays_matches_scalar_calls():
-    from screened_mc.dist_models import GridSearchMargin
-
-    oracle = GridSearchMargin(Power(0.5), Identity())
-    _assert_array_matches_scalar_calls(oracle, np.geomspace(1e-3, 5.0, 24).reshape(4, 6))
 
 
 def test_finite_log_mgf_evaluates_each_table_once_per_pair(monkeypatch):
