@@ -113,15 +113,11 @@ def normalize_observables(
     pair: ObservablePair,
     *,
     var_f_bound: float | None = None,
-    c1: float | None = None,
-    c2: float | None = None,
     mu_lower: float | None = None,
 ) -> ObservablePair:
     """Affine-rescale a raw pair to E U = 0, Var U = 1, E F = 0, Var F <= 1.
 
-    The F scale comes from ``var_f_bound`` if given, else from the
-    pointwise domination |F| <= c1*U + c2 via
-    E[F^2] <= c1^2 E[U^2] + 2 c1 c2 E[U] + c2^2, else from the exact
+    The F scale comes from ``var_f_bound`` if given, else from the exact
     variance.  ``mu_lower`` is the center the *margin oracle* may use
     when the true mean is treated as unknown; the returned callables
     always center at the exact mean (the simulator knows the model).
@@ -136,11 +132,6 @@ def normalize_observables(
         raise DegenerateScreenError("Var(U) = 0: the screening observable is constant")
 
     u_scale = math.sqrt(pair.var_u)
-    if var_f_bound is None and c1 is not None and c2 is not None:
-        # E (c1 U + c2)^2 dominates E F^2, hence Var F
-        var_f_bound = (
-            c1**2 * (pair.var_u + pair.nu**2) + 2.0 * c1 * c2 * pair.nu + c2**2
-        )
     if var_f_bound is None:
         var_f_bound = pair.var_f
     if not var_f_bound > 0.0:

@@ -25,14 +25,7 @@ import time
 import traceback
 from dataclasses import replace
 
-from .bound_engine import (
-    bound_thm31_ii,
-    bound_thm31_iii,
-    normalize_observables,
-    prop11_report,
-    zero_event_check,  # unused here: perfbench/layers.py traces it as a cli name
-)
-from .dist_models import with_gamma
+from .bound_engine import prop11_report
 from .errors import CapabilityError, ConfigError, ScreenedMcError
 from .exp_harness import (
     ExperimentConfig,
@@ -45,12 +38,16 @@ from .exp_harness import (
     emit_trajectory_csv,
     parse_config,
     run_validation,
+    thm31_reports,
 )
 from .rate_functions import _delta_point, rate_lambda_star, rate_plus_star_detail
-from .rate_functions import delta_exponent  # unused here: perfbench/layers.py traces it
 from .sanov_oracle import duality_suite, sanov_rate
 from .screen_core import run_trajectory
 from .streams import RandomStream
+
+# unused here: perfbench/layers.py traces these names as cli attributes
+from .bound_engine import bound_thm31_ii, bound_thm31_iii, normalize_observables, zero_event_check
+from .rate_functions import delta_exponent
 
 # the worked example's golden table: (epsilon, n, quoted bound)
 _GOLDEN_ROWS = (
@@ -78,6 +75,13 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _load_pair(args):
+    """The config, its model and its observable pair."""
+    cfg = _load_config(args)
+    model = build_model(cfg.model)
+    return cfg, model, build_pair(model, cfg.observables)
+
+
 def _out_path(args, path: str) -> str:
     if os.path.isabs(path):
         return path
@@ -96,9 +100,7 @@ def _emit_or_print(args, cfg: ExperimentConfig, document: dict) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    model = build_model(cfg.model)
-    pair = build_pair(model, cfg.observables)
+    cfg, model, pair = _load_pair(args)
     csv_bases = [
         _out_path(args, spec.path) for spec in cfg.outputs if spec.kind == "trajectory_csv"
     ]
@@ -127,24 +129,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    cfg = _load_config(args)
-    model = build_model(cfg.model)
-    pair = build_pair(model, cfg.observables)
+    cfg, _, pair = _load_pair(args)
     sc = cfg.screen
+    thresholds, reports = thm31_reports(pair, cfg.observables, sc.epsilon, sc.u)
     doc: dict = {"kind": "bound_report", "epsilon": sc.epsilon, "u": sc.u, "n": sc.n}
-    if cfg.observables.get("preset") == "heavy_tail":
-        norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
-    else:
-        norm = normalize_observables(pair)
-    eps_n, u_n = norm.map_thresholds(sc.epsilon, sc.u)
-    doc["normalized_thresholds"] = [eps_n, u_n]
-    rep = bound_thm31_ii(norm, eps_n, u_n)
-    doc["zero_event"] = rep.zero_event
-    doc["thm31_ii"] = {**rep.to_dict(), "bound_value": rep.bound_at(sc.n)}
-    rep_w = rep if rep.zero_event else bound_thm31_ii(with_gamma(norm, -1.0), eps_n, u_n)
-    doc["thm31_ii_worst_gamma"] = {**rep_w.to_dict(), "bound_value": rep_w.bound_at(sc.n)}
-    rep3 = bound_thm31_iii(norm, eps_n, u_n / eps_n)
-    doc["thm31_iii"] = {**rep3.to_dict(), "bound_value": rep3.bound_at(sc.n)}
+    doc["normalized_thresholds"] = list(thresholds)
+    doc["zero_event"] = reports["thm31_ii"].zero_event
+    for key, rep in reports.items():
+        doc[key] = {**rep.to_dict(), "bound_value": rep.bound_at(sc.n)}
     if cfg.observables.get("preset") == "heavy_tail" and 0.0 < sc.u <= sc.epsilon / 20.0:
         doc["prop11"] = prop11_report(sc.epsilon, sc.u, sc.n).to_dict()
     _emit_or_print(args, cfg, doc)
@@ -152,9 +144,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    cfg = _load_config(args)
-    model = build_model(cfg.model)
-    pair = build_pair(model, cfg.observables)
+    cfg, model, pair = _load_pair(args)
     sc = cfg.screen
     doc: dict = {"kind": "rates", "epsilon": sc.epsilon, "u": sc.u}
     lam_star = rate_lambda_star(model, pair, sc.epsilon)
@@ -182,9 +172,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_sanov(args) -> int:
-    cfg = _load_config(args)
-    model = build_model(cfg.model)
-    pair = build_pair(model, cfg.observables)
+    cfg, model, pair = _load_pair(args)
     sc = cfg.screen
     result = sanov_rate(model, pair, sc.epsilon, sc.u, sc.sidedness)
     suite = duality_suite(count=50, seed=cfg.master_seed)

@@ -410,12 +410,7 @@ def tabulated_pair(
         raise InputError("value tables must match the model support size")
     if not (np.all(np.isfinite(f_values)) and np.all(np.isfinite(u_values))):
         raise InputError("value tables must hold finite numbers")
-    p = model.probs
-    mu = float(p @ f_values)
-    nu = float(p @ u_values)
-    var_f = float(p @ f_values**2 - mu**2)
-    var_u = float(p @ u_values**2 - nu**2)
-    gamma = float(p @ (f_values * u_values) - mu * nu)
+    mu, nu, var_f, var_u, gamma = _finite_moments(model.probs, f_values, u_values)
     fv, uv = tuple(f_values.tolist()), tuple(u_values.tolist())
     return ObservablePair(
         f=Table(tuple(model.atoms), fv),
@@ -447,6 +442,7 @@ def pair_from_callables(model: DistributionModel, f, u) -> ObservablePair:
         var_u=var_u,
         gamma=gamma,
         margin=ParetoMargin(cf, cu, -1.0, "max"),
+        lower_margin=ParetoMargin(cf, cu, -1.0, "min"),
         sum_lower_margin=ParetoMargin(cf, cu, +1.0, "min"),
         f_unbounded_above=cf[1] > 0 and cf[0] > 0,
         u_unbounded_above=cu[1] > 0 and cu[0] > 0,
@@ -499,6 +495,18 @@ def _pareto_power_moment(a: float, name: str) -> float:
     return 5.0 / (5.0 - 2.0 * a)
 
 
+def _finite_moments(p: np.ndarray, f: np.ndarray, u: np.ndarray) -> tuple[float, ...]:
+    """(mu, nu, var_F, var_U, gamma) of per-atom values f, u under probabilities p."""
+    mu, nu = float(p @ f), float(p @ u)
+    return (
+        mu,
+        nu,
+        float(p @ f**2 - mu**2),
+        float(p @ u**2 - nu**2),
+        float(p @ (f * u) - mu * nu),
+    )
+
+
 def _pareto_moments(cf: tuple, cu: tuple) -> tuple[float, float, float, float, float]:
     """(mu, nu, var_F, var_U, gamma) of F, U = alpha x**a + delta on pareto_like."""
     af_alpha, af, af_delta = cf
@@ -529,17 +537,9 @@ def exact_moments(
 ) -> tuple[float, float, float, float, float]:
     """(mu, nu, var_F, var_U, gamma) computed from the model itself."""
     if model.is_finite:
-        p = model.probs
         f = np.asarray(pair.f(model.atoms), dtype=float)
         u = np.asarray(pair.u(model.atoms), dtype=float)
-        mu, nu = float(p @ f), float(p @ u)
-        return (
-            mu,
-            nu,
-            float(p @ f**2 - mu**2),
-            float(p @ u**2 - nu**2),
-            float(p @ (f * u) - mu * nu),
-        )
+        return _finite_moments(model.probs, f, u)
     return _pareto_moments(canonical_power(pair.f), canonical_power(pair.u))
 
 
@@ -558,6 +558,7 @@ def _logsumexp(values: np.ndarray) -> float:
 
 
 _PANEL_BLOCK = 16
+_PANEL_CAP = 1280  # dyadic panels k < 1280 reach q = 2**-1280, x = 2**512
 
 
 @functools.lru_cache(maxsize=256)
@@ -573,9 +574,7 @@ def _panel_block_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     return q.ravel(), logw.ravel()
 
 
-def _pareto_log_exp_integral(
-    h: Callable, panel_cap: int = 1280
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _pareto_log_exp_integral(h: Callable) -> tuple[float, np.ndarray, np.ndarray]:
     """log of int_0^1 exp(h(x(q))) dq with x(q) = q**(-2/5), and its nodes.
 
     Dyadic panels [2^-k-1, 2^-k] with fixed Gauss-Legendre nodes,
@@ -593,7 +592,7 @@ def _pareto_log_exp_integral(
     total = -math.inf
     last_max = math.inf
     xs, logterms = [], []
-    for k0 in range(0, panel_cap, _PANEL_BLOCK):
+    for k0 in range(0, _PANEL_CAP, _PANEL_BLOCK):
         q, logw = _panel_block_nodes(k0)
         x = q ** (-0.4)
         vals = np.asarray(h(x), dtype=float)
@@ -639,7 +638,10 @@ def _log_mgf_nodes(model: DistributionModel, pair: ObservablePair, a: float, b: 
         return _logsumexp(terms), model.atoms, terms
 
     # divergence is decided by metadata, not by numeric overflow
-    if b > 0.0 and pair.u_unbounded_above:
+    if b > 0.0 and pair.u_unbounded_above and not (
+        # a F + b U = a (F - beta U) at beta = b/-a, bounded above where F - beta U is below
+        a < 0.0 and pair.lower_margin is not None and pair.lower_margin(b / -a) > -math.inf
+    ):
         return math.inf, None, None
     if b == 0.0 and a > 0.0 and pair.f_unbounded_above:
         return math.inf, None, None

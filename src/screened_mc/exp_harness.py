@@ -388,6 +388,33 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def thm31_reports(
+    pair: ObservablePair, obs_spec: dict, epsilon: float, u: float, worst_gamma: bool = True
+) -> tuple[tuple[float, float], dict[str, BoundReport]]:
+    """Theorem 3.1's reports for a config: the one path of ``bound`` and ``validate``.
+
+    The heavy-tail preset normalizes with Var F <= 4 and mu >= 1, any other
+    pair with its exact moments.  Returns the normalized thresholds and the
+    reports keyed as ``bound`` prints them: thm31_ii at the pair's gamma,
+    with ``worst_gamma`` thm31_ii at gamma = -1, and thm31_iii at
+    K = u_n/eps_n.  Gamma does not enter the zero-event certificate, so an
+    event certified empty serves the gamma = -1 report as it is.
+    """
+    if obs_spec.get("preset") == "heavy_tail":
+        norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
+    else:
+        norm = normalize_observables(pair)
+    eps_n, u_n = norm.map_thresholds(epsilon, u)
+    exact = bound_thm31_ii(norm, eps_n, u_n)
+    reports = {"thm31_ii": exact}
+    if worst_gamma:
+        reports["thm31_ii_worst_gamma"] = (
+            exact if exact.zero_event else bound_thm31_ii(with_gamma(norm, -1.0), eps_n, u_n)
+        )
+    reports["thm31_iii"] = bound_thm31_iii(norm, eps_n, u_n / eps_n)
+    return (eps_n, u_n), reports
+
+
 def compute_bounds(
     model: DistributionModel,
     pair: ObservablePair,
@@ -412,27 +439,24 @@ def compute_bounds(
             )
         )
 
-    if obs_spec.get("preset") == "heavy_tail":
-        norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
-        eps_n, u_n = norm.map_thresholds(epsilon, u)
-        add(replace(bound_thm31_ii(norm, eps_n, u_n), note="gamma=exact"))
-        worst = with_gamma(norm, -1.0)
-        add(replace(bound_thm31_ii(worst, eps_n, u_n), note="gamma=worst_case"))
-        K = u_n / eps_n
-        add(replace(bound_thm31_iii(norm, eps_n, K), note=f"K={K!r}"))
-        if 0.0 < u <= epsilon / 20.0:
-            for constant, name in ((CONSTANT_III_QUOTED, "iii"), (CONSTANT_IV_QUOTED, "iv")):
-                add(BoundReport("thm31_ii", constant * epsilon**2, note=f"quoted_constant_{name}"))
-        else:
-            skip("thm31_ii", "quoted constants require u <= epsilon/20")
+    preset = obs_spec.get("preset") == "heavy_tail"
+    try:
+        (eps_n, u_n), reports = thm31_reports(pair, obs_spec, epsilon, u, worst_gamma=preset)
+    except ScreenedMcError as exc:  # the preset pair is fixed, and always normalizes
+        skip("thm31_ii", f"normalization unavailable: {exc}")
     else:
-        try:
-            norm = normalize_observables(pair)
-            eps_n, u_n = norm.map_thresholds(epsilon, u)
-            add(replace(bound_thm31_ii(norm, eps_n, u_n), note="gamma=exact"))
-            add(bound_thm31_iii(norm, eps_n, u_n / eps_n))
-        except ScreenedMcError as exc:
-            skip("thm31_ii", f"normalization unavailable: {exc}")
+        notes = {
+            "thm31_ii": "gamma=exact",
+            "thm31_ii_worst_gamma": "gamma=worst_case",
+            "thm31_iii": f"K={u_n / eps_n!r}" if preset else "",
+        }
+        for key, report in reports.items():
+            add(replace(report, note=notes[key]))
+    if preset and 0.0 < u <= epsilon / 20.0:
+        for constant, name in ((CONSTANT_III_QUOTED, "iii"), (CONSTANT_IV_QUOTED, "iv")):
+            add(BoundReport("thm31_ii", constant * epsilon**2, note=f"quoted_constant_{name}"))
+    elif preset:
+        skip("thm31_ii", "quoted constants require u <= epsilon/20")
 
     try:
         lam_plus = rate_plus_star(model, pair, epsilon, u, "lambda_plus")

@@ -70,17 +70,6 @@ def relative_entropy(q, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort method)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, len(v) + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    tau = css[cond][-1] / rho
-    return np.maximum(v - tau, 0.0)
-
-
 def _project_constrained_simplex(
     v: np.ndarray, halfspaces: list[tuple[np.ndarray, float]], floor: np.ndarray | None = None
 ) -> np.ndarray | None:
@@ -93,8 +82,6 @@ def _project_constrained_simplex(
     multipliers left thin-wedge sets unconverged after any fixed number of
     sweeps.  None when the set is empty, or misses a constraint by 1e-9.
     """
-    if not halfspaces and floor is None:
-        return _project_simplex(v)
     m = len(v)
     lower = np.zeros(m) if floor is None else floor
     ones = np.full(m, 1.0 / math.sqrt(m))

@@ -489,6 +489,69 @@ def test_sanov_output_matches_golden_digest(tmp_path, capsys):
     assert _printed_digest(capsys, ["sanov", "--config", cfg]) == _REPORT_DIGESTS["sanov", "finite_four_atoms"]
 
 
+def _constant_u_doc():
+    doc = finite_doc(outputs=[])
+    doc["observables"]["u"]["values"] = [1.0] * 4
+    return doc
+
+
+# sha256 of the JSON that `validate` prints at 20,000 trials and --jobs 1 on
+# every _REPORT_CONFIGS entry, on a power pair whose event is not certified
+# empty, and on a constant U table (no normalization: the thm31 entry is
+# skipped, where `bound` exits 2); the README config also at --jobs 2.
+_VALIDATE_CONFIGS = {
+    **_REPORT_CONFIGS,
+    "power_half_identity": power_doc(0.5, {"form": "identity"}, 0.02, 0.01),
+    "finite_constant_u": _constant_u_doc(),
+}
+_VALIDATE_DIGESTS = {
+    ("readme", "1"): "fff7fc34b6b503e6737d6e2fa6a7f910bf8baf0ed0d4a65dcf8f953f0c174fa4",
+    ("readme", "2"): "fff7fc34b6b503e6737d6e2fa6a7f910bf8baf0ed0d4a65dcf8f953f0c174fa4",
+    ("heavy_prop11", "1"): "e9b3b6c6c0c3944820be5e6e3bd2be9f2bd613cc5f490fd6bb92fd103bd9f8ec",
+    ("finite_four_atoms", "1"): "e81f24516543f11dcc2445e01fd2ea4491d05d5d8f50e1b1fd62d552b783874c",
+    ("finite_four_atoms_empty", "1"): "6ebb9d7f3a8dbb68388458947cb2fcf925a2515421307d607cf7e66db31579cc",
+    ("finite_three_atoms", "1"): "5c640b65efa15df7f030bf510657da6fd10d9f83d05780f547dc9afe7db14bab",
+    ("power_half_identity", "1"): "e3fdf24ed7947ed9a61c0cde7b094ecb5eb1d1b319aa36d931dbeb51ac4d73fc",
+    ("finite_constant_u", "1"): "330765883d68405b52fa97738a08e0bb4d6e2faf275dd6f0929f9aa4a4ad182e",
+}
+
+
+@pytest.mark.parametrize("name, jobs", sorted(_VALIDATE_DIGESTS))
+def test_validate_output_matches_golden_digest(tmp_path, capsys, name, jobs):
+    cfg = write_config(tmp_path, _VALIDATE_CONFIGS[name])
+    argv = ["validate", "--config", cfg, "--trials", "20000", "--jobs", jobs]
+    assert _printed_digest(capsys, argv) == _VALIDATE_DIGESTS[name, jobs]
+
+
+def _bound_key(entry):
+    """The `bound` report key of a thm31 entry of `validate`, or None."""
+    if entry["method"] == "thm31_iii":
+        return "thm31_iii"
+    return {"gamma=exact": "thm31_ii", "gamma=worst_case": "thm31_ii_worst_gamma"}.get(entry["note"])
+
+
+@pytest.mark.parametrize("name", sorted(_VALIDATE_CONFIGS))
+def test_validate_thm31_entries_equal_the_bound_report(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, _VALIDATE_CONFIGS[name])
+    assert main(["validate", "--config", cfg, "--trials", "100", "--jobs", "1"]) == 0
+    entries = json.loads(capsys.readouterr().out)["bounds"]
+    if name == "finite_constant_u":
+        assert entries[0]["method"] == "thm31_ii" and entries[0]["skipped"]
+        assert main(["bound", "--config", cfg]) == 2
+        return
+    assert main(["bound", "--config", cfg]) == 0
+    bound = json.loads(capsys.readouterr().out)
+    matched = {_bound_key(entry): entry for entry in entries}
+    matched.pop(None, None)  # the quoted constants, the Chernoff rate, skipped entries
+    expected = ["thm31_ii", "thm31_iii"]
+    if name in ("readme", "heavy_prop11"):  # the preset lists the worst-case gamma too
+        expected.append("thm31_ii_worst_gamma")
+    assert sorted(matched) == sorted(expected)
+    for key, entry in matched.items():
+        for field in ("exponent", "alpha_star", "zero_event", "bound_value"):
+            assert entry[field] == bound[key][field], (key, field)
+
+
 def _count_calls(monkeypatch, module, name, calls):
     real = getattr(module, name)
 
@@ -514,15 +577,27 @@ def test_rates_solves_each_rate_once(tmp_path, monkeypatch, capsys, doc, solves)
     assert len(calls) == solves
 
 
-@pytest.mark.parametrize("name, most", [("finite_four_atoms_empty", 1), ("finite_four_atoms", 2)])
+@pytest.mark.parametrize(
+    "command, name, most",
+    [
+        ("bound", "finite_four_atoms_empty", 1),
+        ("bound", "finite_four_atoms", 2),
+        # the preset's gamma = -1 entry reuses the certificate of the exact-gamma one
+        ("validate", "readme", 1),
+    ],
+    ids=["finite_four_atoms_empty-1", "finite_four_atoms-2", "validate-readme-1"],
+)
 def test_bound_runs_the_zero_event_certificate_once_per_report(
-    tmp_path, monkeypatch, capsys, name, most
+    tmp_path, monkeypatch, capsys, command, name, most
 ):
     calls = []
     for module in (cli, bound_engine):
         _count_calls(monkeypatch, module, "zero_event_check", calls)
-    assert main(["bound", "--config", write_config(tmp_path, _REPORT_CONFIGS[name])]) == 0
-    assert json.loads(capsys.readouterr().out)["zero_event"] is (most == 1)
+    cfg = write_config(tmp_path, _REPORT_CONFIGS[name])
+    assert main([command, "--config", cfg, "--trials", "100", "--jobs", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    zero_event = doc["bounds"][0]["zero_event"] if command == "validate" else doc["zero_event"]
+    assert zero_event is (most == 1)
     assert 1 <= len(calls) <= most
 
 

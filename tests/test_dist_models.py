@@ -327,6 +327,26 @@ def test_log_mgf_is_infinite_where_the_margin_is():
     assert math.isfinite(log_mgf_signed(model, preset, 0.3, -5.0))
 
 
+def test_log_mgf_with_b_positive_is_finite_where_f_outgrows_u():
+    from scipy.integrate import quad
+
+    model = sm.pareto_like()
+    # -x + x**0.5 / 2 is bounded above: inf[x - 2 x**0.5] is finite
+    pair = sm.pair_from_callables(model, Identity(), Power(0.5))
+    reference, _ = quad(lambda x: 2.5 * x**-3.5 * math.exp(0.5 * math.sqrt(x) - x), 1.0, math.inf)
+    got = log_mgf_signed(model, pair, -1.0, 0.5)
+    assert got == pytest.approx(math.log(reference), rel=1e-12)
+    assert got == pytest.approx(-0.850766, abs=1e-6)
+    lam, mean, _ = tilted_moments(model, pair, -1.0, 0.5)
+    assert lam == got and np.all(np.isfinite(mean))
+    # the pair now declares inf[F - beta U], so the gamma_minus rate reaches these tilts
+    assert sm.rate_plus_star(model, pair, 0.3, 0.1, "gamma_minus") > 0.0
+    # -x**0.5 + x / 2 grows without bound: inf[x**0.5 - 2 x] = -inf
+    swapped = sm.pair_from_callables(model, Power(0.5), Identity())
+    assert swapped.lower_margin(2.0) == -math.inf
+    assert log_mgf_signed(model, swapped, -1.0, 0.5) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # margin oracles on arrays: exactly their scalar calls, element by element
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeResult, linprog
 import screened_mc as sm
 from screened_mc import sanov_oracle
 from screened_mc.exp_harness import build_model, build_pair, parse_config
-from screened_mc.sanov_oracle import _feasibility, _project_constrained_simplex, _project_simplex
+from screened_mc.sanov_oracle import _feasibility, _project_constrained_simplex
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,10 +52,12 @@ def test_relative_entropy_nonnegative(m, seed):
 
 
 def test_simplex_projection_known_points():
-    assert np.allclose(_project_simplex(np.array([2.0, 0.0])), [1.0, 0.0])
-    assert np.allclose(_project_simplex(np.array([0.6, 0.6])), [0.5, 0.5])
-    z = _project_simplex(np.array([-1.0, 0.2, 0.4]))
+    # with no half-space and no floor: the plain projection onto the simplex
+    assert np.allclose(_project_constrained_simplex(np.array([2.0, 0.0]), []), [1.0, 0.0])
+    assert np.allclose(_project_constrained_simplex(np.array([0.6, 0.6]), []), [0.5, 0.5])
+    z = _project_constrained_simplex(np.array([-1.0, 0.2, 0.4]), [])
     assert z.min() >= 0.0 and z.sum() == pytest.approx(1.0)
+    assert np.allclose(z, [0.0, 0.4, 0.6])
 
 
 def test_constrained_projection_feasible_and_optimal():
