@@ -36,6 +36,7 @@ from .exp_harness import (
     default_jobs,
     emit_report,
     emit_trajectory_csv,
+    heavy_tail_policy,
     parse_config,
     run_validation,
     thm31_reports,
@@ -137,7 +138,7 @@ def _cmd_bound(args) -> int:
     doc["zero_event"] = reports["thm31_ii"].zero_event
     for key, rep in reports.items():
         doc[key] = {**rep.to_dict(), "bound_value": rep.bound_at(sc.n)}
-    if cfg.observables.get("preset") == "heavy_tail" and 0.0 < sc.u <= sc.epsilon / 20.0:
+    if heavy_tail_policy(cfg.observables, sc.epsilon, sc.u)[1]:
         doc["prop11"] = prop11_report(sc.epsilon, sc.u, sc.n).to_dict()
     _emit_or_print(args, cfg, doc)
     return 0

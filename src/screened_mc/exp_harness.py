@@ -29,6 +29,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -66,7 +67,7 @@ from .errors import (
     ScreenedMcError,
 )
 from .rate_functions import rate_plus_star
-from .screen_core import ScreenConfig, TrajectoryRecord
+from .screen_core import SIDEDNESS, ScreenConfig, TrajectoryRecord
 from .streams import STREAM_CONTRACT, SubstreamSampler
 
 BATCH_SIZE = 8192  # fixed: batch decomposition must not depend on --jobs
@@ -96,15 +97,6 @@ class ExperimentConfig:
     outputs: tuple[OutputSpec, ...] = field(default_factory=tuple)
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
-
-
 def _integer(value, where: str) -> int:
     """A JSON integer; an integral float such as ``1e6`` counts, a bool does not."""
     if isinstance(value, float) and value.is_integer():
@@ -132,160 +124,166 @@ def _reals(value, where: str) -> list[float]:
     return [_real(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object")
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
     return value
 
 
-_MODEL_ARRAYS = {
-    "finite_support": ("atoms", "probs"),
-    "sign_product": ("magnitude_atoms", "magnitude_probs"),
+def _one_of(names: tuple[str, ...], value, where: str) -> str:
+    if _text(value, where) not in names:
+        raise ConfigError(f"{where} must be one of {names}, got {value!r}")
+    return value
+
+
+def _section(value, fields: dict, where: str) -> dict:
+    """The checked fields of an object with every required key of ``fields`` and no other.
+
+    ``fields`` maps each key to ``(check, required)``; ``check(value, name)`` returns
+    the value checked or raises ``ConfigError`` naming the field.  ``where`` is "" at
+    the document root.
+    """
+    name, prefix = (where, f"{where}.") if where else ("config", "")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {name}")
+    missing = [key for key, (_, required) in fields.items() if required and key not in value]
+    if missing:
+        raise ConfigError(f"missing key(s) {missing} in {name}")
+    return {k: check(value[k], prefix + k) for k, (check, _) in fields.items() if k in value}
+
+
+def _tagged(table: dict, tag: str, value, where: str):
+    """The builder of the row of ``table`` that ``value``'s string ``tag`` names,
+    bound to ``value``'s other fields as checked against that row."""
+    if not isinstance(value, dict) or tag not in value:
+        raise ConfigError(f"{where} must be an object with a {tag!r} tag")
+    name = _text(value[tag], f"{where}.{tag}")
+    if name not in table:
+        raise ConfigError(f"unknown {tag} {name!r} in {where}")
+    fields, build = table[name]
+    return partial(build, **_section({k: v for k, v in value.items() if k != tag}, fields, where))
+
+
+_ARRAY = (_reals, True)
+
+# model kind -> (fields, builder of the model taking the checked fields as keywords)
+_MODELS = {
+    "pareto_like": ({}, pareto_like),
+    "finite_support": ({"atoms": _ARRAY, "probs": _ARRAY}, finite_support),
+    "sign_product": ({"magnitude_atoms": _ARRAY, "magnitude_probs": _ARRAY}, sign_product),
+}
+
+
+def _table_form(model: DistributionModel, values: list[float]) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not model.is_finite or values.shape != model.atoms.shape:
+        raise ConfigError("table forms need a finite model with matching size")
+    return values  # consumed by tabulated_pair
+
+
+def _abs_centered_form(model: DistributionModel, center: float | None = None) -> AbsCentered:
+    if center is None and not model.is_finite:
+        raise ConfigError("abs_centered without center needs a finite model")
+    return AbsCentered(float(model.probs @ np.abs(model.atoms)) if center is None else center)
+
+
+# observable form -> (fields, builder of F or U taking the model, then the checked fields)
+_FORMS = {
+    "power": ({"exponent": (_real, True)}, lambda model, exponent: Power(exponent)),
+    "identity": ({}, lambda model: Identity()),
+    "table": ({"values": _ARRAY}, _table_form),
+    "abs_centered": ({"center": (_real, False)}, _abs_centered_form),
+    "sign": ({}, lambda model: SignOf()),
+}
+
+_model = partial(_tagged, _MODELS, "kind")
+_form = partial(_tagged, _FORMS, "form")
+
+
+def _observables(value, where: str) -> dict:
+    """The heavy-tail preset, or an explicit form for each of F and U."""
+    if isinstance(value, dict) and "preset" in value:
+        return _section(value, {"preset": (partial(_one_of, ("heavy_tail",)), True)}, where)
+    return _section(value, {"f": (_form, True), "u": (_form, True)}, where)
+
+
+_SCREEN = {
+    "epsilon": (_real, True),
+    "u": (_real, True),
+    "n": (_integer, True),
+    "sidedness": (partial(_one_of, SIDEDNESS), False),
+}
+_OUTPUT = {"kind": (partial(_one_of, OUTPUT_KINDS), True), "path": (_text, True)}
+
+
+def _outputs(value, where: str) -> tuple[OutputSpec, ...]:
+    if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
+        raise ConfigError(f"{where} must be a list of objects")
+    outputs = tuple(
+        OutputSpec(**_section(entry, _OUTPUT, f"{where}[{i}]")) for i, entry in enumerate(value)
+    )
+    if len({o.path for o in outputs}) != len(outputs):
+        raise ConfigError("output paths must be distinct")
+    return outputs
+
+
+_CONFIG = {
+    "model": (_model, True),
+    "observables": (_observables, True),
+    # ScreenConfig checks the ranges
+    "screen": (lambda value, where: ScreenConfig(**_section(value, _SCREEN, where)), True),
+    "trials": (_integer, True),
+    "seed": (_integer, True),
+    "outputs": (_outputs, False),
 }
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document; unknown keys are rejected outright."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _require_keys(
-        doc,
-        {"model", "observables", "screen", "trials", "seed", "outputs"},
-        {"model", "observables", "screen", "trials", "seed"},
-        "config",
-    )
-    model_spec = doc["model"]
-    if not isinstance(model_spec, dict) or "kind" not in model_spec:
-        raise ConfigError("model must be an object with a 'kind' tag")
-    kind = model_spec["kind"]
-    if kind == "pareto_like":
-        _require_keys(model_spec, {"kind"}, {"kind"}, "model")
-    elif kind in _MODEL_ARRAYS:
-        arrays = _MODEL_ARRAYS[kind]
-        _require_keys(model_spec, {"kind", *arrays}, {"kind", *arrays}, "model")
-        for key in arrays:
-            _reals(model_spec[key], f"model.{key}")
-    else:
-        raise ConfigError(f"unknown model kind {kind!r}")
-
-    obs = _object(doc["observables"], "observables")
-    if "preset" in obs:
-        _require_keys(obs, {"preset"}, {"preset"}, "observables")
-        if obs["preset"] not in ("heavy_tail",):
-            raise ConfigError(f"unknown observables preset {obs['preset']!r}")
-    else:
-        _require_keys(obs, {"f", "u"}, {"f", "u"}, "observables")
-        for name in ("f", "u"):
-            _validate_form(obs[name], f"observables.{name}")
-
-    screen = _object(doc["screen"], "screen")
-    _require_keys(screen, {"epsilon", "u", "n", "sidedness"}, {"epsilon", "u", "n"}, "screen")
-    screen_cfg = ScreenConfig(  # checks the ranges and the sidedness
-        epsilon=_real(screen["epsilon"], "screen.epsilon"),
-        u=_real(screen["u"], "screen.u"),
-        n=_integer(screen["n"], "screen.n"),
-        sidedness=screen.get("sidedness", "two_sided"),
-    )
-
-    trials = _integer(doc["trials"], "trials")
-    if trials < 1:
+    """Check a config document against the tables above; unknown keys are rejected outright."""
+    checked = _section(doc, _CONFIG, "")
+    if checked["trials"] < 1:
         raise ConfigError("trials must be >= 1")
-    seed = _integer(doc["seed"], "seed")
-    if not 0 <= seed < 1 << 64:  # one word of the Philox key
-        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
-
-    entries = doc.get("outputs", [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ConfigError("outputs must be a list of objects")
-    outputs = []
-    for entry in entries:
-        _require_keys(entry, {"kind", "path"}, {"kind", "path"}, "outputs[]")
-        if entry["kind"] not in OUTPUT_KINDS:
-            raise ConfigError(f"unknown output kind {entry['kind']!r}")
-        outputs.append(OutputSpec(kind=entry["kind"], path=str(entry["path"])))
-    paths = [o.path for o in outputs]
-    if len(set(paths)) != len(paths):
-        raise ConfigError("output paths must be distinct")
-
+    if not 0 <= checked["seed"] < 1 << 64:  # one word of the Philox key
+        raise ConfigError(f"seed must be in [0, 2^64), got {checked['seed']}")
     return ExperimentConfig(
-        model=model_spec,
-        observables=obs,
-        screen=screen_cfg,
-        trials=trials,
-        master_seed=seed,
-        outputs=tuple(outputs),
+        model=doc["model"],
+        observables=doc["observables"],
+        screen=checked["screen"],
+        trials=checked["trials"],
+        master_seed=checked["seed"],
+        outputs=checked.get("outputs", ()),
     )
-
-
-_FORM_KEYS = {
-    "power": ({"form", "exponent"}, {"form", "exponent"}),
-    "identity": ({"form"}, {"form"}),
-    "table": ({"form", "values"}, {"form", "values"}),
-    "abs_centered": ({"form", "center"}, {"form"}),
-    "sign": ({"form"}, {"form"}),
-}
-
-
-def _validate_form(spec: dict, where: str) -> None:
-    if not isinstance(spec, dict) or "form" not in spec:
-        raise ConfigError(f"{where} must be an object with a 'form' tag")
-    if spec["form"] not in _FORM_KEYS:
-        raise ConfigError(f"unknown form {spec['form']!r} in {where}")
-    allowed, required = _FORM_KEYS[spec["form"]]
-    _require_keys(spec, allowed, required, where)
-    for key in ("exponent", "center"):
-        if key in spec:
-            _real(spec[key], f"{where}.{key}")
-    if "values" in spec:
-        _reals(spec["values"], f"{where}.values")
 
 
 def build_model(spec: dict) -> DistributionModel:
-    kind = spec["kind"]
-    if kind == "pareto_like":
-        return pareto_like()
-    if kind == "finite_support":
-        return finite_support(spec["atoms"], spec["probs"])
-    return sign_product(spec["magnitude_atoms"], spec["magnitude_probs"])
+    """The model ``spec`` declares, after ``parse_config``'s checks of it."""
+    return _model(spec, "model")()
 
 
-def _build_form(spec: dict, model: DistributionModel):
-    form = spec["form"]
-    if form == "power":
-        return Power(float(spec["exponent"]))
-    if form == "identity":
-        return Identity()
-    if form == "table":
-        values = np.asarray(spec["values"], dtype=float)
-        if not model.is_finite or values.shape != model.atoms.shape:
-            raise ConfigError("table forms need a finite model with matching size")
-        return values  # consumed by tabulated_pair
-    if form == "abs_centered":
-        if "center" in spec:
-            center = float(spec["center"])
-        else:
-            if not model.is_finite:
-                raise ConfigError("abs_centered without center needs a finite model")
-            center = float(model.probs @ np.abs(model.atoms))
-        return AbsCentered(center)
-    return SignOf()
+def heavy_tail_policy(obs_spec: dict, epsilon: float, u: float) -> tuple[bool, bool]:
+    """Whether ``obs_spec`` is the heavy-tail preset (Var F <= 4, mu >= 1, a gamma = -1 bound),
+    and whether its quoted constants and Proposition 1.1 apply: 0 < u <= epsilon/20."""
+    preset = obs_spec.get("preset") == "heavy_tail"
+    return preset, preset and 0.0 < u <= epsilon / 20.0
 
 
 def build_pair(model: DistributionModel, obs: dict) -> ObservablePair:
-    if obs.get("preset") == "heavy_tail":
+    """The observable pair ``obs`` declares on ``model``, after ``parse_config``'s checks of it."""
+    checked = _observables(obs, "observables")
+    if "preset" in checked:  # heavy_tail, the one preset
         if model.kind != "pareto_like":
             raise ConfigError("the heavy_tail preset pairs with the pareto_like model")
         return heavy_tail_pair()[1]
-    f = _build_form(obs["f"], model)
-    u = _build_form(obs["u"], model)
+    f, u = checked["f"](model), checked["u"](model)
     if model.is_finite:
         f_vals = f if isinstance(f, np.ndarray) else np.asarray(f(model.atoms), dtype=float)
         u_vals = u if isinstance(u, np.ndarray) else np.asarray(u(model.atoms), dtype=float)
         if model.kind == "sign_product" and isinstance(f, AbsCentered) and isinstance(u, SignOf):
             return counterexample_pair(model.magnitude_atoms, model.magnitude_probs)[1]
         return tabulated_pair(model, f_vals, u_vals)
-    if isinstance(f, np.ndarray) or isinstance(u, np.ndarray):
-        raise ConfigError("table forms need a finite-support model")
     return pair_from_callables(model, f, u)
 
 
@@ -400,7 +398,7 @@ def thm31_reports(
     K = u_n/eps_n.  Gamma does not enter the zero-event certificate, so an
     event certified empty serves the gamma = -1 report as it is.
     """
-    if obs_spec.get("preset") == "heavy_tail":
+    if heavy_tail_policy(obs_spec, epsilon, u)[0]:
         norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
     else:
         norm = normalize_observables(pair)
@@ -439,7 +437,7 @@ def compute_bounds(
             )
         )
 
-    preset = obs_spec.get("preset") == "heavy_tail"
+    preset, quoted = heavy_tail_policy(obs_spec, epsilon, u)
     try:
         (eps_n, u_n), reports = thm31_reports(pair, obs_spec, epsilon, u, worst_gamma=preset)
     except ScreenedMcError as exc:  # the preset pair is fixed, and always normalizes
@@ -452,7 +450,7 @@ def compute_bounds(
         }
         for key, report in reports.items():
             add(replace(report, note=notes[key]))
-    if preset and 0.0 < u <= epsilon / 20.0:
+    if quoted:
         for constant, name in ((CONSTANT_III_QUOTED, "iii"), (CONSTANT_IV_QUOTED, "iv")):
             add(BoundReport("thm31_ii", constant * epsilon**2, note=f"quoted_constant_{name}"))
     elif preset:

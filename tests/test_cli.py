@@ -123,6 +123,15 @@ def _with_screen(**fields):
         # a seed is one 64-bit Philox key word: nothing outside it is masked into it
         ({"seed": -1}, "seed"),
         ({"seed": 1 << 64}, "seed"),
+        # a path is a string, never a str() of some other value
+        ({"outputs": [{"kind": "report", "path": None}]}, "outputs[0].path"),
+        ({"outputs": [{"kind": "report", "path": 5}]}, "outputs[0].path"),
+        # a tag is a string naming a table row
+        ({"model": {"kind": ["pareto_like"]}}, "model.kind"),
+        (
+            {"observables": {"f": {"form": ["power"]}, "u": {"form": "identity"}}},
+            "observables.f.form",
+        ),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, overrides, field):

@@ -1,6 +1,8 @@
+import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +11,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import screened_mc as sm
 from screened_mc import exp_harness
@@ -93,6 +96,88 @@ def test_build_pair_from_forms():
     )
     sign_pair = build_pair(sign_model, {"f": {"form": "abs_centered"}, "u": {"form": "sign"}})
     assert sign_pair.gamma == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "model_spec, obs_spec",
+    [
+        ({"kind": "nope"}, {"preset": "heavy_tail"}),
+        ({"kind": "finite_support", "atoms": "ab", "probs": [0.5, 0.5]}, {"preset": "heavy_tail"}),
+        ({"kind": "pareto_like"}, {"f": {"form": ["power"]}, "u": {"form": "identity"}}),
+    ],
+)
+def test_library_callers_get_the_config_checks(model_spec, obs_spec):
+    with pytest.raises(sm.ConfigError) as parsed:
+        parse_config(heavy_tail_config(model=model_spec, observables=obs_spec))
+    same = re.escape(str(parsed.value))
+    with pytest.raises(sm.ConfigError, match=same):
+        exp_harness.run_heavy_tail_slope(model_spec, obs_spec, 0.5, [25, 50, 100], 100, 1)
+    with pytest.raises(sm.ConfigError, match=same):
+        build_pair(build_model(model_spec), obs_spec)
+
+
+# the README config, and the mutations of its sections: any field set to a
+# JSON value or dropped, real keys and one unknown key per section
+_README = {
+    "model": {"kind": "pareto_like"},
+    "observables": {"preset": "heavy_tail"},
+    "screen": {"epsilon": 0.5, "u": 0.025, "n": 200, "sidedness": "two_sided"},
+    "trials": 1000000,
+    "seed": 20240808,
+    "outputs": [{"kind": "report", "path": "report.json"}],
+}
+_SECTION_KEYS = {
+    (): [*_README, "extra"],
+    ("model",): ["kind", "atoms", "probs", "magnitude_atoms", "magnitude_probs", "extra"],
+    ("observables",): ["preset", "f", "u", "extra"],
+    ("observables", "f"): ["form", "exponent", "values", "center", "extra"],
+    ("screen",): [*_README["screen"], "extra"],
+    ("outputs",): [None],  # a list: a mutation appends or drops its last entry
+    ("outputs", 0): ["kind", "path", "extra"],
+}
+_FIELDS = [(path, key) for path, keys in _SECTION_KEYS.items() for key in keys]
+_TAGS = ["pareto_like", "finite_support", "sign_product", "heavy_tail", "power", "identity",
+         "table", "abs_centered", "sign", "report", "trajectory_csv", "one_sided"]
+_SCALAR = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(_TAGS)
+)
+_KEY = st.sampled_from(sorted({k for _, k in _FIELDS if k})) | st.text(max_size=4)
+_JSON = _SCALAR | st.lists(_SCALAR, max_size=3) | st.dictionaries(_KEY, _SCALAR, max_size=3)
+_DROP = object()
+_MUTATION = st.tuples(st.sampled_from(_FIELDS), _JSON | st.just(_DROP))
+
+
+def _mutate(doc, path, key, value):
+    """Set ``key`` to ``value`` (drop it for ``_DROP``) in the section at ``path``, if any."""
+    section = doc
+    for step in path:
+        try:
+            section = section[step]
+        except (KeyError, IndexError, TypeError):
+            return  # an earlier mutation removed or replaced the section
+    if isinstance(section, dict) and value is _DROP:
+        section.pop(key, None)
+    elif isinstance(section, dict):
+        section[key] = value
+    elif isinstance(section, list) and value is _DROP:
+        del section[-1:]
+    elif isinstance(section, list):
+        section.append(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MUTATION, min_size=1, max_size=3))
+@example([((("model",), "kind"), ["pareto_like"])])  # an unhashable tag
+def test_parse_config_parses_or_raises_config_error(mutations):
+    doc = copy.deepcopy(_README)
+    for (path, key), value in mutations:
+        _mutate(doc, path, key, value)
+    try:
+        cfg = parse_config(doc)
+    except sm.ConfigError:
+        return
+    assert isinstance(cfg, exp_harness.ExperimentConfig)
 
 
 # ---------------------------------------------------------------------------
