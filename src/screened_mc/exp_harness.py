@@ -9,8 +9,10 @@ and aggregation is exact integer addition.
 
 Validation and the slope runner share one block kernel,
 ``_trial_deviations``: one sampler call fills a block of trials' uniforms,
-then F and U are evaluated once per block.  Each trial's uniforms and
-means are bit-identical to evaluating the trial alone.
+then U is evaluated once per block, and F only on the rows where the
+error event is still reachable.  Each trial's uniforms, mean of U and
+every mean of F computed are bit-identical to evaluating the trial alone,
+so the counts are too.
 
 Only those two use worker processes: at ``jobs > 1``, one pool per
 process, built on first use and reused by later calls with the same
@@ -34,6 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
+from ._optim import grid_min
 from .bound_engine import (
     BoundReport,
     CONSTANT_III_QUOTED,
@@ -230,13 +233,27 @@ def _outputs(value, where: str) -> tuple[OutputSpec, ...]:
     return outputs
 
 
+def _integer_in(accepts, message: str, value, where: str) -> int:
+    """An integer that ``accepts`` takes; ``message`` names the range."""
+    value = _integer(value, where)
+    if not accepts(value):
+        raise ConfigError(message.format(where=where, value=value))
+    return value
+
+
 _CONFIG = {
     "model": (_model, True),
     "observables": (_observables, True),
     # ScreenConfig checks the ranges
     "screen": (lambda value, where: ScreenConfig(**_section(value, _SCREEN, where)), True),
-    "trials": (_integer, True),
-    "seed": (_integer, True),
+    "trials": (partial(_integer_in, lambda v: v >= 1, "{where} must be >= 1"), True),
+    # one word of the Philox key
+    "seed": (
+        partial(
+            _integer_in, lambda v: 0 <= v < 1 << 64, "{where} must be in [0, 2^64), got {value}"
+        ),
+        True,
+    ),
     "outputs": (_outputs, False),
 }
 
@@ -244,10 +261,6 @@ _CONFIG = {
 def parse_config(doc: dict) -> ExperimentConfig:
     """Check a config document against the tables above; unknown keys are rejected outright."""
     checked = _section(doc, _CONFIG, "")
-    if checked["trials"] < 1:
-        raise ConfigError("trials must be >= 1")
-    if not 0 <= checked["seed"] < 1 << 64:  # one word of the Philox key
-        raise ConfigError(f"seed must be in [0, 2^64), got {checked['seed']}")
     return ExperimentConfig(
         model=doc["model"],
         observables=doc["observables"],
@@ -279,11 +292,17 @@ def build_pair(model: DistributionModel, obs: dict) -> ObservablePair:
         return heavy_tail_pair()[1]
     f, u = checked["f"](model), checked["u"](model)
     if model.is_finite:
-        f_vals = f if isinstance(f, np.ndarray) else np.asarray(f(model.atoms), dtype=float)
-        u_vals = u if isinstance(u, np.ndarray) else np.asarray(u(model.atoms), dtype=float)
         if model.kind == "sign_product" and isinstance(f, AbsCentered) and isinstance(u, SignOf):
             return counterexample_pair(model.magnitude_atoms, model.magnitude_probs)[1]
-        return tabulated_pair(model, f_vals, u_vals)
+        tables = {}
+        for name, form in (("f", f), ("u", u)):
+            # a fractional power of a negative atom is NaN, a negative one of 0 is inf
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                values = form if isinstance(form, np.ndarray) else form(model.atoms)
+            tables[name] = np.asarray(values, dtype=float)
+            if not np.all(np.isfinite(tables[name])):
+                raise ConfigError(f"observables.{name} must be finite on every atom of the model")
+        return tabulated_pair(model, tables["f"], tables["u"])
     return pair_from_callables(model, f, u)
 
 
@@ -464,17 +483,98 @@ def compute_bounds(
     return entries
 
 
-def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace):
-    """Mean of F minus mu and mean of U minus nu, per trial in ``[lo, hi)``.
+# rho: the relative error allowed to a form's value and to a margin oracle's
+CEILING_RHO = 2.0**-44
+
+
+def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
+    """A row mean of U below which the row's computed mean F - mu cannot exceed ``epsilon``.
+
+    U dominates F: with M(beta) = sup[F - beta U], a row's mean F is at
+    most M(beta) + beta mean U for every beta > 0, so mean F - mu <= eps
+    wherever mean U <= T(beta) = (mu + eps - M(beta))/beta.  T is
+    quasi-concave in beta (its upper level sets {M(beta) + t beta <= mu +
+    eps} are intervals, M being convex), so one log-grid search finds its
+    best beta.  The ceiling is that T less a slack tau/beta for rounding;
+    it is -inf when no beta of the grid gives a finite margin, when the
+    pair declares no margin or no ``sum_lower_margin``, or at eps = -inf.
+
+    The slack.  Take a row's samples x_i, points of the support (a finite
+    model's atoms; on pareto_like, (1 - p)**-0.4 of a double 1 - p <= 1 is
+    >= 1 under a pow within one ulp), their exact values F_i, U_i and
+    computed ones f_i, u_i.  Write u = 2^-53, g = n u/(1 - n u) (the
+    gamma_n of Higham, Accuracy and Stability, section 4.2) and rho =
+    ``CEILING_RHO``.  Assume:
+
+    (a) |f_i - F_i| <= rho |F_i| and |u_i - U_i| <= rho |U_i|: a pow is
+        within one ulp, every other form is exact or one rounding;
+    (b) the oracles' values M^ and S^ at beta are within rho Sigma of
+        M = sup[F - beta U] and S = inf[F + beta U], with the scale Sigma =
+        |mu| + |eps| + |M^| + |S^| + beta |T^|: a closed form or a table
+        extremum of a few roundings, whose operands Sigma bounds.
+
+    A sum of n terms in any order is within g_(n-1) of the sum of their
+    magnitudes, and the division by n adds one rounding, so the computed
+    means obey s^ <= mean F + c mean|F| and mean U <= t^ + c mean|U|, with
+    c = 2 (rho + g).  The margins bound the magnitudes: S - beta U_i <= F_i
+    <= M + beta U_i gives |F_i| <= max(M, -S) + beta U_i and U_i >= (S -
+    M)/(2 beta), so on a row with t^ <= T^, mean|F| + beta mean|U| <=
+    2 (|M| + |S|) + 2 beta |T^| <= 2 Sigma, up to factors 1 + O(rho + g).
+    Then s^ <= M + beta t^ + 2 c Sigma <= mu + eps - beta (T - t^) + 5 (rho
+    + g) Sigma, with T = (mu + eps - M^)/beta exact and T^, its value in
+    floating point, within 3 u Sigma / beta of it.  The slack tau = 16 (rho
+    + g) Sigma covers this with room for the ceiling's own roundings, so
+    t^ < T^ - tau/beta gives s^ - mu < eps, and so the kernel's fl(s^ - mu)
+    <= eps, rounding being monotone and eps a double.
+    The ceiling is -inf when n Sigma max(1, 1/beta) would let a row sum
+    near the double range, where (a) and the sum bound no longer hold.
+    """
+    margin, lower = pair.margin, pair.sum_lower_margin
+    if margin is None or lower is None:
+        return -math.inf
+    target = pair.mu + epsilon
+
+    def neg_ceiling(beta):
+        return (margin(beta) - target) / beta
+
+    grid = np.geomspace(2.0**-40, 2.0**40, 161)
+    with np.errstate(over="ignore"):  # a table's f - beta u may pass the double range
+        values = neg_ceiling(grid)
+    if not np.isfinite(values).any():
+        return -math.inf
+    beta, _ = grid_min(neg_ceiling, grid, values, log=True)
+    m, s = float(margin(beta)), float(lower(beta))
+    ceiling = (target - m) / beta
+    scale = abs(pair.mu) + abs(epsilon) + abs(m) + abs(s) + beta * abs(ceiling)
+    if not n * scale * max(1.0, 1.0 / beta) < 2.0**1000:
+        return -math.inf
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
+    return ceiling - 16.0 * (CEILING_RHO + gamma) * scale / beta
+
+
+def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace, epsilon=-math.inf):
+    """Mean of F minus mu and mean of U minus nu, per trial in ``[lo, hi)``;
+    -inf for a mean of F that provably cannot exceed mu + ``epsilon``.
 
     The harness's one Monte Carlo kernel. A block of ``BLOCK_SAMPLES // n``
     trials, one per row, is one sampler call (one counter write); the
-    transform, F and U then run once per block, and each row sums along
+    transform and U then run once per block, and each row sums along
     its contiguous axis, the pairwise summation a per-trial 1-D ``sum``
-    uses, so every mean is bit-identical to the per-trial path.
+    uses, so every mean of U is bit-identical to the per-trial path.
+
+    F runs only on the rows whose mean of U is not below
+    ``_certified_ceiling``; on the others the margin proves that the error
+    event mean F - mu > epsilon is out of reach.  Those rows are gathered
+    into a copy whose contiguous rows sum as before, so each mean of F
+    computed is bit-identical too, and so is every count of the event.
+    The test ``not (t_mean < ceiling)`` sends a NaN mean to F, and a -inf
+    one too while the ceiling is -inf: with no certificate (no finite
+    margin, or the default epsilon, at which every trial can err) F runs
+    on the whole block, in place.
     """
     model = build_model(model_spec)
     pair = build_pair(model, obs_spec)
+    ceiling = _certified_ceiling(pair, epsilon, n)
     sampler = SubstreamSampler(seed, namespace)
     rows = max(1, BLOCK_SAMPLES // n)
     block = np.empty((rows, n))
@@ -483,15 +583,22 @@ def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace):
     for start in range(lo, hi, rows):
         x = transform_uniforms(model, sampler.uniforms(start, n, out=block[: hi - start]))
         done = slice(start - lo, start - lo + len(x))
-        s_dev[done] = pair.f(x).sum(axis=1) / n - pair.mu
-        t_dev[done] = pair.u(x).sum(axis=1) / n - pair.nu
+        t_mean = pair.u(x).sum(axis=1) / n
+        t_dev[done] = t_mean - pair.nu
+        exact = np.flatnonzero(~(t_mean < ceiling))
+        if len(exact) == len(x):
+            s_dev[done] = pair.f(x).sum(axis=1) / n - pair.mu
+        else:
+            s_dev[done] = -math.inf
+            if len(exact):
+                s_dev[start - lo + exact] = pair.f(x[exact]).sum(axis=1) / n - pair.mu
     return s_dev, t_dev
 
 
 def _batch_counts(args) -> tuple[int, int, int]:
     """Event counts for one batch of trials. Must stay picklable."""
     (model_spec, obs_spec, epsilon, u, n, sidedness, seed, lo, hi, namespace) = args
-    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace)
+    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace, epsilon)
     err = s_dev > epsilon
     screened = (np.abs(t_dev) if sidedness == "two_sided" else t_dev) < u
     return int(screened.sum()), int((err & screened).sum()), int(err.sum())
@@ -615,7 +722,7 @@ def fit_log_slope(n_list, rates) -> float:
 def _slope_batch(args) -> int:
     """Plain-estimator error count for one batch of trials."""
     (model_spec, obs_spec, epsilon, n, seed, lo, hi, namespace) = args
-    s_dev, _ = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace)
+    s_dev, _ = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace, epsilon)
     return int((s_dev > epsilon).sum())
 
 

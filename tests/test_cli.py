@@ -132,6 +132,14 @@ def _with_screen(**fields):
             {"observables": {"f": {"form": ["power"]}, "u": {"form": "identity"}}},
             "observables.f.form",
         ),
+        # a fractional power of a negative atom is no number
+        (
+            {
+                "model": {"kind": "finite_support", "atoms": [-1.0, 2.0], "probs": [0.5, 0.5]},
+                "observables": {"f": {"form": "power", "exponent": 0.5}, "u": {"form": "identity"}},
+            },
+            "observables.f",
+        ),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, overrides, field):

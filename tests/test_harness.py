@@ -98,6 +98,14 @@ def test_build_pair_from_forms():
     assert sign_pair.gamma == pytest.approx(0.0, abs=1e-15)
 
 
+def test_power_of_a_negative_atom_is_a_config_error():
+    # sqrt(-1) is NaN: the pair is refused by name, with no RuntimeWarning on the way
+    model = build_model({"kind": "finite_support", "atoms": [-1.0, 2.0], "probs": [0.5, 0.5]})
+    obs = {"f": {"form": "power", "exponent": 0.5}, "u": {"form": "identity"}}
+    with pytest.raises(sm.ConfigError, match="observables.f must be finite"):
+        build_pair(model, obs)
+
+
 @pytest.mark.parametrize(
     "model_spec, obs_spec",
     [

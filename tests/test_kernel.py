@@ -8,8 +8,11 @@ namespace 0, and through a one-row ``SubstreamSampler(seed, h)`` call in
 namespace h > 0.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from screened_mc import exp_harness
 from screened_mc.dist_models import transform_uniforms
@@ -17,6 +20,7 @@ from screened_mc.errors import InputError
 from screened_mc.exp_harness import (
     BLOCK_SAMPLES,
     _batch_counts,
+    _certified_ceiling,
     _slope_batch,
     _trial_deviations,
     build_model,
@@ -37,6 +41,18 @@ TABLE = (
 SIGN = (
     {"kind": "sign_product", "magnitude_atoms": [0.5, 1.0, 3.0], "magnitude_probs": [0.5, 0.3, 0.2]},
     {"f": {"form": "abs_centered"}, "u": {"form": "sign"}},
+)
+# U = x^0.5 does not dominate F = x^0.9: every margin is +inf
+POWERS = (
+    {"kind": "pareto_like"},
+    {"f": {"form": "power", "exponent": 0.9}, "u": {"form": "power", "exponent": 0.5}},
+)
+NEGATIVE = (
+    {"kind": "finite_support", "atoms": [1.0, 2.0, 3.0, 4.0], "probs": [0.4, 0.3, 0.2, 0.1]},
+    {
+        "f": {"form": "table", "values": [-4.0, -3.0, -1.0, -0.5]},
+        "u": {"form": "table", "values": [-3.0, -2.5, -1.0, -2.0]},
+    },
 )
 
 
@@ -86,6 +102,13 @@ CASES = [
     (*HEAVY, 0.02, 0.1, 1000),
     (*TABLE, 0.1, 0.05, 30),
     (*SIGN, 0.05, 0.1, 40),
+    # the margin certifies rows out of the error event (most, on the heavy
+    # tail) and F runs on the rest; the table's F and U values are all negative
+    (*HEAVY, 0.5, 2.0, 25),
+    (*HEAVY, 0.15, 0.5, 200),
+    (*NEGATIVE, 0.3, 0.3, 10),
+    # no finite margin: F runs on every row
+    (*POWERS, 0.3, 0.3, 10),
 ]
 
 
@@ -112,6 +135,82 @@ def test_block_means_are_bit_identical(model_spec, obs_spec, n):
     ]
     assert s_dev.tolist() == [r[0] for r in ref]
     assert t_dev.tolist() == [r[1] for r in ref]
+
+
+def f_share(monkeypatch, args):
+    """``_batch_counts(args)``, and the share of its samples that reach F's form."""
+    f_form = build_pair(build_model(args[0]), args[1]).f
+    form = type(f_form)
+    call = form.__call__
+    seen = []
+
+    def counted(self, x):
+        if self == f_form:
+            seen.append(np.size(x))
+        return call(self, x)
+
+    monkeypatch.setattr(form, "__call__", counted)
+    counts = _batch_counts(args)
+    monkeypatch.undo()
+    n, lo, hi = args[4], args[7], args[8]
+    return counts, sum(seen) / ((hi - lo) * n)
+
+
+# the share of samples F runs on, for the last four CASES rows
+@pytest.mark.parametrize(
+    "case, low, high",
+    [
+        (CASES[6], 0.0, 0.05),
+        (CASES[7], 0.0, 0.1),
+        (CASES[8], 0.5, 0.95),
+        (CASES[9], 1.0, 1.0),
+    ],
+)
+def test_f_runs_only_where_the_error_is_reachable(monkeypatch, case, low, high):
+    model_spec, obs_spec, epsilon, u, n = case
+    lo, hi = trial_span(n)
+    args = (model_spec, obs_spec, epsilon, u, n, "two_sided", 99, lo, hi, 0)
+    counts, share = f_share(monkeypatch, args)
+    assert counts == reference_counts(*args)
+    assert low <= share <= high
+    pair = build_pair(build_model(model_spec), obs_spec)
+    assert (_certified_ceiling(pair, epsilon, n) == -math.inf) == (share == 1.0)
+
+
+def test_readme_config_runs_f_on_under_one_percent_of_samples(monkeypatch):
+    # the README config's validate batch: 8,192 trials at n = 200
+    args = (*HEAVY, 0.5, 0.025, 200, "two_sided", 31, 0, 8192, 0)
+    counts, share = f_share(monkeypatch, args)
+    assert counts == reference_counts(*args)
+    assert 0.0 < share < 0.01
+
+
+@st.composite
+def finite_tables(draw):
+    m = draw(st.integers(1, 5))
+    weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    values = st.lists(st.floats(-100.0, 100.0), min_size=m, max_size=m)
+    model = {
+        "kind": "finite_support",
+        "atoms": [float(a) for a in range(m)],
+        "probs": (np.array(weights) / sum(weights)).tolist(),
+    }
+    f, u = draw(values), draw(values)
+    return model, {"f": {"form": "table", "values": f}, "u": {"form": "table", "values": u}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    table=finite_tables(),
+    epsilon=st.floats(1e-3, 50.0),
+    u=st.floats(1e-3, 50.0),
+    n=st.integers(1, 40),
+    sidedness=st.sampled_from(["two_sided", "one_sided"]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_kernel_matches_per_trial_loop_on_random_tables(table, epsilon, u, n, sidedness, seed):
+    args = (*table, epsilon, u, n, sidedness, seed, 5, 5 + 40, 0)
+    assert _batch_counts(args) == reference_counts(*args)
 
 
 def test_sampler_fills_rows_bit_identically():
