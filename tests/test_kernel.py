@@ -8,17 +8,20 @@ namespace 0, and through a one-row ``SubstreamSampler(seed, h)`` call in
 namespace h > 0.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from screened_mc import exp_harness
-from screened_mc.dist_models import transform_uniforms
-from screened_mc.errors import InputError
+from screened_mc.dist_models import canonical_power, transform_uniforms
+from screened_mc.errors import ConfigError, InputError
 from screened_mc.exp_harness import (
     BLOCK_SAMPLES,
+    CEILING_RHO,
     _batch_counts,
     _certified_ceiling,
     _slope_batch,
@@ -52,6 +55,24 @@ NEGATIVE = (
     {
         "f": {"form": "table", "values": [-4.0, -3.0, -1.0, -0.5]},
         "u": {"form": "table", "values": [-3.0, -2.5, -1.0, -2.0]},
+    },
+)
+# values near 1e8 that cancel in the means: F = x - 1e8 against U = x, and
+# F = x^0.5 against U = x - 1e8
+SHIFTED_F = (
+    {"kind": "pareto_like"},
+    {"f": {"form": "abs_centered", "center": 1e8}, "u": {"form": "identity"}},
+)
+SHIFTED_U = (
+    {"kind": "pareto_like"},
+    {"f": {"form": "power", "exponent": 0.5}, "u": {"form": "abs_centered", "center": 1e8}},
+)
+# a table of the same kind: without its slack, the ceiling would certify rows that err
+SHIFTED_TABLE = (
+    {"kind": "finite_support", "atoms": [0.0, 1.0, 2.0], "probs": [2 / 12, 5 / 12, 5 / 12]},
+    {
+        "f": {"form": "table", "values": [99999998.0, 99999996.0, 99999998.0]},
+        "u": {"form": "table", "values": [-100000000.5, -100000002.0, -100000001.0]},
     },
 )
 
@@ -109,6 +130,9 @@ CASES = [
     (*NEGATIVE, 0.3, 0.3, 10),
     # no finite margin: F runs on every row
     (*POWERS, 0.3, 0.3, 10),
+    # the margin certifies rows whose means cancel to a few digits of 1e8
+    (*SHIFTED_F, 0.1, 0.3, 50),
+    (*SHIFTED_U, 0.03, 0.3, 200),
 ]
 
 
@@ -211,6 +235,199 @@ def finite_tables(draw):
 def test_kernel_matches_per_trial_loop_on_random_tables(table, epsilon, u, n, sidedness, seed):
     args = (*table, epsilon, u, n, sidedness, seed, 5, 5 + 40, 0)
     assert _batch_counts(args) == reference_counts(*args)
+
+
+def search_result(monkeypatch, pair, epsilon, n):
+    """``_certified_ceiling(pair, epsilon, n)`` and the beta its search chose."""
+    grid_min, chosen = exp_harness.grid_min, []
+
+    def recorded(*args, **kwargs):
+        chosen.append(grid_min(*args, **kwargs))
+        return chosen[-1]
+
+    monkeypatch.setattr(exp_harness, "grid_min", recorded)
+    ceiling = _certified_ceiling(pair, epsilon, n)
+    monkeypatch.undo()
+    return ceiling, chosen[0][0]
+
+
+@pytest.mark.parametrize(
+    "model_spec, obs_spec, epsilon, n, band_errs",
+    [
+        (*SHIFTED_F, 0.05, 200, False),
+        (*SHIFTED_U, 0.05, 200, False),
+        # just below the deviation of a row of 99999998.0s, 0.8333333283662796
+        (*SHIFTED_TABLE, 0.8333333283662793, 3, True),
+    ],
+)
+def test_rows_inside_the_slack_take_the_exact_path(
+    monkeypatch, model_spec, obs_spec, epsilon, n, band_errs
+):
+    # the band [ceiling, T(beta)) holds the rows that only the slack sends to
+    # F; on the table some of them err, so a ceiling without the slack would
+    # drop them from the count
+    pair = build_pair(build_model(model_spec), obs_spec)
+    ceiling, beta = search_result(monkeypatch, pair, epsilon, n)
+    t_beta = (pair.mu + epsilon - pair.margin(beta)) / beta
+    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, 31, 0, 8192, 0, epsilon)
+    s_hat, t_hat = np.array(
+        [(s, t) for s, t, _ in reference_means(model_spec, obs_spec, n, 31, 0, 8192, 0)]
+    ).T
+    band = (ceiling <= t_hat) & (t_hat < t_beta)
+    err = s_hat - pair.mu > epsilon
+    assert band.any()
+    if band_errs:
+        assert (band & err).any()
+    certified = s_dev == -math.inf
+    assert certified.tolist() == (t_hat < ceiling).tolist()
+    assert not (certified & err).any()
+    assert s_dev[~certified].tolist() == (s_hat[~certified] - pair.mu).tolist()
+    assert t_dev.tolist() == (t_hat - pair.nu).tolist()
+
+
+@st.composite
+def shifted_tables(draw):
+    """Tables of values near a large offset, so that row sums, moments and margins round."""
+    m = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+    offsets = st.sampled_from([0.0, 3.0, 1e8, -1e8, 1e12, -1e12, 2.0**52, 1e15])
+    digits = st.lists(
+        st.one_of(st.floats(-4.0, 4.0), st.integers(-32, 32).map(lambda k: k / 8)),
+        min_size=m,
+        max_size=m,
+    )
+    f = [draw(offsets) + d for d in draw(digits)]
+    u = [draw(offsets) + d for d in draw(digits)]
+    model = {
+        "kind": "finite_support",
+        "atoms": [float(a) for a in range(m)],
+        "probs": (np.array(weights) / sum(weights)).tolist(),
+    }
+    return model, {"f": {"form": "table", "values": f}, "u": {"form": "table", "values": u}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    table=shifted_tables(),
+    n=st.integers(1, 6),
+    row=st.integers(0, 1000),
+    ulps=st.integers(-3, 3),
+    seed=st.integers(0, 2**64 - 1),
+)
+# a ceiling with a quarter of the row sums' slack, and none for the margin,
+# certifies this table's atom 0 at an epsilon one ulp below its deviation
+@example(
+    table=(
+        {"kind": "finite_support", "atoms": [0.0, 1.0], "probs": [0.25, 0.75]},
+        {
+            "f": {"form": "table", "values": [2.1773627585206574, -0.22397712380768198]},
+            "u": {"form": "table", "values": [5.7140760390417835, 6.5]},
+        },
+    ),
+    n=1,
+    row=0,
+    ulps=-1,
+    seed=5,
+)
+def test_ceiling_certifies_no_row_that_errs_on_shifted_tables(table, n, row, ulps, seed):
+    model_spec, obs_spec = table
+    try:
+        pair = build_pair(build_model(model_spec), obs_spec)
+    except ConfigError:  # moments that cancel to a variance of 0 fail the gamma check
+        reject()
+    f, u = (np.array(obs_spec[k]["values"]) for k in "fu")
+    # every row of n atoms, in every order, summed as the kernel sums a block
+    rows = np.array(list(itertools.product(range(len(f)), repeat=n)))
+    s_hat, t_hat = f[rows].sum(axis=1) / n, u[rows].sum(axis=1) / n
+    # epsilon a few ulps from a row's deviation, where rounding decides the event
+    above = np.flatnonzero(s_hat - pair.mu > 0)
+    if not len(above):
+        reject()
+    epsilon = float(s_hat[above[row % len(above)]] - pair.mu)
+    for _ in range(abs(ulps)):
+        epsilon = math.nextafter(epsilon, math.copysign(math.inf, ulps))
+    err = s_hat - pair.mu > epsilon
+    assert not (err & (t_hat < _certified_ceiling(pair, epsilon, n))).any()
+    args = (*table, epsilon, 1.0, n, "two_sided", seed, 5, 45, 0)
+    assert _batch_counts(args) == reference_counts(*args)
+
+
+def exact_margins(model, pair, beta):
+    """M = sup[F - beta U] and S = inf[F + beta U] over the support, in rational arithmetic.
+
+    On pareto_like the extremum is at x = 1 or at the stationary point, where
+    x^(b-a) = r; the pairs tested here have integral powers of r there.
+    """
+    beta = Fraction(beta)
+    if model.is_finite:
+        values = list(zip(map(Fraction, pair.f(model.atoms)), map(Fraction, pair.u(model.atoms))))
+        return max(f - beta * u for f, u in values), min(f + beta * u for f, u in values)
+    (af, a, df), (au, b, du) = ([Fraction(v) for v in canonical_power(g)] for g in (pair.f, pair.u))
+
+    def extremum(sign, pick):
+        powers = [(1, 1)]  # (x^a, x^b) at x = 1
+        r = -af * a / (sign * beta * au * b) if a != b else 0
+        if r > 0 and (r > 1) == (b > a):
+            k = 1 / (b - a)
+            assert (a * k).denominator == (b * k).denominator == 1
+            powers.append((r ** int(a * k), r ** int(b * k)))
+        return pick(af * xa + df + sign * beta * (au * xb + du) for xa, xb in powers)
+
+    return extremum(-1, max), extremum(+1, min)
+
+
+@pytest.mark.parametrize(
+    "model_spec, obs_spec, epsilon",
+    [
+        (*HEAVY, 0.5),
+        (*HEAVY, 0.03),
+        (*TABLE, 0.1),
+        (*NEGATIVE, 0.3),
+        (*SIGN, 0.05),
+        (*SHIFTED_F, 0.05),
+        (*SHIFTED_U, 0.05),
+        (*SHIFTED_TABLE, 0.8333333283662793),
+    ],
+)
+def test_margin_oracles_are_within_rho_sigma_of_the_exact_extremum(
+    monkeypatch, model_spec, obs_spec, epsilon
+):
+    # assumption (b) of the ceiling's slack, at the beta its search chose and
+    # at every grid point where the margin is finite
+    model = build_model(model_spec)
+    pair = build_pair(model, obs_spec)
+    ceiling, chosen = search_result(monkeypatch, pair, epsilon, 200)
+    assert ceiling > -math.inf
+    grid = np.geomspace(2.0**-40, 2.0**40, 161)
+    for beta in [chosen, *grid[np.isfinite(pair.margin(grid))].tolist()]:
+        m, s = pair.margin(beta), pair.sum_lower_margin(beta)
+        t = (pair.mu + epsilon - m) / beta
+        sigma = abs(pair.mu) + abs(epsilon) + abs(m) + abs(s) + beta * abs(t)
+        exact_m, exact_s = exact_margins(model, pair, beta)
+        assert abs(Fraction(m) - exact_m) <= CEILING_RHO * sigma
+        assert abs(Fraction(s) - exact_s) <= CEILING_RHO * sigma
+        if not model.is_finite:  # no point of the support beats the exact extremum
+            x = np.geomspace(1.0, 1e12, 400)
+            assert (pair.f(x) - beta * pair.u(x)).max() <= exact_m + CEILING_RHO * sigma
+            assert (pair.f(x) + beta * pair.u(x)).min() >= exact_s - CEILING_RHO * sigma
+
+
+def test_an_atom_on_the_ceiling_that_errs_is_counted():
+    # F = U on {0, 1}: at beta = 1 the margin is 0 and T(1) = mu + eps.  For
+    # epsilon one ulp below 1 - mu, mu + eps rounds up to 1, which puts the
+    # atom 1 on T(1), and the one-sample row of that atom errs
+    model_spec = {"kind": "finite_support", "atoms": [0.0, 1.0], "probs": [0.3, 0.7]}
+    table = {"form": "table", "values": [0.0, 1.0]}
+    obs_spec = {"f": table, "u": table}
+    pair = build_pair(build_model(model_spec), obs_spec)
+    epsilon = math.nextafter(1.0 - pair.mu, 0.0)
+    assert pair.mu + epsilon == 1.0 and 1.0 - pair.mu > epsilon
+    assert _certified_ceiling(pair, epsilon, 1) < 1.0
+    for n in (1, 2):
+        args = (model_spec, obs_spec, epsilon, 0.5, n, "two_sided", 7, 0, 200, 0)
+        expected = reference_counts(*args)
+        assert expected[2] > 0
+        assert _batch_counts(args) == expected
 
 
 def test_sampler_fills_rows_bit_identically():
