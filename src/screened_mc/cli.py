@@ -29,6 +29,7 @@ from .bound_engine import prop11_report
 from .errors import CapabilityError, ConfigError, ScreenedMcError
 from .exp_harness import (
     ExperimentConfig,
+    _run_batches,
     _write_text,
     build_model,
     build_pair,
@@ -100,13 +101,19 @@ def _emit_or_print(args, cfg: ExperimentConfig, document: dict) -> None:
         sys.stdout.write("\n")
 
 
-def _cmd_simulate(args) -> int:
-    cfg, model, pair = _load_pair(args)
-    csv_bases = [
-        _out_path(args, spec.path) for spec in cfg.outputs if spec.kind == "trajectory_csv"
-    ]
-    screened_final = 0
-    for t in range(cfg.trials):
+def _simulate_trials(task) -> int:
+    """Run trials ``[lo, hi)`` of ``simulate`` and write their CSVs; return how
+    many were screened at the final step.
+
+    A pool task, so module-level and picklable. It calls ``run_trajectory``
+    and ``emit_trajectory_csv`` by this module's names, which a caller may
+    replace; pool workers see the names as of their fork.
+    """
+    cfg, csv_bases, lo, hi = task
+    model = build_model(cfg.model)
+    pair = build_pair(model, cfg.observables)
+    screened = 0
+    for t in range(lo, hi):
         stream = RandomStream(cfg.master_seed).substream(t)
         records = run_trajectory(model, pair, cfg.screen, stream)
         for base in csv_bases:
@@ -115,7 +122,21 @@ def _cmd_simulate(args) -> int:
             else:
                 stem, ext = os.path.splitext(base)
                 emit_trajectory_csv(records, f"{stem}_{t:03d}{ext or '.csv'}")
-        screened_final += records[-1].screened
+        screened += records[-1].screened
+    return screened
+
+
+def _cmd_simulate(args) -> int:
+    cfg, _, _ = _load_pair(args)  # a config error exits 2 before any task starts
+    csv_bases = [
+        _out_path(args, spec.path) for spec in cfg.outputs if spec.kind == "trajectory_csv"
+    ]
+    # trial t is a pure function of (seed, t, n), so any split writes the same bytes
+    jobs = default_jobs() if args.jobs is None else args.jobs
+    parts = max(1, min(jobs, cfg.trials))
+    bounds = [(cfg.trials * i // parts, cfg.trials * (i + 1) // parts) for i in range(parts)]
+    tasks = [(cfg, csv_bases, lo, hi) for lo, hi in bounds]
+    screened_final = sum(_run_batches(_simulate_trials, tasks, jobs))
     summary = {
         "kind": "simulate_summary",
         "trials": cfg.trials,
@@ -270,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=None,
-            help="worker processes, used by validate only; one pool per process, reused "
-            "by later calls with the same value, whose workers see module state as of "
-            "their fork (default: available parallelism, read when validate runs)",
+            help="worker processes, used by validate and simulate; one pool per process, "
+            "reused by later calls with the same value, whose workers see module state as "
+            "of their fork (default: available parallelism, read when the command runs)",
         )
         if name == "prop11":
             p.add_argument("--epsilon", type=float, default=None)

@@ -508,28 +508,23 @@ def _finite_moments(p: np.ndarray, f: np.ndarray, u: np.ndarray) -> tuple[float,
 
 
 def _pareto_moments(cf: tuple, cu: tuple) -> tuple[float, float, float, float, float]:
-    """(mu, nu, var_F, var_U, gamma) of F, U = alpha x**a + delta on pareto_like."""
+    """(mu, nu, var_F, var_U, gamma) of F, U = alpha x**a + delta on pareto_like.
+
+    Variance and covariance do not depend on the shifts delta, so they are
+    taken from the power moments alone: E[F^2] - (E F)^2 would cancel when
+    delta dwarfs the spread.
+    """
     af_alpha, af, af_delta = cf
     au_alpha, au, au_delta = cu
-    ef = af_alpha * _pareto_power_moment(af, "E[F]") + af_delta
-    eu = au_alpha * _pareto_power_moment(au, "E[U]") + au_delta
-    ef2 = (
-        af_alpha**2 * _pareto_power_moment(2 * af, "E[F^2]")
-        + 2 * af_alpha * af_delta * _pareto_power_moment(af, "E[F]")
-        + af_delta**2
+    xf = _pareto_power_moment(af, "E[F]")  # E[X**a] for F's and U's powers
+    xu = _pareto_power_moment(au, "E[U]")
+    return (
+        af_alpha * xf + af_delta,
+        au_alpha * xu + au_delta,
+        af_alpha**2 * (_pareto_power_moment(2 * af, "E[F^2]") - xf**2),
+        au_alpha**2 * (_pareto_power_moment(2 * au, "E[U^2]") - xu**2),
+        af_alpha * au_alpha * (_pareto_power_moment(af + au, "E[F*U]") - xf * xu),
     )
-    eu2 = (
-        au_alpha**2 * _pareto_power_moment(2 * au, "E[U^2]")
-        + 2 * au_alpha * au_delta * _pareto_power_moment(au, "E[U]")
-        + au_delta**2
-    )
-    efu = (
-        af_alpha * au_alpha * _pareto_power_moment(af + au, "E[F*U]")
-        + af_alpha * au_delta * _pareto_power_moment(af, "E[F]")
-        + au_alpha * af_delta * _pareto_power_moment(au, "E[U]")
-        + af_delta * au_delta
-    )
-    return (ef, eu, ef2 - ef**2, eu2 - eu**2, efu - ef * eu)
 
 
 def exact_moments(

@@ -14,12 +14,12 @@ error event is still reachable.  Each trial's uniforms, mean of U and
 every mean of F computed are bit-identical to evaluating the trial alone,
 so the counts are too.
 
-Only those two use worker processes: at ``jobs > 1``, one pool per
-process, built on first use and reused by later calls with the same
-``jobs``.  Another ``jobs``, a dead worker (that call raises
-``BrokenProcessPool``) or a ``fork`` makes the next call build a new one.
-Workers see module state as of their fork, so a later monkeypatch does
-not reach them.
+Those two and the CLI's ``simulate``, which maps contiguous ranges of
+trials, use worker processes: at ``jobs > 1``, one pool per process,
+built on first use and reused by later calls with the same ``jobs``.
+Another ``jobs``, a dead worker (that call raises ``BrokenProcessPool``)
+or a ``fork`` makes the next call build a new one.  Workers see module
+state as of their fork, so a later monkeypatch does not reach them.
 """
 
 from __future__ import annotations
@@ -814,9 +814,9 @@ def emit_report(document: dict, path: str) -> None:
 
 def _write_text(path: str, text: str) -> None:
     directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
     try:
+        if directory:
+            os.makedirs(directory, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:

@@ -405,22 +405,96 @@ _SIMULATE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("sidedness", sorted(_SIMULATE_DIGESTS))
-def test_simulate_outputs_match_golden_digests(tmp_path, sidedness):
+def _simulate_outputs(tmp_path, jobs, sidedness="two_sided", trials=3, n=1000):
+    """sha256 of each file `simulate` writes at ``jobs`` on the README config."""
     doc = heavy_tail_doc(
-        screen={"epsilon": 0.5, "u": 0.025, "n": 1000, "sidedness": sidedness},
-        trials=3,
+        screen={"epsilon": 0.5, "u": 0.025, "n": n, "sidedness": sidedness},
+        trials=trials,
         seed=20240808,
         outputs=[
             {"kind": "trajectory_csv", "path": "traj.csv"},
             {"kind": "report", "path": "summary.json"},
         ],
     )
+    cfg = write_config(tmp_path, doc, f"config_{jobs}.json")
+    out = tmp_path / f"out_{jobs}"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("sidedness", sorted(_SIMULATE_DIGESTS))
+def test_simulate_outputs_match_golden_digests(tmp_path, sidedness):
+    assert _simulate_outputs(tmp_path, "1", sidedness) == _SIMULATE_DIGESTS[sidedness]
+
+
+# 3 trials at --jobs 2 split unevenly, 2 + 1; at --jobs 3 one trial each
+@pytest.mark.parametrize("jobs", ["2", "3"])
+@pytest.mark.parametrize("sidedness", sorted(_SIMULATE_DIGESTS))
+def test_simulate_bytes_do_not_depend_on_jobs(tmp_path, sidedness, jobs):
+    assert _simulate_outputs(tmp_path, jobs, sidedness) == _SIMULATE_DIGESTS[sidedness]
+
+
+@pytest.mark.parametrize(
+    "trials, jobs, names",
+    [
+        (5, "3", ["summary.json"] + [f"traj_{t:03d}.csv" for t in range(5)]),
+        (1, "2", ["summary.json", "traj.csv"]),  # one trial keeps the unsuffixed name
+    ],
+)
+def test_simulate_split_writes_the_bytes_of_jobs_1(tmp_path, trials, jobs, names):
+    split = _simulate_outputs(tmp_path, jobs, trials=trials, n=200)
+    assert sorted(split) == names
+    assert split == _simulate_outputs(tmp_path, "1", trials=trials, n=200)
+
+
+def test_simulate_reads_the_jobs_default_when_it_runs(tmp_path, monkeypatch):
+    seen = []
+    real = cli._run_batches
+
+    def spy(worker, tasks, jobs):
+        seen.append((len(tasks), jobs))
+        return real(worker, tasks, 1)
+
+    monkeypatch.setattr(cli, "default_jobs", lambda: 5)
+    monkeypatch.setattr(cli, "_run_batches", spy)
+    cfg = write_config(tmp_path, heavy_tail_doc(trials=3, outputs=[]))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == 0
+    assert seen == [(3, 5), (2, 2), (1, 0)]  # min(jobs, trials) ranges, at least one
+
+
+def test_simulate_config_error_at_jobs_2_exits_2_before_any_task(tmp_path, monkeypatch, capsys):
+    def no_tasks(*args):
+        raise AssertionError("a task was submitted for a malformed config")
+
+    monkeypatch.setattr(cli, "_run_batches", no_tasks)
+    doc = heavy_tail_doc(
+        observables={"f": {"form": "table", "values": [1.0]}, "u": {"form": "identity"}},
+        outputs=[{"kind": "trajectory_csv", "path": "traj.csv"}],
+    )
     cfg = write_config(tmp_path, doc)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert got == _SIMULATE_DIGESTS[sidedness]
+    errors = []
+    for jobs in ("1", "2"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", jobs]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: table forms need a finite model with matching size\n"
+    assert not list(tmp_path.glob("traj*"))
+
+
+def test_simulate_unwritable_csv_at_jobs_2_exits_2_naming_the_path(tmp_path, capsys):
+    (tmp_path / "blocker").write_text("a regular file, not a directory")
+    doc = heavy_tail_doc(
+        trials=3,
+        screen={"epsilon": 0.5, "u": 0.025, "n": 50},
+        outputs=[{"kind": "trajectory_csv", "path": "blocker/traj.csv"}],
+    )
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    path = str(tmp_path / "blocker" / "traj_000.csv")
+    assert err.startswith(f"error: cannot write output file {path!r}: ")
+    assert "Traceback" not in err
 
 
 def test_unexpected_exception_exits_3_with_traceback(tmp_path, monkeypatch, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import screened_mc as sm
 from screened_mc.dist_models import (
+    AbsCentered,
     Identity,
     Power,
     Table,
@@ -85,6 +86,22 @@ def test_two_point_moments():
     assert (mu, nu) == (0.0, 0.0)
     assert var_f == var_u == 1.0
     assert gamma == 1.0
+
+
+def test_pareto_moments_do_not_cancel_near_a_large_shift():
+    # F = x - 1e8 has the spread of x: Var F = Var X = 20/9 and Cov(F, X) = 20/9
+    model = sm.pareto_like()
+    pair = sm.pair_from_callables(model, AbsCentered(1e8), Identity())
+    assert pair.mu == pytest.approx(5.0 / 3.0 - 1e8, rel=1e-15)
+    assert pair.var_f == pytest.approx(20.0 / 9.0, rel=1e-15)
+    assert pair.gamma == pytest.approx(20.0 / 9.0, rel=1e-15)
+    # F = x + 1e8 against U = x**0.5, with E[X**a] = 5/(5 - 2a): this pair used to
+    # fail its Cauchy-Schwarz check, its Var F having cancelled to 0
+    pair = sm.pair_from_callables(model, AbsCentered(-1e8), Power(0.5))
+    assert pair.var_f == pytest.approx(20.0 / 9.0, rel=1e-15)
+    assert pair.var_u == pytest.approx(5.0 / 3.0 - 25.0 / 16.0, rel=1e-14)
+    assert pair.gamma == pytest.approx(2.5 - 5.0 / 3.0 * 5.0 / 4.0, rel=1e-14)
+    assert pair.gamma**2 <= pair.var_f * pair.var_u
 
 
 def test_divergent_moment_is_named():

@@ -348,12 +348,23 @@ def test_threads_changing_jobs_share_the_pool_safely(fresh_pool):
 
 
 def test_validate_process_exits_promptly_and_leaves_no_worker(tmp_path):
+    doc = heavy_tail_config(trials=2 * BATCH_SIZE)
+    _exits_promptly_and_leaves_no_worker(tmp_path, "validate", doc)
+
+
+def test_simulate_process_exits_promptly_and_leaves_no_worker(tmp_path):
+    doc = heavy_tail_config(trials=4, outputs=[{"kind": "trajectory_csv", "path": "traj.csv"}])
+    _exits_promptly_and_leaves_no_worker(tmp_path, "simulate", doc)
+    assert len(list(tmp_path.glob("traj_*.csv"))) == 4
+
+
+def _exits_promptly_and_leaves_no_worker(tmp_path, command, doc):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(heavy_tail_config(trials=2 * BATCH_SIZE)))
+    cfg.write_text(json.dumps(doc))
     script = (
         "import multiprocessing, sys\n"
         "from screened_mc.cli import main\n"
-        f"code = main(['validate', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}, "
+        f"code = main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}, "
         "'--jobs', '2'])\n"
         "print('workers', *[p.pid for p in multiprocessing.active_children()])\n"
         "sys.exit(code)\n"
