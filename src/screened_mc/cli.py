@@ -109,9 +109,7 @@ def _simulate_trials(task) -> int:
     and ``emit_trajectory_csv`` by this module's names, which a caller may
     replace; pool workers see the names as of their fork.
     """
-    cfg, csv_bases, lo, hi = task
-    model = build_model(cfg.model)
-    pair = build_pair(model, cfg.observables)
+    model, pair, cfg, csv_bases, lo, hi = task
     screened = 0
     for t in range(lo, hi):
         stream = RandomStream(cfg.master_seed).substream(t)
@@ -127,16 +125,17 @@ def _simulate_trials(task) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg, _, _ = _load_pair(args)  # a config error exits 2 before any task starts
+    cfg, model, pair = _load_pair(args)  # a config error exits 2 before any task starts
     csv_bases = [
         _out_path(args, spec.path) for spec in cfg.outputs if spec.kind == "trajectory_csv"
     ]
-    # trial t is a pure function of (seed, t, n), so any split writes the same bytes
+    # trial t is a pure function of (seed, t, n), so any split writes the same bytes;
+    # one range runs in-process, and no more workers start than there are ranges
     jobs = default_jobs() if args.jobs is None else args.jobs
     parts = max(1, min(jobs, cfg.trials))
     bounds = [(cfg.trials * i // parts, cfg.trials * (i + 1) // parts) for i in range(parts)]
-    tasks = [(cfg, csv_bases, lo, hi) for lo, hi in bounds]
-    screened_final = sum(_run_batches(_simulate_trials, tasks, jobs))
+    tasks = [(model, pair, cfg, csv_bases, lo, hi) for lo, hi in bounds]
+    screened_final = sum(_run_batches(_simulate_trials, tasks, parts))
     summary = {
         "kind": "simulate_summary",
         "trials": cfg.trials,

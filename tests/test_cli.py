@@ -461,7 +461,24 @@ def test_simulate_reads_the_jobs_default_when_it_runs(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 0
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == 0
-    assert seen == [(3, 5), (2, 2), (1, 0)]  # min(jobs, trials) ranges, at least one
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "2",
+                 "--trials", "1"]) == 0
+    # min(jobs, trials) ranges, at least one, on as many workers as ranges
+    assert seen == [(3, 3), (2, 2), (1, 1), (1, 1)]
+
+
+def test_simulate_one_trial_at_jobs_2_runs_in_process(tmp_path, monkeypatch):
+    calls = []
+    real = cli.run_trajectory
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_trajectory", counted)
+    cfg = write_config(tmp_path, heavy_tail_doc(trials=1, outputs=[]))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 0
+    assert len(calls) == 1  # a pool worker would not see the replaced name
 
 
 def test_simulate_config_error_at_jobs_2_exits_2_before_any_task(tmp_path, monkeypatch, capsys):
