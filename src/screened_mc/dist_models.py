@@ -1,7 +1,7 @@
 """Distribution models and observable pairs.
 
 A :class:`DistributionModel` is a law P on the reals that supports exact
-sampling, an exact moment oracle, and a joint log-MGF oracle.  Three
+sampling, an exact moment oracle, and a joint log-MGF oracle.  Two
 kinds are provided:
 
 ``pareto_like``
@@ -14,9 +14,8 @@ kinds are provided:
 ``finite_support``
     Atoms x_j with probabilities p_j (p_j > 0, sum p_j = 1).
 
-``sign_product``
-    A finite-support magnitude law times an independent +/-1 sign,
-    stored internally as the expanded signed-atom law.
+``sign_product`` builds the finite law of a magnitude law times an
+independent fair +/-1 sign, on the signed atoms.
 
 An :class:`ObservablePair` bundles the two observables F (the quantity
 whose mean is estimated) and U (the screening function with known mean)
@@ -47,7 +46,6 @@ from .streams import RandomStream
 
 KIND_PARETO = "pareto_like"
 KIND_FINITE = "finite_support"
-KIND_SIGN = "sign_product"
 
 _PMF_TOL = 1e-12
 
@@ -258,11 +256,9 @@ class DistributionModel:
     kind: str
     atoms: np.ndarray | None = None
     probs: np.ndarray | None = None
-    magnitude_atoms: np.ndarray | None = None
-    magnitude_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (KIND_PARETO, KIND_FINITE, KIND_SIGN):
+        if self.kind not in (KIND_PARETO, KIND_FINITE):
             raise ConfigError(f"unknown model kind: {self.kind!r}")
         if self.kind != KIND_PARETO:
             if self.atoms is None or self.probs is None:
@@ -282,7 +278,7 @@ class DistributionModel:
 
     @property
     def is_finite(self) -> bool:
-        return self.kind in (KIND_FINITE, KIND_SIGN)
+        return self.kind == KIND_FINITE
 
     @property
     def finite_exponential_moments(self) -> bool:
@@ -310,24 +306,12 @@ def finite_support(atoms, probs) -> DistributionModel:
 
 
 def sign_product(magnitude_atoms, magnitude_probs) -> DistributionModel:
-    """Magnitude law times an independent +/-1 fair sign.
-
-    Stored as the expanded signed-atom law, so every finite-support code
-    path applies unchanged.
-    """
+    """Magnitude law times an independent +/-1 fair sign: the finite law of the signed atoms."""
     mags = np.asarray(magnitude_atoms, dtype=float)
     mprobs = np.asarray(magnitude_probs, dtype=float)
     if np.any(mags <= 0.0):
         raise ConfigError("sign_product magnitudes must be strictly positive")
-    atoms = np.concatenate([mags, -mags])
-    probs = np.concatenate([mprobs / 2.0, mprobs / 2.0])
-    return DistributionModel(
-        kind=KIND_SIGN,
-        atoms=atoms,
-        probs=probs,
-        magnitude_atoms=mags,
-        magnitude_probs=mprobs,
-    )
+    return finite_support(np.concatenate([mags, -mags]), np.concatenate([mprobs, mprobs]) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -458,8 +442,8 @@ def counterexample_pair(
     screened and plain error exponents coincide.
     """
     model = sign_product(magnitude_atoms, magnitude_probs)
-    center = float(model.magnitude_probs @ model.magnitude_atoms)
-    f, u = AbsCentered(center), SignOf()
+    mags, mprobs = (np.asarray(v, dtype=float) for v in (magnitude_atoms, magnitude_probs))
+    f, u = AbsCentered(float(mprobs @ mags)), SignOf()
     return model, replace(tabulated_pair(model, f(model.atoms), u(model.atoms)), f=f, u=u)
 
 

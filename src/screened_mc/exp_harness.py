@@ -12,7 +12,9 @@ Validation and the slope runner share one block kernel,
 then U is evaluated once per block, and F only on the rows where the
 error event is still reachable.  Each trial's uniforms, mean of U and
 every mean of F computed are bit-identical to evaluating the trial alone,
-so the counts are too.
+so the counts are too.  A run builds its model, its pair and its
+certified ceiling once (the slope runner one ceiling per horizon), and
+each batch's task carries them to the kernel.
 
 Those two and the CLI's ``simulate``, which maps contiguous ranges of
 trials, use worker processes: at ``jobs > 1``, one pool per process,
@@ -52,7 +54,6 @@ from .dist_models import (
     ObservablePair,
     Power,
     SignOf,
-    counterexample_pair,
     finite_support,
     pair_from_callables,
     heavy_tail_pair,
@@ -288,8 +289,6 @@ def build_pair(model: DistributionModel, obs: dict) -> ObservablePair:
         return heavy_tail_pair()[1]
     f, u = checked["f"](model), checked["u"](model)
     if model.is_finite:
-        if model.kind == "sign_product" and isinstance(f, AbsCentered) and isinstance(u, SignOf):
-            return counterexample_pair(model.magnitude_atoms, model.magnitude_probs)[1]
         tables = {}
         for name, form in (("f", f), ("u", u)):
             # a fractional power of a negative atom is NaN, a negative one of 0 is inf
@@ -548,9 +547,10 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
     return ceiling - 16.0 * (CEILING_RHO + gamma) * scale / beta
 
 
-def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace, epsilon=-math.inf):
+def _trial_deviations(model, pair, n, seed, lo, hi, namespace, ceiling):
     """Mean of F minus mu and mean of U minus nu, per trial in ``[lo, hi)``;
-    -inf for a mean of F that provably cannot exceed mu + ``epsilon``.
+    -inf for a mean of F that the row's mean of U, below ``ceiling``,
+    proves cannot reach the error event.
 
     The harness's one Monte Carlo kernel. A block of ``BLOCK_SAMPLES // n``
     trials, one per row, is one sampler call (one counter write); the
@@ -558,19 +558,16 @@ def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace, epsilon=
     its contiguous axis, the pairwise summation a per-trial 1-D ``sum``
     uses, so every mean of U is bit-identical to the per-trial path.
 
-    F runs only on the rows whose mean of U is not below
-    ``_certified_ceiling``; on the others the margin proves that the error
-    event mean F - mu > epsilon is out of reach, and they record -inf.
+    F runs only on the rows whose mean of U is not below ``ceiling``, the
+    run's ``_certified_ceiling`` at its epsilon and n; on the others the
+    margin proves that the error event mean F - mu > epsilon is out of
+    reach, and they record -inf.
     The rows F runs on are gathered into a copy whose contiguous rows sum
     as before, so each mean of F computed is bit-identical too, and so is
     every count of the event.  The test ``not (t_mean < ceiling)`` sends a
     NaN mean to F, and a -inf one too while the ceiling is -inf: with no
-    certificate (no finite margin, or the default epsilon, at which every
-    trial can err) every row is gathered.
+    certificate (a ceiling of -inf) every row is gathered.
     """
-    model = build_model(model_spec)
-    pair = build_pair(model, obs_spec)
-    ceiling = _certified_ceiling(pair, epsilon, n)
     sampler = SubstreamSampler(seed, namespace)
     rows = max(1, BLOCK_SAMPLES // n)
     block = np.empty((rows, n))
@@ -590,8 +587,8 @@ def _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace, epsilon=
 
 def _batch_counts(args) -> tuple[int, int, int]:
     """Event counts for one batch of trials. Must stay picklable."""
-    (model_spec, obs_spec, epsilon, u, n, sidedness, seed, lo, hi, namespace) = args
-    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace, epsilon)
+    (model, pair, epsilon, u, n, sidedness, seed, lo, hi, namespace, ceiling) = args
+    s_dev, t_dev = _trial_deviations(model, pair, n, seed, lo, hi, namespace, ceiling)
     err = s_dev > epsilon
     screened = (np.abs(t_dev) if sidedness == "two_sided" else t_dev) < u
     return int(screened.sum()), int((err & screened).sum()), int(err.sum())
@@ -650,20 +647,9 @@ def run_validation(config: ExperimentConfig, jobs: int = 1) -> ValidationReport:
     pair = build_pair(model, config.observables)
     sc = config.screen
     bounds = compute_bounds(model, pair, config.observables, sc.epsilon, sc.u, sc.n)
-
+    ceiling = _certified_ceiling(pair, sc.epsilon, sc.n)
     args = [
-        (
-            config.model,
-            config.observables,
-            sc.epsilon,
-            sc.u,
-            sc.n,
-            sc.sidedness,
-            config.master_seed,
-            lo,
-            hi,
-            0,
-        )
+        (model, pair, sc.epsilon, sc.u, sc.n, sc.sidedness, config.master_seed, lo, hi, 0, ceiling)
         for lo, hi in _batch_bounds(config.trials)
     ]
     results = _run_batches(_batch_counts, args, jobs)
@@ -714,8 +700,8 @@ def fit_log_slope(n_list, rates) -> float:
 
 def _slope_batch(args) -> int:
     """Plain-estimator error count for one batch of trials."""
-    (model_spec, obs_spec, epsilon, n, seed, lo, hi, namespace) = args
-    s_dev, _ = _trial_deviations(model_spec, obs_spec, n, seed, lo, hi, namespace, epsilon)
+    (model, pair, epsilon, n, seed, lo, hi, namespace, ceiling) = args
+    s_dev, _ = _trial_deviations(model, pair, n, seed, lo, hi, namespace, ceiling)
     return int((s_dev > epsilon).sum())
 
 
@@ -744,15 +730,20 @@ def run_heavy_tail_slope(
 
     Horizon ``i`` draws from namespace ``i`` (Philox key word 2); at least
     three horizons are required, and every horizon must register at least
-    one hit (a hundred or more is advisable for a stable fit).
+    one hit (a hundred or more is advisable for a stable fit).  The
+    horizons and ``trials`` are integers >= 1 under the config's rule.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [_integer_in(1, None, n, f"n_list[{i}]") for i, n in enumerate(n_list)]
+    trials = _integer_in(1, None, trials, "trials")
     if len(n_list) < 3:
         raise InputError("need at least 3 horizons for a slope fit")
+    model = build_model(model_spec)
+    pair = build_pair(model, obs_spec)
+    ceilings = [_certified_ceiling(pair, epsilon, n) for n in n_list]
     bounds = _batch_bounds(trials)
     args = [
-        (model_spec, obs_spec, epsilon, n, seed, lo, hi, i)
-        for i, n in enumerate(n_list)
+        (model, pair, epsilon, n, seed, lo, hi, i, ceiling)
+        for i, (n, ceiling) in enumerate(zip(n_list, ceilings))
         for lo, hi in bounds
     ]
     hits = _run_batches(_slope_batch, args, jobs)

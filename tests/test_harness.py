@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import math
@@ -96,6 +97,9 @@ def test_build_pair_from_forms():
     )
     sign_pair = build_pair(sign_model, {"f": {"form": "abs_centered"}, "u": {"form": "sign"}})
     assert sign_pair.gamma == pytest.approx(0.0, abs=1e-15)
+    # an explicit center is the center, on a sign_product model as on any finite one
+    centered = {"f": {"form": "abs_centered", "center": 5.0}, "u": {"form": "sign"}}
+    assert build_pair(sign_model, centered).mu == pytest.approx(-3.5, abs=1e-15)
 
 
 def test_power_of_a_negative_atom_is_a_config_error():
@@ -440,6 +444,48 @@ def test_run_heavy_tail_slope_insufficient_trials():
         sm.run_heavy_tail_slope(
             {"kind": "pareto_like"}, {"preset": "heavy_tail"}, 0.5, [25, 50], 100, 1
         )
+
+
+@pytest.mark.parametrize(
+    "n_list, trials, field",
+    [
+        ([25.7, 50, 100], 100, "n_list[0]"),  # not truncated to 25
+        ([True, 50, 100], 100, "n_list[0]"),  # not n = 1
+        ([0, 50, 100], 100, "n_list[0]"),
+        ([25, 50, 100], 2.5, "trials"),
+        ([25, 50, 100], -5, "trials"),
+    ],
+)
+def test_run_heavy_tail_slope_checks_its_integers_as_the_config_does(n_list, trials, field):
+    with pytest.raises(sm.ConfigError, match=re.escape(field)):
+        sm.run_heavy_tail_slope(
+            {"kind": "pareto_like"}, {"preset": "heavy_tail"}, 0.5, n_list, trials, 1, jobs=1
+        )
+
+
+def test_a_run_builds_its_model_pair_and_ceiling_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(exp_harness, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("build_model", "build_pair", "_certified_ceiling"):
+        monkeypatch.setattr(exp_harness, name, counted(name))
+    trials = 3 * BATCH_SIZE + 5
+    sm.run_validation(parse_config(heavy_tail_config(trials=trials)), jobs=1)
+    assert calls == {"build_model": 1, "build_pair": 1, "_certified_ceiling": 1}
+    calls.clear()
+    sm.run_heavy_tail_slope(
+        {"kind": "pareto_like"}, {"preset": "heavy_tail"}, 0.5, [10, 20, 40], trials, 3, jobs=1
+    )
+    # one ceiling per horizon
+    assert calls == {"build_model": 1, "build_pair": 1, "_certified_ceiling": 3}
 
 
 # ---------------------------------------------------------------------------

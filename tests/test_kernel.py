@@ -90,6 +90,19 @@ def trial_uniforms(seed, namespace, t, n):
     return SubstreamSampler(seed, namespace).uniforms(t, n)
 
 
+def built(model_spec, obs_spec, epsilon, n):
+    """The model, the pair and the certified ceiling that a run builds once."""
+    model = build_model(model_spec)
+    pair = build_pair(model, obs_spec)
+    return model, pair, _certified_ceiling(pair, epsilon, n)
+
+
+def batch_args(model_spec, obs_spec, epsilon, u, n, sidedness, seed, lo, hi, namespace):
+    """The ``_batch_counts`` task of a run of these specs for trials ``[lo, hi)``."""
+    model, pair, ceiling = built(model_spec, obs_spec, epsilon, n)
+    return (model, pair, epsilon, u, n, sidedness, seed, lo, hi, namespace, ceiling)
+
+
 def reference_means(model_spec, obs_spec, n, seed, lo, hi, namespace):
     """The per-trial loop: one trial's uniforms, transform, F and U at a time."""
     model = build_model(model_spec)
@@ -144,15 +157,17 @@ def test_block_kernel_matches_per_trial_loop(model_spec, obs_spec, epsilon, u, n
         args = (model_spec, obs_spec, epsilon, u, n, sidedness, 99, lo, hi, namespace)
         expected = reference_counts(*args)
         assert min(expected) > 0
-        assert _batch_counts(args) == expected
+        assert _batch_counts(batch_args(*args)) == expected
         # the slope runner counts the plain (unscreened) error event
-        assert _slope_batch((model_spec, obs_spec, epsilon, n, 99, lo, hi, namespace)) == expected[2]
+        model, pair, ceiling = built(model_spec, obs_spec, epsilon, n)
+        assert _slope_batch((model, pair, epsilon, n, 99, lo, hi, namespace, ceiling)) == expected[2]
 
 
 @pytest.mark.parametrize("model_spec, obs_spec, n", [c[:2] + c[4:] for c in CASES])
 def test_block_means_are_bit_identical(model_spec, obs_spec, n):
     lo, hi = trial_span(n)
-    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, 7, lo, hi, 2)
+    model = build_model(model_spec)
+    s_dev, t_dev = _trial_deviations(model, build_pair(model, obs_spec), n, 7, lo, hi, 2, -math.inf)
     ref = [
         (s_hat - pair.mu, t_hat - pair.nu)
         for s_hat, t_hat, pair in reference_means(model_spec, obs_spec, n, 7, lo, hi, 2)
@@ -162,8 +177,9 @@ def test_block_means_are_bit_identical(model_spec, obs_spec, n):
 
 
 def f_share(monkeypatch, args):
-    """``_batch_counts(args)``, and the share of its samples that reach F's form."""
-    f_form = build_pair(build_model(args[0]), args[1]).f
+    """``_batch_counts`` on the task of ``args``, and the share of its samples that reach F's form."""
+    task = batch_args(*args)
+    f_form = task[1].f
     form = type(f_form)
     call = form.__call__
     seen = []
@@ -174,7 +190,7 @@ def f_share(monkeypatch, args):
         return call(self, x)
 
     monkeypatch.setattr(form, "__call__", counted)
-    counts = _batch_counts(args)
+    counts = _batch_counts(task)
     monkeypatch.undo()
     n, lo, hi = args[4], args[7], args[8]
     return counts, sum(seen) / ((hi - lo) * n)
@@ -234,7 +250,7 @@ def finite_tables(draw):
 )
 def test_kernel_matches_per_trial_loop_on_random_tables(table, epsilon, u, n, sidedness, seed):
     args = (*table, epsilon, u, n, sidedness, seed, 5, 5 + 40, 0)
-    assert _batch_counts(args) == reference_counts(*args)
+    assert _batch_counts(batch_args(*args)) == reference_counts(*args)
 
 
 def search_result(monkeypatch, pair, epsilon, n):
@@ -269,7 +285,7 @@ def test_rows_inside_the_slack_take_the_exact_path(
     pair = build_pair(build_model(model_spec), obs_spec)
     ceiling, beta = search_result(monkeypatch, pair, epsilon, n)
     t_beta = (pair.mu + epsilon - pair.margin(beta)) / beta
-    s_dev, t_dev = _trial_deviations(model_spec, obs_spec, n, 31, 0, 8192, 0, epsilon)
+    s_dev, t_dev = _trial_deviations(build_model(model_spec), pair, n, 31, 0, 8192, 0, ceiling)
     s_hat, t_hat = np.array(
         [(s, t) for s, t, _ in reference_means(model_spec, obs_spec, n, 31, 0, 8192, 0)]
     ).T
@@ -349,7 +365,7 @@ def test_ceiling_certifies_no_row_that_errs_on_shifted_tables(table, n, row, ulp
     err = s_hat - pair.mu > epsilon
     assert not (err & (t_hat < _certified_ceiling(pair, epsilon, n))).any()
     args = (*table, epsilon, 1.0, n, "two_sided", seed, 5, 45, 0)
-    assert _batch_counts(args) == reference_counts(*args)
+    assert _batch_counts(batch_args(*args)) == reference_counts(*args)
 
 
 def exact_margins(model, pair, beta):
@@ -427,7 +443,7 @@ def test_an_atom_on_the_ceiling_that_errs_is_counted():
         args = (model_spec, obs_spec, epsilon, 0.5, n, "two_sided", 7, 0, 200, 0)
         expected = reference_counts(*args)
         assert expected[2] > 0
-        assert _batch_counts(args) == expected
+        assert _batch_counts(batch_args(*args)) == expected
 
 
 def test_sampler_fills_rows_bit_identically():
