@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -489,10 +490,14 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
     most M(beta) + beta mean U for every beta > 0, so mean F - mu <= eps
     wherever mean U <= T(beta) = (mu + eps - M(beta))/beta.  T is
     quasi-concave in beta (its upper level sets {M(beta) + t beta <= mu +
-    eps} are intervals, M being convex), so one log-grid search finds its
-    best beta.  The ceiling is that T less a slack tau/beta for rounding;
-    it is -inf when no beta of the grid gives a finite margin, when the
-    pair declares no margin or no ``sum_lower_margin``, or at eps = -inf.
+    eps} are intervals, M being convex).  The ceiling at beta is T(beta)
+    less a slack tau(beta)/beta for rounding, and a log-grid search, refined
+    between the best point's neighbours, maximises that difference itself:
+    any beta gives a sound ceiling, and tau/beta, large at small beta on
+    values far from zero, must not lose the search to the rounding noise of
+    T there.  The ceiling is -inf when no beta of the grid gives a finite
+    one, when the pair declares no margin or no ``sum_lower_margin``, or at
+    eps = -inf.
 
     The slack.  Take a row's samples x_i, points of the support (a finite
     model's atoms; on pareto_like, (1 - p)**-0.4 of a double 1 - p <= 1 is
@@ -528,23 +533,22 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
     if margin is None or lower is None:
         return -math.inf
     target = pair.mu + epsilon
+    rounding = 16.0 * (CEILING_RHO + n * 2.0**-53 / (1.0 - n * 2.0**-53))
 
     def neg_ceiling(beta):
-        return (margin(beta) - target) / beta
+        m, s = margin(beta), lower(beta)
+        t = (target - m) / beta
+        scale = abs(pair.mu) + abs(epsilon) + np.abs(m) + np.abs(s) + beta * np.abs(t)
+        in_range = n * scale * np.maximum(1.0, 1.0 / beta) < 2.0**1000
+        return np.where(in_range, rounding * scale / beta - t, math.inf)
 
     grid = np.geomspace(2.0**-40, 2.0**40, 161)
     with np.errstate(over="ignore"):  # a table's f - beta u may pass the double range
         values = neg_ceiling(grid)
-    if not np.isfinite(values).any():
-        return -math.inf
-    beta, _ = grid_min(neg_ceiling, grid, values, log=True)
-    m, s = float(margin(beta)), float(lower(beta))
-    ceiling = (target - m) / beta
-    scale = abs(pair.mu) + abs(epsilon) + abs(m) + abs(s) + beta * abs(ceiling)
-    if not n * scale * max(1.0, 1.0 / beta) < 2.0**1000:
-        return -math.inf
-    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53)
-    return ceiling - 16.0 * (CEILING_RHO + gamma) * scale / beta
+        if not np.isfinite(values).any():
+            return -math.inf
+        _, best = grid_min(neg_ceiling, grid, values, log=True)
+    return -best
 
 
 def _trial_deviations(model, pair, n, seed, lo, hi, namespace, ceiling):
@@ -599,6 +603,11 @@ def _batch_bounds(trials: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + BATCH_SIZE, trials)) for lo in range(0, trials, BATCH_SIZE)]
 
 
+# fork where the platform has it, whatever the interpreter's default (forkserver
+# on Linux from Python 3.14): a worker starts as a copy of the process that built
+# the pool, with no import of its own and with every patch made before then
+POOL_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
 _POOL = None  # (creating pid, jobs, executor), built on first use at jobs > 1
 _POOL_LOCK = threading.RLock()  # callers in several threads share the one pool
 
@@ -620,7 +629,8 @@ def _run_batches(worker, arg_list, jobs: int):
         with _POOL_LOCK:  # map submits every batch before it returns, so no rebuild cuts in
             if _POOL is None or _POOL[:2] != (os.getpid(), jobs) or _POOL[2]._broken:
                 _shutdown_pool()
-                _POOL = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+                context = multiprocessing.get_context(POOL_START_METHOD)
+                _POOL = (os.getpid(), jobs, ProcessPoolExecutor(jobs, mp_context=context))
             results = _POOL[2].map(worker, arg_list, chunksize=1)
         return list(results)
     except BrokenProcessPool:  # a worker died: name it, and start afresh next call

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import pathlib
 
 import numpy as np
 import pytest
 
-from screened_mc import bound_engine, cli, dist_models, rate_functions
+from screened_mc import bound_engine, cli, dist_models, exp_harness, rate_functions
 from screened_mc._optim import grid_min
 from screened_mc.cli import main
 
@@ -432,6 +433,19 @@ def test_simulate_outputs_match_golden_digests(tmp_path, sidedness):
 @pytest.mark.parametrize("sidedness", sorted(_SIMULATE_DIGESTS))
 def test_simulate_bytes_do_not_depend_on_jobs(tmp_path, sidedness, jobs):
     assert _simulate_outputs(tmp_path, jobs, sidedness) == _SIMULATE_DIGESTS[sidedness]
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="needs the forkserver start method",
+)
+def test_simulate_bytes_do_not_depend_on_the_start_method(tmp_path, monkeypatch):
+    exp_harness._shutdown_pool()
+    monkeypatch.setattr(exp_harness, "POOL_START_METHOD", "forkserver")
+    try:
+        assert _simulate_outputs(tmp_path, "2") == _SIMULATE_DIGESTS["two_sided"]
+    finally:
+        exp_harness._shutdown_pool()
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import collections
 import copy
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -334,6 +335,34 @@ def test_forked_child_builds_its_own_pool(fresh_pool):
     assert os.waitstatus_to_exitcode(done[1]) == 0
     assert _counts(sm.run_validation(cfg, jobs=2)) == expected
     assert exp_harness._POOL[2] is pool  # the parent's pool is untouched
+
+
+def _worker_parent(_):
+    return os.getppid()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_pool_workers_are_forked_from_the_caller(fresh_pool):
+    assert exp_harness.POOL_START_METHOD == "fork"
+    assert set(exp_harness._run_batches(_worker_parent, range(2), 2)) == {os.getpid()}
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="needs the forkserver start method",
+)
+def test_forkserver_workers_give_the_same_report(fresh_pool, monkeypatch, tmp_path):
+    # the start method is chosen in one place; under forkserver each worker
+    # imports the package afresh and must still give the in-process bytes
+    monkeypatch.setattr(exp_harness, "POOL_START_METHOD", "forkserver")
+    cfg = parse_config(heavy_tail_config(trials=2 * BATCH_SIZE + 100))
+    reports = {jobs: sm.run_validation(cfg, jobs=jobs) for jobs in (1, 2)}
+    assert os.getpid() not in exp_harness._run_batches(_worker_parent, range(2), 2)
+    for jobs, rep in reports.items():
+        sm.emit_report(rep.to_document(), str(tmp_path / f"jobs_{jobs}.json"))
+    assert (tmp_path / "jobs_1.json").read_bytes() == (tmp_path / "jobs_2.json").read_bytes()
 
 
 def test_threads_changing_jobs_share_the_pool_safely(fresh_pool):

@@ -1,0 +1,85 @@
+"""Which imports load scipy.
+
+Only the entropy oracle (`sanov_oracle`) needs scipy, and its import costs
+more than the rest of the package's together, so the package loads the
+oracle on first use of one of its names.  Each check that scipy stays out
+runs in a fresh interpreter, since the test process has loaded it already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import screened_mc as sm
+
+_ORACLE_NAMES = ["SanovResult", "duality_suite", "relative_entropy", "sanov_rate"]
+
+# the README config
+_README = {
+    "model": {"kind": "pareto_like"},
+    "observables": {"preset": "heavy_tail"},
+    "screen": {"epsilon": 0.5, "u": 0.025, "n": 200, "sidedness": "two_sided"},
+    "trials": 1000000,
+    "seed": 20240808,
+    "outputs": [{"kind": "report", "path": "report.json"}],
+}
+
+
+def _fresh(script):
+    """Run ``script`` in a new interpreter that imports from this ``src``; return its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _scipy_loaded_after(script):
+    return json.loads(_fresh(script + "\nimport sys\nprint('scipy' in sys.modules)\n").lower())
+
+
+@pytest.mark.parametrize("module", ["screened_mc", "screened_mc.cli", "screened_mc.exp_harness"])
+def test_importing_the_package_leaves_scipy_out(module):
+    assert not _scipy_loaded_after(f"import {module}")
+
+
+def test_bound_on_the_readme_config_leaves_scipy_out(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_README))
+    script = (
+        "import contextlib, io\n"
+        "from screened_mc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['bound', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+    )
+    assert not _scipy_loaded_after(script)
+
+
+def test_an_oracle_name_loads_scipy():
+    assert _scipy_loaded_after("import screened_mc as sm\nsm.sanov_rate")
+
+
+def test_the_oracle_names_resolve_to_the_oracle():
+    from screened_mc import sanov_oracle
+
+    assert sm.sanov_oracle is sanov_oracle
+    for name in _ORACLE_NAMES:
+        assert getattr(sm, name) is getattr(sanov_oracle, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sm.no_such_name
+
+
+def test_star_import_binds_every_name_in_all():
+    namespace = {}
+    exec("from screened_mc import *", namespace)
+    assert set(sm.__all__) <= namespace.keys()
+    assert set(_ORACLE_NAMES) <= set(sm.__all__)
+
+
+def test_dir_lists_the_oracle_names():
+    assert {*_ORACLE_NAMES, "sanov_oracle", "run_validation"} <= set(dir(sm))

@@ -301,6 +301,21 @@ def test_rows_inside_the_slack_take_the_exact_path(
     assert t_dev.tolist() == (t_hat - pair.nu).tolist()
 
 
+@pytest.mark.parametrize("epsilon", [0.8, 0.8333333283662793])
+def test_the_ceiling_search_does_not_lose_to_rounding_noise(epsilon):
+    # near 1e8 the unslackened T(beta) peaks in rounding noise at beta near
+    # 1e-12, where the slack is about 1e8/beta; searching T - tau/beta itself
+    # certifies rows at both epsilons, and none that errs
+    model_spec, obs_spec = SHIFTED_TABLE
+    pair = build_pair(build_model(model_spec), obs_spec)
+    ceiling = _certified_ceiling(pair, epsilon, 3)
+    f, u = (np.array(obs_spec[k]["values"]) for k in ("f", "u"))
+    rows = [list(r) for r in itertools.product(range(3), repeat=3)]
+    certified = [r for r in rows if u[r].sum() / 3 < ceiling]
+    assert len(certified) >= 1
+    assert all(f[r].sum() / 3 - pair.mu <= epsilon for r in certified)
+
+
 @st.composite
 def shifted_tables(draw):
     """Tables of values near a large offset, so that row sums, moments and margins round."""
