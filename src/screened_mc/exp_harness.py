@@ -526,8 +526,8 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
     + g) Sigma covers this with room for the ceiling's own roundings, so
     t^ < T^ - tau/beta gives s^ - mu < eps, and so the kernel's fl(s^ - mu)
     <= eps, rounding being monotone and eps a double.
-    The ceiling is -inf when n Sigma max(1, 1/beta) would let a row sum
-    near the double range, where (a) and the sum bound no longer hold.
+    The search skips a beta at which n Sigma max(1, 1/beta) would let a row
+    sum near the double range, where (a) and the sum bound no longer hold.
     """
     margin, lower = pair.margin, pair.sum_lower_margin
     if margin is None or lower is None:

@@ -439,11 +439,12 @@ def test_simulate_bytes_do_not_depend_on_jobs(tmp_path, sidedness, jobs):
     "forkserver" not in multiprocessing.get_all_start_methods(),
     reason="needs the forkserver start method",
 )
-def test_simulate_bytes_do_not_depend_on_the_start_method(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_simulate_bytes_do_not_depend_on_the_start_method(tmp_path, monkeypatch, jobs):
     exp_harness._shutdown_pool()
     monkeypatch.setattr(exp_harness, "POOL_START_METHOD", "forkserver")
     try:
-        assert _simulate_outputs(tmp_path, "2") == _SIMULATE_DIGESTS["two_sided"]
+        assert _simulate_outputs(tmp_path, jobs) == _SIMULATE_DIGESTS["two_sided"]
     finally:
         exp_harness._shutdown_pool()
 

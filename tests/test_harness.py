@@ -358,11 +358,13 @@ def test_forkserver_workers_give_the_same_report(fresh_pool, monkeypatch, tmp_pa
     # imports the package afresh and must still give the in-process bytes
     monkeypatch.setattr(exp_harness, "POOL_START_METHOD", "forkserver")
     cfg = parse_config(heavy_tail_config(trials=2 * BATCH_SIZE + 100))
-    reports = {jobs: sm.run_validation(cfg, jobs=jobs) for jobs in (1, 2)}
-    assert os.getpid() not in exp_harness._run_batches(_worker_parent, range(2), 2)
-    for jobs, rep in reports.items():
-        sm.emit_report(rep.to_document(), str(tmp_path / f"jobs_{jobs}.json"))
-    assert (tmp_path / "jobs_1.json").read_bytes() == (tmp_path / "jobs_2.json").read_bytes()
+    reports = []
+    for jobs in (1, 2, 3):
+        sm.emit_report(sm.run_validation(cfg, jobs=jobs).to_document(), str(tmp_path / "r.json"))
+        reports.append((tmp_path / "r.json").read_bytes())
+        if jobs > 1:  # the workers are not the caller's children
+            assert os.getpid() not in exp_harness._run_batches(_worker_parent, range(2), jobs)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_threads_changing_jobs_share_the_pool_safely(fresh_pool):
