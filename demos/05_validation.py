@@ -1,8 +1,8 @@
 """Seeded Monte Carlo validation of every certified bound.
 
 A validation run counts final-step screened and unscreened error events
-over many independent trials (each trial on its own run of Philox
-counters fixed by the trial index, so worker count never changes the
+over many independent trials (each trial on its own run of PCG64
+outputs fixed by the trial index, so worker count never changes the
 answer) and checks
 the empirical rates against every applicable bound.
 

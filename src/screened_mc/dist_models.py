@@ -439,12 +439,12 @@ def counterexample_pair(
     """Sign-product pair with F(x) = |x| - E|X| and U(x) = sign(x).
 
     F(X) and U(X) are independent here, so screening buys nothing: the
-    screened and plain error exponents coincide.
+    screened and plain error exponents coincide.  The pair is the one a
+    config's ``sign_product`` with ``abs_centered`` and ``sign`` forms builds.
     """
     model = sign_product(magnitude_atoms, magnitude_probs)
-    mags, mprobs = (np.asarray(v, dtype=float) for v in (magnitude_atoms, magnitude_probs))
-    f, u = AbsCentered(float(mprobs @ mags)), SignOf()
-    return model, replace(tabulated_pair(model, f(model.atoms), u(model.atoms)), f=f, u=u)
+    center = float(model.probs @ np.abs(model.atoms))
+    return model, pair_from_callables(model, AbsCentered(center), SignOf())
 
 
 # ---------------------------------------------------------------------------

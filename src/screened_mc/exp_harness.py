@@ -3,7 +3,7 @@ heavy-tail decay measurement, and byte-deterministic result emission.
 
 Determinism contract: identical (config, seed) produce byte-identical
 output files regardless of worker count or scheduling.  Trial t owns a
-fixed run of Philox counters under the key (master seed, namespace), see
+fixed run of PCG64 outputs under the key (master seed, namespace), see
 ``streams``; batches have a fixed size independent of the worker pool,
 and aggregation is exact integer addition.
 
@@ -251,7 +251,7 @@ _CONFIG = {
     # ScreenConfig checks the ranges
     "screen": (lambda value, where: ScreenConfig(**_section(value, _SCREEN, where)), True),
     "trials": (partial(_integer_in, 1, None), True),
-    "seed": (partial(_integer_in, 0, 64), True),  # one word of the Philox key
+    "seed": (partial(_integer_in, 0, 64), True),  # the SeedSequence entropy of every stream
     "outputs": (_outputs, False),
 }
 
@@ -557,7 +557,7 @@ def _trial_deviations(model, pair, n, seed, lo, hi, namespace, ceiling):
     proves cannot reach the error event.
 
     The harness's one Monte Carlo kernel. A block of ``BLOCK_SAMPLES // n``
-    trials, one per row, is one sampler call (one counter write); the
+    trials, one per row, is one sampler call (one ``advance``); the
     transform and U then run once per block, and each row sums along
     its contiguous axis, the pairwise summation a per-trial 1-D ``sum``
     uses, so every mean of U is bit-identical to the per-trial path.
@@ -738,10 +738,10 @@ def run_heavy_tail_slope(
 ) -> SlopeResult:
     """Fitted decay slope of the plain estimator's error rate in n.
 
-    Horizon ``i`` draws from namespace ``i`` (Philox key word 2); at least
-    three horizons are required, and every horizon must register at least
-    one hit (a hundred or more is advisable for a stable fit).  The
-    horizons and ``trials`` are integers >= 1 under the config's rule.
+    Horizon ``i`` draws from namespace ``i``, so horizons share no outputs.
+    At least three horizons are required, each with at least one hit (a
+    hundred or more is advisable for a stable fit).  The horizons and
+    ``trials`` are integers >= 1 under the config's rule.
     """
     n_list = [_integer_in(1, None, n, f"n_list[{i}]") for i, n in enumerate(n_list)]
     trials = _integer_in(1, None, trials, "trials")

@@ -121,7 +121,7 @@ def _with_screen(**fields):
             {"observables": {"f": {"form": "table", "values": "zz"}, "u": {"form": "identity"}}},
             "observables.f.values",
         ),
-        # a seed is one 64-bit Philox key word: nothing outside it is masked into it
+        # a seed is the streams' 64-bit SeedSequence entropy: nothing outside it is masked into it
         ({"seed": -1}, "seed"),
         ({"seed": 1 << 64}, "seed"),
         # a path is a string, never a str() of some other value
@@ -392,16 +392,16 @@ def test_simulate_single_and_multi(tmp_path):
 # the CSV format together.
 _SIMULATE_DIGESTS = {
     "two_sided": {
-        "summary.json": "9c97bd832b1112ae6992362e92b03aeba9c878d3c2605419b50f195d0b760b95",
-        "traj_000.csv": "6656366626d83800d027dbbbfaef895e656d11d7dbc375bb20cfe5b4a430897d",
-        "traj_001.csv": "982620df03c34fa884c9a1ea4edc843ae163b26c793a158888a24ffb3a2bac76",
-        "traj_002.csv": "c8da3bd1a1d0888e95cc86842a78be2933179965c5a416fee845e41446a7a59c",
+        "summary.json": "703aa43b8bc035c1eeb1b658b91f835efbc7072ca144c8a7cdd2691b54e8dad3",
+        "traj_000.csv": "186b8a894b6fac11750acc3705b550d03eec89258ad4b0e0ee4122be9532b457",
+        "traj_001.csv": "8a1a20c267cea274e0c79056de6fb687343d868d7992ef0e4860ad8105b10653",
+        "traj_002.csv": "9c6ee334385c9291f78651b08b3a7e4134ac775f8be354c7c18c055813b3ad11",
     },
     "one_sided": {
         "summary.json": "703aa43b8bc035c1eeb1b658b91f835efbc7072ca144c8a7cdd2691b54e8dad3",
-        "traj_000.csv": "834c611d2c173cf9efb7fc70619bc9995d37cfb4565f13fbc392694355db7be4",
-        "traj_001.csv": "4b64506d31831019aa02c78190720b162a407c22fb160510623bb15da1413aa2",
-        "traj_002.csv": "83523b57ac775f34f06795599cf16d47ae00f32545cd1f07f109de3ede5254db",
+        "traj_000.csv": "7a643f1779e9e43d23de3a2965cb856f25059454ec1fa3089fb4c75ea9bfb631",
+        "traj_001.csv": "fc56a30428a521dd652ff64b1ae792540993854c8f5536ef765865c3d69159f4",
+        "traj_002.csv": "61838a32a1995df84f93681a930834708afe4ba07e6e492621d6f2db47f17720",
     },
 }
 
@@ -514,7 +514,7 @@ def test_simulate_config_error_at_jobs_2_exits_2_before_any_task(tmp_path, monke
     assert not list(tmp_path.glob("traj*"))
 
 
-def test_simulate_unwritable_csv_at_jobs_2_exits_2_naming_the_path(tmp_path, capsys):
+def test_simulate_unwritable_csv_at_jobs_2_exits_2_naming_the_path(tmp_path, monkeypatch, capsys):
     (tmp_path / "blocker").write_text("a regular file, not a directory")
     doc = heavy_tail_doc(
         trials=3,
@@ -522,11 +522,17 @@ def test_simulate_unwritable_csv_at_jobs_2_exits_2_naming_the_path(tmp_path, cap
         outputs=[{"kind": "trajectory_csv", "path": "blocker/traj.csv"}],
     )
     cfg = write_config(tmp_path, doc)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 2
-    err = capsys.readouterr().err
-    path = str(tmp_path / "blocker" / "traj_000.csv")
-    assert err.startswith(f"error: cannot write output file {path!r}: ")
-    assert "Traceback" not in err
+    for method in [m for m in ("fork", "forkserver") if m in multiprocessing.get_all_start_methods()]:
+        exp_harness._shutdown_pool()
+        monkeypatch.setattr(exp_harness, "POOL_START_METHOD", method)
+        try:
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 2
+        finally:
+            exp_harness._shutdown_pool()
+        err = capsys.readouterr().err
+        path = str(tmp_path / "blocker" / "traj_000.csv")
+        assert err.startswith(f"error: cannot write output file {path!r}: "), method
+        assert "Traceback" not in err
 
 
 def test_unexpected_exception_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
@@ -628,14 +634,14 @@ _VALIDATE_CONFIGS = {
     "finite_constant_u": _constant_u_doc(),
 }
 _VALIDATE_DIGESTS = {
-    ("readme", "1"): "fff7fc34b6b503e6737d6e2fa6a7f910bf8baf0ed0d4a65dcf8f953f0c174fa4",
-    ("readme", "2"): "fff7fc34b6b503e6737d6e2fa6a7f910bf8baf0ed0d4a65dcf8f953f0c174fa4",
-    ("heavy_prop11", "1"): "e9b3b6c6c0c3944820be5e6e3bd2be9f2bd613cc5f490fd6bb92fd103bd9f8ec",
-    ("finite_four_atoms", "1"): "e81f24516543f11dcc2445e01fd2ea4491d05d5d8f50e1b1fd62d552b783874c",
-    ("finite_four_atoms_empty", "1"): "6ebb9d7f3a8dbb68388458947cb2fcf925a2515421307d607cf7e66db31579cc",
-    ("finite_three_atoms", "1"): "5c640b65efa15df7f030bf510657da6fd10d9f83d05780f547dc9afe7db14bab",
-    ("power_half_identity", "1"): "e3fdf24ed7947ed9a61c0cde7b094ecb5eb1d1b319aa36d931dbeb51ac4d73fc",
-    ("finite_constant_u", "1"): "330765883d68405b52fa97738a08e0bb4d6e2faf275dd6f0929f9aa4a4ad182e",
+    ("readme", "1"): "c3430bc933c7fe77684ceeb54339598632a4480e8ccd41b5d62821f3921885ef",
+    ("readme", "2"): "c3430bc933c7fe77684ceeb54339598632a4480e8ccd41b5d62821f3921885ef",
+    ("heavy_prop11", "1"): "6bf37ee3646c8739d9e06c2acbd1d0b2c41f8b0c5340c51ea1d708f93e64b797",
+    ("finite_four_atoms", "1"): "dd41f0c89f014d1289e3b959a839a9b0cf5a5d5d96f7653d78dbd388c3dedd2f",
+    ("finite_four_atoms_empty", "1"): "2cf0d57ef37ea3367f6e79bb0265292bf81d5743604a82f8e59e54aee8a09f5a",
+    ("finite_three_atoms", "1"): "561c66cc9d5a1523d1101527e3a6f0548c9de366aa8339ff16fffa55b07e0435",
+    ("power_half_identity", "1"): "3c494b6a6a86d15346e52a9fb92240278c7bd0239454920f8ddb1ede4f0fefea",
+    ("finite_constant_u", "1"): "c46830d1df4bc23f5a0a8bf5d638a9e5f5c96142965fd1da661bffa62f06f41b",
 }
 
 

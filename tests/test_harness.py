@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -101,6 +102,25 @@ def test_build_pair_from_forms():
     # an explicit center is the center, on a sign_product model as on any finite one
     centered = {"f": {"form": "abs_centered", "center": 5.0}, "u": {"form": "sign"}}
     assert build_pair(sign_model, centered).mu == pytest.approx(-3.5, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "mags, probs",
+    [
+        ([1.0, 2.0], [0.5, 0.5]),
+        # the magnitude law's center mprobs . mags gives another mu and gamma here
+        ([4.682, 4.098, 0.113], [0.665, 0.021, 0.314]),
+    ],
+)
+def test_counterexample_pair_is_the_config_pair(mags, probs):
+    model, pair = sm.counterexample_pair(mags, probs)
+    spec = {"kind": "sign_product", "magnitude_atoms": mags, "magnitude_probs": probs}
+    config_model = build_model(spec)
+    config_pair = build_pair(config_model, {"f": {"form": "abs_centered"}, "u": {"form": "sign"}})
+    assert np.array_equal(model.atoms, config_model.atoms)
+    assert np.array_equal(model.probs, config_model.probs)
+    for name in (f.name for f in dataclasses.fields(pair)):
+        assert getattr(pair, name) == getattr(config_pair, name), name
 
 
 def test_power_of_a_negative_atom_is_a_config_error():
@@ -223,7 +243,7 @@ def test_validation_document_is_canonical(small_validation):
     doc = canonicalize(rep.to_document())
     text = json.dumps(doc, sort_keys=True)
     assert "screened_error_rate" in text
-    assert doc["runtime"]["stream_contract"] == 2  # counter-addressed trial streams
+    assert doc["runtime"]["stream_contract"] == 3  # PCG64 trial streams reached by advance
     # round-trips through JSON unchanged
     assert json.loads(text) == doc
 
@@ -382,23 +402,32 @@ def test_threads_changing_jobs_share_the_pool_safely(fresh_pool):
     assert all(len(pids) == 4 and os.getpid() not in pids for pids in results)
 
 
+# the pool's start methods on this platform, among those the harness is tested under
+START_METHODS = [m for m in ("fork", "forkserver") if m in multiprocessing.get_all_start_methods()]
+
+
 def test_validate_process_exits_promptly_and_leaves_no_worker(tmp_path):
     doc = heavy_tail_config(trials=2 * BATCH_SIZE)
-    _exits_promptly_and_leaves_no_worker(tmp_path, "validate", doc)
+    for method in START_METHODS:
+        _exits_promptly_and_leaves_no_worker(tmp_path / method, "validate", doc, method)
 
 
 def test_simulate_process_exits_promptly_and_leaves_no_worker(tmp_path):
     doc = heavy_tail_config(trials=4, outputs=[{"kind": "trajectory_csv", "path": "traj.csv"}])
-    _exits_promptly_and_leaves_no_worker(tmp_path, "simulate", doc)
-    assert len(list(tmp_path.glob("traj_*.csv"))) == 4
+    for method in START_METHODS:
+        _exits_promptly_and_leaves_no_worker(tmp_path / method, "simulate", doc, method)
+        assert len(list((tmp_path / method).glob("traj_*.csv"))) == 4
 
 
-def _exits_promptly_and_leaves_no_worker(tmp_path, command, doc):
+def _exits_promptly_and_leaves_no_worker(tmp_path, command, doc, start_method):
+    tmp_path.mkdir()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
     script = (
         "import multiprocessing, sys\n"
+        "from screened_mc import exp_harness\n"
         "from screened_mc.cli import main\n"
+        f"exp_harness.POOL_START_METHOD = {start_method!r}\n"
         f"code = main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}, "
         "'--jobs', '2'])\n"
         "print('workers', *[p.pid for p in multiprocessing.active_children()])\n"

@@ -126,8 +126,10 @@ def reference_counts(model_spec, obs_spec, epsilon, u, n, sidedness, seed, lo, h
 
 
 # thresholds chosen so that every count below is nonzero: a differential
-# test over all-zero counts would show nothing; n = 1, 7 and 30 take the
-# first n of a trial's 4*ceil(n/4) uniforms
+# test over all-zero counts would show nothing.  CASES_SEED is the first
+# seed from 99 up at which every row's counts are nonzero in namespaces 0
+# and 2 under both sidednesses
+CASES_SEED = 107
 CASES = [
     # (model, observables, epsilon, u, n)
     (*HEAVY, 0.2, 1.0, 1),
@@ -154,13 +156,14 @@ CASES = [
 def test_block_kernel_matches_per_trial_loop(model_spec, obs_spec, epsilon, u, n, sidedness):
     lo, hi = trial_span(n)
     for namespace in (0, 2):
-        args = (model_spec, obs_spec, epsilon, u, n, sidedness, 99, lo, hi, namespace)
+        args = (model_spec, obs_spec, epsilon, u, n, sidedness, CASES_SEED, lo, hi, namespace)
         expected = reference_counts(*args)
         assert min(expected) > 0
         assert _batch_counts(batch_args(*args)) == expected
         # the slope runner counts the plain (unscreened) error event
         model, pair, ceiling = built(model_spec, obs_spec, epsilon, n)
-        assert _slope_batch((model, pair, epsilon, n, 99, lo, hi, namespace, ceiling)) == expected[2]
+        task = (model, pair, epsilon, n, CASES_SEED, lo, hi, namespace, ceiling)
+        assert _slope_batch(task) == expected[2]
 
 
 @pytest.mark.parametrize("model_spec, obs_spec, n", [c[:2] + c[4:] for c in CASES])
@@ -475,23 +478,67 @@ def test_sampler_fills_rows_bit_identically():
         for i, row in enumerate(block):
             assert np.array_equal(row, sampler.uniforms(9 + i, count))
             assert np.array_equal(row, RandomStream(2024).substream(9 + i).uniform(count))
-    # a trial's row is the first count of its 4*ceil(count/4) uniforms
-    assert np.array_equal(sampler.uniforms(3, 5), sampler.uniforms(3, 8)[:5])
     # namespaces are separate keys
     assert not np.array_equal(SubstreamSampler(2024, 1).uniforms(5, 8), sampler.uniforms(5, 8))
     with pytest.raises(InputError):
         sampler.uniforms(9, 49, out=np.empty(50))
 
 
+def pcg64(seed, namespace):
+    """The generator a sampler keyed by (seed, namespace) reads, from its start."""
+    seq = np.random.SeedSequence(seed, spawn_key=(namespace,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
 @pytest.mark.parametrize("namespace, n", [(0, 8), (3, 5), (3, 1)])
 def test_trials_own_consecutive_counter_blocks(namespace, n):
-    # the layout itself, against one generator read from counter zero
-    w = -(-n // 4) * 4
-    key = np.array([2024, namespace], dtype=np.uint64)
-    flat = np.random.Generator(np.random.Philox(key=key)).random(6 * w).reshape(6, w)[:, :n]
+    # the layout itself: trial t's row is outputs [t*n, (t+1)*n) of one
+    # generator read from its start
+    flat = pcg64(2024, namespace).random(6 * n).reshape(6, n)
     sampler = SubstreamSampler(2024, namespace)
     assert np.array_equal(sampler.uniforms(0, n, out=np.empty((6, n))), flat)
     assert np.array_equal(sampler.uniforms(2, n, out=np.empty((4, n))), flat[2:])
+    for t in range(6):
+        assert np.array_equal(sampler.uniforms(t, n), flat[t])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ((5, 1), (2**32 + 5, 0)),  # SeedSequence([seed, namespace]) gives these one stream
+        ((0, 1), (2**32, 0)),
+        ((0, 0), (0, 2**32)),
+        ((2**32, 0), (0, 1)),
+        ((1, 0), (0, 1)),
+    ],
+)
+def test_distinct_keys_give_distinct_rows(a, b):
+    rows = [SubstreamSampler(*key).uniforms(0, 8) for key in (a, b)]
+    assert not np.array_equal(*rows)
+
+
+def test_slope_horizons_share_no_row(monkeypatch):
+    # the slope runner draws horizon i from namespace i; at the t*n layout
+    # one key's widths would overlap, so each horizon needs its own key
+    drawn = {}
+
+    class Recording(SubstreamSampler):
+        def __init__(self, seed, namespace=0):
+            super().__init__(seed, namespace)
+            self.key = (seed, namespace)
+
+        def uniforms(self, start, count, out=None):
+            row = super().uniforms(start, count, out)
+            drawn.setdefault((self.key, count), []).append(row.copy())
+            return row
+
+    monkeypatch.setattr(exp_harness, "SubstreamSampler", Recording)
+    exp_harness.run_heavy_tail_slope(*HEAVY, 0.05, [25, 50, 100], 300, 17)
+    assert sorted(drawn) == [((17, 0), 25), ((17, 1), 50), ((17, 2), 100)]
+    values = [np.concatenate([b.ravel() for b in blocks]) for blocks in drawn.values()]
+    assert [len(v) for v in values] == [300 * 25, 300 * 50, 300 * 100]
+    for v, w in itertools.combinations(values, 2):
+        assert not np.intersect1d(v, w).size
 
 
 @pytest.mark.parametrize("n", [1, 7, 30, 200])
@@ -519,14 +566,20 @@ def test_counts_do_not_depend_on_block_or_batch_size(monkeypatch, n):
 
 def test_counter_overflow_is_an_input_error():
     sampler = SubstreamSampler(1)
-    # at width 8 a trial spans 2 counter blocks; trial 2^63 - 1 would
-    # need Philox counter 2^64, one past a 64-bit word
-    last = (1 << 63) - 2
-    sampler.uniforms(last, 8)
-    with pytest.raises(InputError, match="overflow"):
+    # at width 8 the last trial inside the 2^128 period is 2^125 - 1: its
+    # row is the period's last 8 outputs, and trial 0's row follows them
+    last = (1 << 125) - 1
+    gen = pcg64(1, 0)
+    gen.bit_generator.advance(last * 8)
+    wrapped = np.concatenate([sampler.uniforms(last, 8), sampler.uniforms(0, 8)])
+    assert np.array_equal(gen.random(16), wrapped)
+    with pytest.raises(InputError, match="period"):
         sampler.uniforms(last + 1, 8)
-    with pytest.raises(InputError, match="overflow"):
-        sampler.uniforms(last - 1, 5, out=np.empty((3, 5)))
+    with pytest.raises(InputError, match="period"):
+        sampler.uniforms(last - 1, 8, out=np.empty((3, 8)))
+    sampler.uniforms(last - 1, 8, out=np.empty((2, 8)))
+    with pytest.raises(InputError, match="period"):
+        sampler.uniforms((1 << 128) // 5, 5)
     with pytest.raises(InputError):
         sampler.uniforms(-1, 8)
 
