@@ -8,8 +8,9 @@ estimate at the horizon only if the raw-sample mean sits within
 u = 0.005 of 5/3.
 
 This script reproduces the trajectory experiment: a few seeded runs of
-5000 samples each, with per-step records written to CSV (columns
-k,s_hat,t_hat,screened) ready for plotting.
+5000 samples each.  Each trajectory holds three columns over the steps
+k = 1..n (the running means of F and U and the screening flag), written
+to CSV (columns k,s_hat,t_hat,screened) ready for plotting.
 """
 
 import os
@@ -29,15 +30,15 @@ print()
 
 for trial in range(4):
     stream = sm.RandomStream(root_seed).substream(trial)
-    records = sm.run_trajectory(model, pair, config, stream)
-    screened_steps = [r.k for r in records if r.screened]
-    final = records[-1]
+    trajectory = sm.run_trajectory(model, pair, config, stream)
+    screened_steps = [k for k, flag in enumerate(trajectory.screened, 1) if flag]
+    s_final, t_final = trajectory.s_hat[-1], trajectory.t_hat[-1]
     path = os.path.join(OUT_DIR, f"trajectory_{trial}.csv")
-    sm.emit_trajectory_csv(records, path)
+    sm.emit_trajectory_csv(trajectory, path)
     print(
-        f"trial {trial}: final s_hat = {final.s_hat:.4f} "
-        f"(error {final.s_hat - pair.mu:+.4f}), t_hat = {final.t_hat:.4f}, "
-        f"screened at n: {final.screened}"
+        f"trial {trial}: final s_hat = {s_final:.4f} "
+        f"(error {s_final - pair.mu:+.4f}), t_hat = {t_final:.4f}, "
+        f"screened at n: {trajectory.screened[-1]}"
     )
     if screened_steps:
         print(

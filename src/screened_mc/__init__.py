@@ -77,7 +77,7 @@ from .rate_functions import (
 from .screen_core import (
     ScreenConfig,
     StreamState,
-    TrajectoryRecord,
+    Trajectory,
     control_variate_estimate,
     run_trajectory,
     screen_decision,
@@ -116,7 +116,7 @@ __all__ = [
     # streaming estimator
     "ScreenConfig",
     "StreamState",
-    "TrajectoryRecord",
+    "Trajectory",
     "update_stream",
     "screen_decision",
     "control_variate_estimate",

@@ -30,7 +30,7 @@ from .errors import CapabilityError, ConfigError, ScreenedMcError
 from .exp_harness import (
     ExperimentConfig,
     _run_batches,
-    _write_text,
+    _write_file,
     build_model,
     build_pair,
     canonicalize,
@@ -112,14 +112,14 @@ def _simulate_trials(task) -> int:
     screened = 0
     for t in range(lo, hi):
         stream = RandomStream(cfg.master_seed).substream(t)
-        records = run_trajectory(model, pair, cfg.screen, stream)
+        trajectory = run_trajectory(model, pair, cfg.screen, stream)
         for base in csv_bases:
             if cfg.trials == 1:
-                emit_trajectory_csv(records, base)
+                emit_trajectory_csv(trajectory, base)
             else:
                 stem, ext = os.path.splitext(base)
-                emit_trajectory_csv(records, f"{stem}_{t:03d}{ext or '.csv'}")
-        screened += records[-1].screened
+                emit_trajectory_csv(trajectory, f"{stem}_{t:03d}{ext or '.csv'}")
+        screened += trajectory.screened[-1]
     return screened
 
 
@@ -186,7 +186,7 @@ def _cmd_rates(args) -> int:
     row = ",".join("" if v is None else f"{v:.17g}" for v in values)
     for spec in cfg.outputs:
         if spec.kind == "rates_table":
-            _write_text(_out_path(args, spec.path), header + "\n" + row + "\n")
+            _write_file(_out_path(args, spec.path), (header + "\n" + row + "\n").encode())
     _emit_or_print(args, cfg, doc)
     return 0
 

@@ -21,7 +21,9 @@ trials, use worker processes: at ``jobs > 1``, one pool per process,
 built on first use and reused by later calls with the same ``jobs``.
 Another ``jobs``, a dead worker (that call raises ``BrokenProcessPool``)
 or a ``fork`` makes the next call build a new one.  Workers see module
-state as of their fork, so a later monkeypatch does not reach them.
+state as of their fork, so a later monkeypatch does not reach them.  A
+worker exits on its own once the process that built the pool is gone,
+also when that process was killed and never shut the pool down.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -72,7 +75,7 @@ from .errors import (
     ScreenedMcError,
 )
 from .rate_functions import rate_plus_star
-from .screen_core import SIDEDNESS, ScreenConfig, TrajectoryRecord
+from .screen_core import SIDEDNESS, ScreenConfig, Trajectory
 from .streams import STREAM_CONTRACT, SubstreamSampler
 
 BATCH_SIZE = 8192  # fixed: batch decomposition must not depend on --jobs
@@ -621,6 +624,23 @@ def _shutdown_pool() -> None:
         _POOL = None
 
 
+def _exit_with_creator() -> None:
+    """Pool initializer: end this worker once the process that built the pool is gone.
+
+    The parent sentinel is a pipe whose write end that process holds, so it
+    reads as ready when the process ends, however it ends (a SIGKILL too).
+    Workers forked after this one inherit the write end as well, and they
+    exit by the same rule.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch():
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-creator", daemon=True).start()
+
+
 def _run_batches(worker, arg_list, jobs: int):
     global _POOL
     if jobs <= 1:
@@ -630,7 +650,10 @@ def _run_batches(worker, arg_list, jobs: int):
             if _POOL is None or _POOL[:2] != (os.getpid(), jobs) or _POOL[2]._broken:
                 _shutdown_pool()
                 context = multiprocessing.get_context(POOL_START_METHOD)
-                _POOL = (os.getpid(), jobs, ProcessPoolExecutor(jobs, mp_context=context))
+                executor = ProcessPoolExecutor(
+                    jobs, mp_context=context, initializer=_exit_with_creator
+                )
+                _POOL = (os.getpid(), jobs, executor)
             results = _POOL[2].map(worker, arg_list, chunksize=1)
         return list(results)
     except BrokenProcessPool:  # a worker died: name it, and start afresh next call
@@ -776,14 +799,22 @@ def run_heavy_tail_slope(
 # ---------------------------------------------------------------------------
 
 
-def emit_trajectory_csv(records: list[TrajectoryRecord], path: str) -> None:
-    """One row per step; floats carry 17 significant digits (exact round trip).
+def emit_trajectory_csv(trajectory: Trajectory, path: str) -> None:
+    """One row ``k,s_hat,t_hat,screened`` per step; floats carry 17 significant
+    digits (exact round trip).
 
-    All rows are formatted by one ``%`` call; ``%.17g`` writes the same
-    bytes as ``format(x, ".17g")``.
+    The columns are interleaved into one flat list and every row is
+    formatted by one bytes ``%`` call, which skips the str object per
+    float and the encoding that a str ``%`` call needs; ``%.17g`` writes
+    the same bytes as ``format(x, ".17g")``.
     """
-    flat = tuple([x for r in records for x in (r.k, r.s_hat, r.t_hat, r.screened)])
-    _write_text(path, "k,s_hat,t_hat,screened\n" + "%d,%.17g,%.17g,%d\n" * len(records) % flat)
+    n = len(trajectory.s_hat)
+    flat: list = [0] * (4 * n)
+    flat[0::4] = range(1, n + 1)
+    flat[1::4] = trajectory.s_hat
+    flat[2::4] = trajectory.t_hat
+    flat[3::4] = trajectory.screened
+    _write_file(path, b"k,s_hat,t_hat,screened\n" + b"%d,%.17g,%.17g,%d\n" * n % tuple(flat))
 
 
 def canonicalize(obj):
@@ -810,15 +841,16 @@ def canonicalize(obj):
 
 def emit_report(document: dict, path: str) -> None:
     """Sorted-key JSON with canonical float text; rerunning is byte-identical."""
-    _write_text(path, json.dumps(canonicalize(document), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(canonicalize(document), sort_keys=True, indent=2) + "\n"
+    _write_file(path, text.encode())
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_file(path: str, data: bytes) -> None:
     directory = os.path.dirname(path)
     try:
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise InputError(f"cannot write output file {path!r}: {exc}") from exc

@@ -8,9 +8,11 @@ are stated for.  Running means use the stable one-pass recurrence
 m <- m + (v - m)/k on doubles, because heavy-tailed samples produce
 large magnitudes.  ``update_stream`` and ``screen_decision`` state the
 recurrence and the predicate one step at a time; ``run_trajectory``
-performs the same IEEE operations on plain floats in one loop, so its
-records, and the trajectory CSVs written from them, are bit-identical
-to stepping the reference functions (the tests pin both).
+performs the same IEEE operations on plain floats in one loop and
+returns a ``Trajectory``: three columns, the running means of F and U
+and the screening flag, with step k at index k - 1.  The columns, and
+the trajectory CSVs written from them, are bit-identical to stepping
+the reference functions (the tests pin both).
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ class StreamState:
     t_hat: float = 0.0  # running mean of U values
 
 
-@dataclass(slots=True)
-class TrajectoryRecord:
-    k: int
-    s_hat: float
-    t_hat: float
-    screened: bool
+@dataclass(frozen=True)
+class Trajectory:
+    """One trajectory as equal-length columns; step k = 1..n is index k - 1."""
+
+    s_hat: tuple[float, ...]  # running means of F values
+    t_hat: tuple[float, ...]  # running means of U values
+    screened: tuple[bool, ...]  # the strict screening predicate at each step
 
 
 def update_stream(state: StreamState, f_value: float, u_value: float) -> StreamState:
@@ -100,26 +103,31 @@ def run_trajectory(
     pair: ObservablePair,
     config: ScreenConfig,
     stream: RandomStream,
-) -> list[TrajectoryRecord]:
-    """One seeded trajectory, one record per step k = 1..n.
+) -> Trajectory:
+    """One seeded trajectory, as columns over the steps k = 1..n.
 
-    The final record decides the trial's events: the screened error
-    event is {s_hat - mu > epsilon and screened} at k = n.  Guarantees
-    attach to the fixed horizon only; intermediate screened times are
+    The final step decides the trial's events: the screened error event
+    is {s_hat - mu > epsilon and screened} at k = n.  Guarantees attach
+    to the fixed horizon only; intermediate screened times are
     diagnostics.
     """
     xs = sample(model, stream, config.n)
     f_vals = np.asarray(pair.f(xs), dtype=float).tolist()
     u_vals = np.asarray(pair.u(xs), dtype=float).tolist()
-    nu, u = float(pair.nu), config.u
-    two_sided = config.sidedness == "two_sided"
     s_hat = t_hat = 0.0
-    records: list[TrajectoryRecord] = []
-    append = records.append
+    s_col: list[float] = []
+    t_col: list[float] = []
+    s_append, t_append = s_col.append, t_col.append
     for k, f_value, u_value in zip(range(1, config.n + 1), f_vals, u_vals, strict=True):
-        # update_stream and screen_decision, inlined
+        # update_stream, inlined
         s_hat += (f_value - s_hat) / k
         t_hat += (u_value - t_hat) / k
-        screened = abs(t_hat - nu) < u if two_sided else t_hat - nu < u
-        append(TrajectoryRecord(k, s_hat, t_hat, screened))
-    return records
+        s_append(s_hat)
+        t_append(t_hat)
+    # screen_decision, inlined over the column
+    nu, u = float(pair.nu), config.u
+    if config.sidedness == "two_sided":
+        screened = tuple([abs(t - nu) < u for t in t_col])
+    else:
+        screened = tuple([t - nu < u for t in t_col])
+    return Trajectory(tuple(s_col), tuple(t_col), screened)

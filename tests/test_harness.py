@@ -433,13 +433,11 @@ def _exits_promptly_and_leaves_no_worker(tmp_path, command, doc, start_method):
         "print('workers', *[p.pid for p in multiprocessing.active_children()])\n"
         "sys.exit(code)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sm.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "stdout.txt"
     with open(out, "w") as fh:  # a file, not a pipe, which a stray worker would hold open
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, stdout=fh, stderr=subprocess.STDOUT,
-            timeout=30,
+            [sys.executable, "-c", script], env=_child_env(), stdout=fh,
+            stderr=subprocess.STDOUT, timeout=30,
         )
     text = out.read_text()
     assert proc.returncode == 0, text
@@ -456,12 +454,80 @@ def _exits_promptly_and_leaves_no_worker(tmp_path, command, doc, start_method):
             os.kill(pid, 9)
 
 
+def test_killed_validate_process_leaves_no_worker(tmp_path):
+    doc = heavy_tail_config(trials=20_000_000)  # minutes of work at jobs=2
+    for method in START_METHODS:
+        _killed_run_leaves_no_worker(tmp_path / method, doc, method)
+
+
+def _killed_run_leaves_no_worker(tmp_path, doc, start_method):
+    """SIGKILL a ``validate --jobs 2`` mid-run: its workers, which it never shut
+    down, must exit by themselves (and a forkserver with them)."""
+    tmp_path.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    script = (
+        "import multiprocessing, multiprocessing.forkserver, threading, time\n"
+        "from screened_mc import exp_harness\n"
+        "from screened_mc.cli import main\n"
+        f"exp_harness.POOL_START_METHOD = {start_method!r}\n"
+        "def report():\n"
+        "    while len(multiprocessing.active_children()) < 2:\n"
+        "        time.sleep(0.02)\n"
+        "    server = multiprocessing.forkserver._forkserver._forkserver_pid\n"
+        "    pids = [p.pid for p in multiprocessing.active_children()] + [server or 0]\n"
+        "    print('workers', *pids, flush=True)\n"
+        "threading.Thread(target=report, daemon=True).start()\n"
+        f"main(['validate', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}, "
+        "'--jobs', '2'])\n"
+    )
+    out = tmp_path / "stdout.txt"
+    pids = []
+    with open(out, "w") as fh:  # a file, not a pipe, which a stray worker would hold open
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=_child_env(), stdout=fh,
+            stderr=subprocess.STDOUT,
+        )
+    try:
+        deadline = time.monotonic() + 30.0
+        while not out.read_text().endswith("\n") and proc.poll() is None:
+            assert time.monotonic() < deadline, "no pool started"
+            time.sleep(0.05)
+        text = out.read_text()
+        assert proc.poll() is None, text  # still running when it is killed
+        pids = [int(p) for p in text.splitlines()[-1].split()[1:] if p != "0"]
+        assert len(pids) == (3 if start_method == "forkserver" else 2), text
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        for pid in pids:
+            while _alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(pid), f"process {pid} outlived its killed creator"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+        for pid in filter(_alive, pids):
+            os.kill(pid, 9)
+
+
+def _child_env():
+    """This environment, with this checkout's package first on the path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sm.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _alive(pid):
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
-    return True
+    try:  # an exited process that its new parent has not yet reaped is a zombie
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -556,22 +622,23 @@ def test_a_run_builds_its_model_pair_and_ceiling_once(monkeypatch):
 def test_emit_trajectory_csv_layout(tmp_path):
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=2)
-    recs = sm.run_trajectory(model, pair, cfg, sm.RandomStream(1).substream(0))
+    traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(1).substream(0))
     path = tmp_path / "t.csv"
-    sm.emit_trajectory_csv(recs, str(path))
+    sm.emit_trajectory_csv(traj, str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0] == "k,s_hat,t_hat,screened"
     k, s, t, scr = lines[1].split(",")
     assert k == "1" and scr in ("0", "1")
-    assert float(s) == recs[0].s_hat  # 17 significant digits round-trip exactly
+    assert float(s) == traj.s_hat[0]  # 17 significant digits round-trip exactly
 
 
-def _reference_csv(records) -> str:
+def _reference_csv(trajectory) -> str:
     """The per-row f-string emitter that emit_trajectory_csv replaces."""
     lines = ["k,s_hat,t_hat,screened"]
-    for rec in records:
-        lines.append(f"{rec.k},{rec.s_hat:.17g},{rec.t_hat:.17g},{int(rec.screened)}")
+    rows = zip(trajectory.s_hat, trajectory.t_hat, trajectory.screened, strict=True)
+    for k, (s_hat, t_hat, screened) in enumerate(rows, 1):
+        lines.append(f"{k},{s_hat:.17g},{t_hat:.17g},{int(screened)}")
     return "\n".join(lines) + "\n"
 
 
@@ -581,20 +648,18 @@ def test_emit_trajectory_csv_matches_reference_emitter(tmp_path):
     heavy = sm.run_trajectory(model, pair, cfg, sm.RandomStream(6).substream(0))
     model, pair = sm.counterexample_pair([0.5, 1.0, 3.0], [0.5, 0.3, 0.2])
     signed = sm.run_trajectory(model, pair, cfg, sm.RandomStream(6).substream(1))
-    edge = [
-        sm.TrajectoryRecord(1, -0.0, 0.0, False),
-        sm.TrajectoryRecord(2, 0.0, -0.0, True),
-        sm.TrajectoryRecord(3, -2.5, -5e-324, True),
-        sm.TrajectoryRecord(4, -1.7976931348623157e308, 1e-300, False),
-        sm.TrajectoryRecord(5, 0.1, -1.0 / 3.0, True),
-        sm.TrajectoryRecord(6, math.inf, -math.inf, False),
-        sm.TrajectoryRecord(7, math.nan, 123456789.0, True),
-    ]
-    assert any(r.s_hat < 0.0 for r in signed) and any(r.t_hat < 0.0 for r in signed)
-    for i, records in enumerate([heavy, signed, edge, heavy[:1], []]):
+    edge = sm.Trajectory(
+        s_hat=(-0.0, 0.0, -2.5, -sys.float_info.max, 0.1, math.inf, math.nan, sys.float_info.max),
+        t_hat=(0.0, -0.0, -5e-324, 1e-300, -1.0 / 3.0, -math.inf, 123456789.0, 5e-324),
+        screened=(False, True, True, False, True, False, True, False),
+    )
+    first = sm.Trajectory(heavy.s_hat[:1], heavy.t_hat[:1], heavy.screened[:1])
+    empty = sm.Trajectory((), (), ())
+    assert min(signed.s_hat) < 0.0 and min(signed.t_hat) < 0.0
+    for i, trajectory in enumerate([heavy, signed, edge, first, empty]):
         path = tmp_path / f"t{i}.csv"
-        sm.emit_trajectory_csv(records, str(path))
-        assert path.read_bytes() == _reference_csv(records).encode()
+        sm.emit_trajectory_csv(trajectory, str(path))
+        assert path.read_bytes() == _reference_csv(trajectory).encode()
 
 
 def test_emit_trajectory_csv_rerun_byte_identical(tmp_path):
@@ -613,9 +678,9 @@ def test_emit_trajectory_csv_rerun_byte_identical(tmp_path):
 def test_emitted_trajectory_screen_predicate_recomputable(tmp_path):
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=5000)
-    recs = sm.run_trajectory(model, pair, cfg, sm.RandomStream(2026).substream(0))
+    traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(2026).substream(0))
     path = tmp_path / "heavy_tail.csv"
-    sm.emit_trajectory_csv(recs, str(path))
+    sm.emit_trajectory_csv(traj, str(path))
     mismatches = 0
     for line in path.read_text().splitlines()[1:]:
         _, _, t_hat, screened = line.split(",")

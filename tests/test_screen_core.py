@@ -110,31 +110,27 @@ def test_run_trajectory_single_step():
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.1, u=0.5, n=1)
     stream = sm.RandomStream(55).substream(0)
-    recs = sm.run_trajectory(model, pair, cfg, stream)
+    traj = sm.run_trajectory(model, pair, cfg, stream)
     x = sm.sample(model, sm.RandomStream(55).substream(0), 1)
-    assert len(recs) == 1
-    assert recs[0].k == 1
-    assert recs[0].s_hat == pytest.approx(float(x[0] ** 0.75), rel=1e-15)
+    assert len(traj.s_hat) == len(traj.t_hat) == len(traj.screened) == 1
+    assert traj.s_hat[0] == pytest.approx(float(x[0] ** 0.75), rel=1e-15)
 
 
 def _reference_trajectory(model, pair, config, stream):
-    """The per-step loop run_trajectory replaces: update_stream + screen_decision."""
+    """The per-step loop run_trajectory replaces: update_stream + screen_decision.
+
+    Returns one (k, s_hat, t_hat, screened) tuple per step.
+    """
     xs = sm.sample(model, stream, config.n)
     f_vals = np.asarray(pair.f(xs), dtype=float)
     u_vals = np.asarray(pair.u(xs), dtype=float)
     state = StreamState()
-    records = []
+    rows = []
     for k in range(config.n):
         state = sm.update_stream(state, float(f_vals[k]), float(u_vals[k]))
-        records.append(
-            sm.TrajectoryRecord(
-                k=state.k,
-                s_hat=state.s_hat,
-                t_hat=state.t_hat,
-                screened=sm.screen_decision(state, pair.nu, config.u, config.sidedness),
-            )
-        )
-    return records
+        screened = sm.screen_decision(state, pair.nu, config.u, config.sidedness)
+        rows.append((state.k, state.s_hat, state.t_hat, screened))
+    return rows
 
 
 def _finite_table_pair():
@@ -164,25 +160,46 @@ def test_run_trajectory_equals_reference_loop(build, n, u, sidedness):
     for t in range(3):
         got = sm.run_trajectory(model, pair, cfg, sm.RandomStream(31).substream(t))
         want = _reference_trajectory(model, pair, cfg, sm.RandomStream(31).substream(t))
-        assert got == want  # exact: the same IEEE operations in the same order
-        bits = [(r.s_hat.hex(), r.t_hat.hex()) for r in got]  # tells -0.0 from 0.0
-        assert bits == [(r.s_hat.hex(), r.t_hat.hex()) for r in want]
+        assert [r[0] for r in want] == list(range(1, n + 1))  # step k is index k - 1
+        # exact: the same IEEE operations in the same order; hex tells -0.0 from 0.0
+        assert [x.hex() for x in got.s_hat] == [r[1].hex() for r in want]
+        assert [x.hex() for x in got.t_hat] == [r[2].hex() for r in want]
+        assert list(got.screened) == [r[3] for r in want]
+
+
+def test_column_predicate_is_strict_at_a_tie():
+    # U = [0, 1] at probabilities 1/2: nu = 0.5, so u = 0.5 puts |t_hat_1 - nu| at u exactly
+    model = sm.finite_support([0.0, 1.0], [0.5, 0.5])
+    pair = sm.tabulated_pair(model, [0.0, 1.0], [0.0, 1.0])
+    assert pair.nu == 0.5
+    for sidedness in SIDEDNESS:
+        cfg = sm.ScreenConfig(epsilon=0.1, u=0.5, n=20, sidedness=sidedness)
+        starts = set()
+        for t in range(16):
+            traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(3).substream(t))
+            starts.add(traj.t_hat[0])
+            if traj.t_hat[0] == 1.0 or sidedness == "two_sided":  # a tie on the screened side
+                assert not traj.screened[0]
+            for k, (s, m, flag) in enumerate(zip(traj.s_hat, traj.t_hat, traj.screened), 1):
+                state = StreamState(k=k, s_hat=s, t_hat=m)
+                assert flag == sm.screen_decision(state, pair.nu, cfg.u, sidedness)
+        assert starts == {0.0, 1.0}  # both ties were reached
 
 
 def test_trajectory_screened_set_is_consistent():
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=2000)
-    recs = sm.run_trajectory(model, pair, cfg, sm.RandomStream(99).substream(0))
-    for rec in recs:
-        state = StreamState(k=rec.k, s_hat=rec.s_hat, t_hat=rec.t_hat)
-        assert rec.screened == sm.screen_decision(state, pair.nu, cfg.u, cfg.sidedness)
+    traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(99).substream(0))
+    for k, (s, t, flag) in enumerate(zip(traj.s_hat, traj.t_hat, traj.screened), 1):
+        state = StreamState(k=k, s_hat=s, t_hat=t)
+        assert flag == sm.screen_decision(state, pair.nu, cfg.u, cfg.sidedness)
 
 
 def test_trajectory_screened_times_are_strict_subset_with_late_mass():
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=5000)
-    recs = sm.run_trajectory(model, pair, cfg, sm.RandomStream(2026).substream(0))
-    screened = [r.k for r in recs if r.screened]
+    traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(2026).substream(0))
+    screened = [k for k, flag in enumerate(traj.screened, 1) if flag]
     assert 0 < len(screened) < cfg.n
     assert sum(k > cfg.n // 2 for k in screened) > 0
 
@@ -207,12 +224,11 @@ def test_event_inclusion_per_trial():
     cfg = sm.ScreenConfig(epsilon=0.3, u=0.05, n=50)
     screened_err = unscreened_err = 0
     for t in range(500):
-        recs = sm.run_trajectory(model, pair, cfg, sm.RandomStream(8).substream(t))
-        last = recs[-1]
-        err = last.s_hat - pair.mu > cfg.epsilon
+        traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(8).substream(t))
+        err = traj.s_hat[-1] - pair.mu > cfg.epsilon
         unscreened_err += err
-        screened_err += err and last.screened
-        assert not (err and last.screened) or err  # the screened error implies the error
+        screened_err += err and traj.screened[-1]
+        assert not (err and traj.screened[-1]) or err  # the screened error implies the error
     assert screened_err <= unscreened_err
 
 
