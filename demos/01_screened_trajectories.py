@@ -29,8 +29,8 @@ print(f"screen: accept the estimate at k = n only if |t_hat - nu| < {config.u}")
 print()
 
 for trial in range(4):
-    stream = sm.RandomStream(root_seed).substream(trial)
-    trajectory = sm.run_trajectory(model, pair, config, stream)
+    x = sm.sample(model, sm.RandomStream(root_seed).substream(trial), config.n)
+    trajectory = sm.run_trajectory(pair, x, config)
     screened_steps = [k for k, flag in enumerate(trajectory.screened, 1) if flag]
     s_final, t_final = trajectory.s_hat[-1], trajectory.t_hat[-1]
     path = os.path.join(OUT_DIR, f"trajectory_{trial}.csv")

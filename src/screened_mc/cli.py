@@ -30,6 +30,7 @@ from .errors import CapabilityError, ConfigError, ScreenedMcError
 from .exp_harness import (
     ExperimentConfig,
     _run_batches,
+    _sample_blocks,
     _write_file,
     build_model,
     build_pair,
@@ -44,7 +45,6 @@ from .exp_harness import (
 )
 from .rate_functions import _delta_point, rate_lambda_star, rate_plus_star_detail
 from .screen_core import run_trajectory
-from .streams import RandomStream
 
 # unused here: perfbench/layers.py traces these names as cli attributes
 from .bound_engine import bound_thm31_ii, bound_thm31_iii, normalize_observables, zero_event_check
@@ -110,16 +110,16 @@ def _simulate_trials(task) -> int:
     """
     model, pair, cfg, csv_bases, lo, hi = task
     screened = 0
-    for t in range(lo, hi):
-        stream = RandomStream(cfg.master_seed).substream(t)
-        trajectory = run_trajectory(model, pair, cfg.screen, stream)
-        for base in csv_bases:
-            if cfg.trials == 1:
-                emit_trajectory_csv(trajectory, base)
-            else:
-                stem, ext = os.path.splitext(base)
-                emit_trajectory_csv(trajectory, f"{stem}_{t:03d}{ext or '.csv'}")
-        screened += trajectory.screened[-1]
+    for start, x in _sample_blocks(model, cfg.screen.n, cfg.master_seed, lo, hi):
+        for t, row in enumerate(x, start):
+            trajectory = run_trajectory(pair, row, cfg.screen)
+            for base in csv_bases:
+                if cfg.trials == 1:
+                    emit_trajectory_csv(trajectory, base)
+                else:
+                    stem, ext = os.path.splitext(base)
+                    emit_trajectory_csv(trajectory, f"{stem}_{t:03d}{ext or '.csv'}")
+            screened += trajectory.screened[-1]
     return screened
 
 

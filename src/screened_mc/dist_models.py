@@ -280,18 +280,6 @@ class DistributionModel:
     def is_finite(self) -> bool:
         return self.kind == KIND_FINITE
 
-    @property
-    def finite_exponential_moments(self) -> bool:
-        """True when E[exp(theta * X)] is finite for every real theta."""
-        return self.is_finite
-
-    def quantile(self, p):
-        """Inverse CDF; only defined for the pareto_like kind."""
-        if self.kind != KIND_PARETO:
-            raise CapabilityError("quantile is defined for the pareto_like kind only")
-        p = np.asarray(p, dtype=float)
-        return (1.0 - p) ** (-0.4)
-
 
 def pareto_like() -> DistributionModel:
     return DistributionModel(kind=KIND_PARETO)

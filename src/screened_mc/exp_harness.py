@@ -7,17 +7,19 @@ fixed run of PCG64 outputs under the key (master seed, namespace), see
 ``streams``; batches have a fixed size independent of the worker pool,
 and aggregation is exact integer addition.
 
-Validation and the slope runner share one block kernel,
-``_trial_deviations``: one sampler call fills a block of trials' uniforms,
-then U is evaluated once per block, and F only on the rows where the
-error event is still reachable.  Each trial's uniforms, mean of U and
-every mean of F computed are bit-identical to evaluating the trial alone,
-so the counts are too.  A run builds its model, its pair and its
-certified ceiling once (the slope runner one ceiling per horizon), and
-each batch's task carries them to the kernel.
+All three Monte Carlo runners draw from one block generator,
+``_sample_blocks``: one sampler call and one transform fill a block of
+trials, one per row, each row bit-identical to the trial drawn alone by
+``dist_models.sample``.  Validation and the slope runner reduce the
+blocks in one kernel, ``_trial_deviations``: U once per block, F only on
+the rows where the error event is still reachable, every mean (so every
+count) bit-identical to the trial evaluated alone.  A run builds its
+model, its pair and its certified ceiling once (the slope runner one
+ceiling per horizon), and each batch's task carries them to the kernel.
+The CLI's ``simulate`` runs ``run_trajectory`` on each row.
 
-Those two and the CLI's ``simulate``, which maps contiguous ranges of
-trials, use worker processes: at ``jobs > 1``, one pool per process,
+All three use worker processes (``simulate`` maps contiguous ranges of
+trials to them): at ``jobs > 1``, one pool per process,
 built on first use and reused by later calls with the same ``jobs``.
 Another ``jobs``, a dead worker (that call raises ``BrokenProcessPool``)
 or a ``fork`` makes the next call build a new one.  Workers see module
@@ -75,7 +77,7 @@ from .errors import (
     ScreenedMcError,
 )
 from .rate_functions import rate_plus_star
-from .screen_core import SIDEDNESS, ScreenConfig, Trajectory
+from .screen_core import SIDEDNESS, ScreenConfig, Trajectory, screened_mask
 from .streams import STREAM_CONTRACT, SubstreamSampler
 
 BATCH_SIZE = 8192  # fixed: batch decomposition must not depend on --jobs
@@ -554,16 +556,28 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
     return -best
 
 
+def _sample_blocks(model, n, seed, lo, hi, namespace=0):
+    """Trials ``[lo, hi)`` of ``(seed, namespace)`` at width ``n``: yields ``(start, x)``,
+    row ``i`` of ``x`` holding trial ``start + i``'s samples, at most ``BLOCK_SAMPLES // n``
+    rows.  A block is one sampler call (one ``advance``) and one transform; in namespace 0
+    each row is bit-identical to ``dist_models.sample`` drawing its trial alone.
+    """
+    sampler = SubstreamSampler(seed, namespace)
+    rows = max(1, BLOCK_SAMPLES // n)
+    block = np.empty((rows, n))
+    for start in range(lo, hi, rows):
+        yield start, transform_uniforms(model, sampler.uniforms(start, n, out=block[: hi - start]))
+
+
 def _trial_deviations(model, pair, n, seed, lo, hi, namespace, ceiling):
     """Mean of F minus mu and mean of U minus nu, per trial in ``[lo, hi)``;
     -inf for a mean of F that the row's mean of U, below ``ceiling``,
     proves cannot reach the error event.
 
-    The harness's one Monte Carlo kernel. A block of ``BLOCK_SAMPLES // n``
-    trials, one per row, is one sampler call (one ``advance``); the
-    transform and U then run once per block, and each row sums along
-    its contiguous axis, the pairwise summation a per-trial 1-D ``sum``
-    uses, so every mean of U is bit-identical to the per-trial path.
+    The harness's one Monte Carlo kernel, on ``_sample_blocks``'s blocks: U
+    runs once per block, and each row sums along its contiguous axis, the
+    pairwise summation a per-trial 1-D ``sum`` uses, so every mean of U is
+    bit-identical to the per-trial path.
 
     F runs only on the rows whose mean of U is not below ``ceiling``, the
     run's ``_certified_ceiling`` at its epsilon and n; on the others the
@@ -575,13 +589,9 @@ def _trial_deviations(model, pair, n, seed, lo, hi, namespace, ceiling):
     NaN mean to F, and a -inf one too while the ceiling is -inf: with no
     certificate (a ceiling of -inf) every row is gathered.
     """
-    sampler = SubstreamSampler(seed, namespace)
-    rows = max(1, BLOCK_SAMPLES // n)
-    block = np.empty((rows, n))
     s_dev = np.empty(hi - lo)
     t_dev = np.empty(hi - lo)
-    for start in range(lo, hi, rows):
-        x = transform_uniforms(model, sampler.uniforms(start, n, out=block[: hi - start]))
+    for start, x in _sample_blocks(model, n, seed, lo, hi, namespace):
         done = slice(start - lo, start - lo + len(x))
         t_mean = pair.u(x).sum(axis=1) / n
         t_dev[done] = t_mean - pair.nu
@@ -597,7 +607,7 @@ def _batch_counts(args) -> tuple[int, int, int]:
     (model, pair, epsilon, u, n, sidedness, seed, lo, hi, namespace, ceiling) = args
     s_dev, t_dev = _trial_deviations(model, pair, n, seed, lo, hi, namespace, ceiling)
     err = s_dev > epsilon
-    screened = (np.abs(t_dev) if sidedness == "two_sided" else t_dev) < u
+    screened = screened_mask(t_dev, u, sidedness)
     return int(screened.sum()), int((err & screened).sum()), int(err.sum())
 
 

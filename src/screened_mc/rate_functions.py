@@ -361,7 +361,7 @@ def delta_exponent(
 
 
 def _require_light_tail(model: DistributionModel) -> None:
-    if not model.finite_exponential_moments:
+    if not model.is_finite:
         raise CapabilityError(
             "the exponent gap is a light-tail construct; this model is heavy-tailed"
         )

@@ -7,8 +7,10 @@ not screened and not an error, matching the open error event the bounds
 are stated for.  Running means use the stable one-pass recurrence
 m <- m + (v - m)/k on doubles, because heavy-tailed samples produce
 large magnitudes.  ``update_stream`` and ``screen_decision`` state the
-recurrence and the predicate one step at a time; ``run_trajectory``
-performs the same IEEE operations on plain floats in one loop and
+recurrence and the predicate one step at a time; ``screened_mask``
+applies the predicate elementwise, for the harness kernel's counts too.
+``run_trajectory`` is a function of one trial's samples X_1..X_n: it
+performs the same IEEE operations, on plain floats in one loop, and
 returns a ``Trajectory``: three columns, the running means of F and U
 and the screening flag, with step k at index k - 1.  The columns, and
 the trajectory CSVs written from them, are bit-identical to stepping
@@ -21,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_models import DistributionModel, ObservablePair, sample
+from .dist_models import ObservablePair
 from .errors import ConfigError, EmptyStreamError, InputError
-from .streams import RandomStream
+
+# unused here: perfbench/layers.py traces this name as a screen_core attribute
+from .dist_models import sample
 
 SIDEDNESS = ("two_sided", "one_sided")
 
@@ -87,6 +91,11 @@ def screen_decision(
     raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
 
 
+def screened_mask(t_dev, u: float, sidedness: str) -> np.ndarray:
+    """``screen_decision`` elementwise, on deviations t_hat - nu of the running mean of U."""
+    return (np.abs(t_dev) if sidedness == "two_sided" else t_dev) < u
+
+
 def control_variate_estimate(f_values, u_values, beta: float, nu: float) -> float:
     """Mean of F(X_i) - beta * (U(X_i) - nu); beta = 0 is the plain mean."""
     f = np.asarray(f_values, dtype=float)
@@ -98,22 +107,17 @@ def control_variate_estimate(f_values, u_values, beta: float, nu: float) -> floa
     return float(np.mean(f - beta * (u - nu)))
 
 
-def run_trajectory(
-    model: DistributionModel,
-    pair: ObservablePair,
-    config: ScreenConfig,
-    stream: RandomStream,
-) -> Trajectory:
-    """One seeded trajectory, as columns over the steps k = 1..n.
+def run_trajectory(pair: ObservablePair, x: np.ndarray, config: ScreenConfig) -> Trajectory:
+    """The trajectory of one trial's samples ``x``, ``config.n`` of them, as
+    columns over the steps k = 1..n.
 
     The final step decides the trial's events: the screened error event
     is {s_hat - mu > epsilon and screened} at k = n.  Guarantees attach
     to the fixed horizon only; intermediate screened times are
     diagnostics.
     """
-    xs = sample(model, stream, config.n)
-    f_vals = np.asarray(pair.f(xs), dtype=float).tolist()
-    u_vals = np.asarray(pair.u(xs), dtype=float).tolist()
+    f_vals = np.asarray(pair.f(x), dtype=float).tolist()
+    u_vals = np.asarray(pair.u(x), dtype=float).tolist()
     s_hat = t_hat = 0.0
     s_col: list[float] = []
     t_col: list[float] = []
@@ -124,10 +128,5 @@ def run_trajectory(
         t_hat += (u_value - t_hat) / k
         s_append(s_hat)
         t_append(t_hat)
-    # screen_decision, inlined over the column
-    nu, u = float(pair.nu), config.u
-    if config.sidedness == "two_sided":
-        screened = tuple([abs(t - nu) < u for t in t_col])
-    else:
-        screened = tuple([t - nu < u for t in t_col])
-    return Trajectory(tuple(s_col), tuple(t_col), screened)
+    screened = screened_mask(np.array(t_col) - float(pair.nu), config.u, config.sidedness)
+    return Trajectory(tuple(s_col), tuple(t_col), tuple(screened.tolist()))

@@ -622,7 +622,7 @@ def test_a_run_builds_its_model_pair_and_ceiling_once(monkeypatch):
 def test_emit_trajectory_csv_layout(tmp_path):
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=2)
-    traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(1).substream(0))
+    traj = sm.run_trajectory(pair, sm.sample(model, sm.RandomStream(1).substream(0), cfg.n), cfg)
     path = tmp_path / "t.csv"
     sm.emit_trajectory_csv(traj, str(path))
     lines = path.read_text().splitlines()
@@ -645,9 +645,9 @@ def _reference_csv(trajectory) -> str:
 def test_emit_trajectory_csv_matches_reference_emitter(tmp_path):
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=1000)
-    heavy = sm.run_trajectory(model, pair, cfg, sm.RandomStream(6).substream(0))
+    heavy = sm.run_trajectory(pair, sm.sample(model, sm.RandomStream(6).substream(0), cfg.n), cfg)
     model, pair = sm.counterexample_pair([0.5, 1.0, 3.0], [0.5, 0.3, 0.2])
-    signed = sm.run_trajectory(model, pair, cfg, sm.RandomStream(6).substream(1))
+    signed = sm.run_trajectory(pair, sm.sample(model, sm.RandomStream(6).substream(1), cfg.n), cfg)
     edge = sm.Trajectory(
         s_hat=(-0.0, 0.0, -2.5, -sys.float_info.max, 0.1, math.inf, math.nan, sys.float_info.max),
         t_hat=(0.0, -0.0, -5e-324, 1e-300, -1.0 / 3.0, -math.inf, 123456789.0, 5e-324),
@@ -666,19 +666,16 @@ def test_emit_trajectory_csv_rerun_byte_identical(tmp_path):
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=500)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    sm.emit_trajectory_csv(
-        sm.run_trajectory(model, pair, cfg, sm.RandomStream(6).substream(0)), str(a)
-    )
-    sm.emit_trajectory_csv(
-        sm.run_trajectory(model, pair, cfg, sm.RandomStream(6).substream(0)), str(b)
-    )
+    for path in (a, b):
+        x = sm.sample(model, sm.RandomStream(6).substream(0), cfg.n)
+        sm.emit_trajectory_csv(sm.run_trajectory(pair, x, cfg), str(path))
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_emitted_trajectory_screen_predicate_recomputable(tmp_path):
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=5000)
-    traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(2026).substream(0))
+    traj = sm.run_trajectory(pair, sm.sample(model, sm.RandomStream(2026).substream(0), cfg.n), cfg)
     path = tmp_path / "heavy_tail.csv"
     sm.emit_trajectory_csv(traj, str(path))
     mismatches = 0

@@ -17,13 +17,14 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from screened_mc import exp_harness
-from screened_mc.dist_models import canonical_power, transform_uniforms
+from screened_mc.dist_models import canonical_power, sample, transform_uniforms
 from screened_mc.errors import ConfigError, InputError
 from screened_mc.exp_harness import (
     BLOCK_SAMPLES,
     CEILING_RHO,
     _batch_counts,
     _certified_ceiling,
+    _sample_blocks,
     _slope_batch,
     _trial_deviations,
     build_model,
@@ -31,6 +32,7 @@ from screened_mc.exp_harness import (
     parse_config,
     run_validation,
 )
+from screened_mc.screen_core import ScreenConfig, run_trajectory
 from screened_mc.streams import RandomStream, SubstreamSampler
 
 HEAVY = ({"kind": "pareto_like"}, {"preset": "heavy_tail"})
@@ -177,6 +179,32 @@ def test_block_means_are_bit_identical(model_spec, obs_spec, n):
     ]
     assert s_dev.tolist() == [r[0] for r in ref]
     assert t_dev.tolist() == [r[1] for r in ref]
+
+
+def bits(trajectory):
+    """A trajectory's columns, the floats by their hex so that -0.0 is not 0.0."""
+    return (
+        [v.hex() for v in trajectory.s_hat],
+        [v.hex() for v in trajectory.t_hat],
+        list(trajectory.screened),
+    )
+
+
+@pytest.mark.parametrize("model_spec, obs_spec", [HEAVY, TABLE], ids=["heavy", "table"])
+@pytest.mark.parametrize("n", [200, BLOCK_SAMPLES + 3])  # 81 rows a block, and one
+def test_block_rows_run_the_trajectory_of_the_per_trial_draw(model_spec, obs_spec, n):
+    # simulate's path: run_trajectory on each row of each block of _sample_blocks
+    lo, hi = trial_span(n)
+    model = build_model(model_spec)
+    pair = build_pair(model, obs_spec)
+    cfg = ScreenConfig(epsilon=0.5, u=0.025, n=n)
+    trials = []
+    for start, x in _sample_blocks(model, n, 2024, lo, hi):
+        for t, row in enumerate(x, start):
+            alone = sample(model, RandomStream(2024).substream(t), n)
+            assert bits(run_trajectory(pair, row, cfg)) == bits(run_trajectory(pair, alone, cfg))
+            trials.append(t)
+    assert trials == list(range(lo, hi))
 
 
 def f_share(monkeypatch, args):

@@ -103,3 +103,5 @@ def test_traced_spans_count_every_trial_and_step(monkeypatch, tmp_path):
     tracer = traced(monkeypatch, lambda: cli.main(argv))
     steps = [s["attrs"]["steps"] for s in tracer.named("screen_core.run_trajectory")]
     assert steps == [50, 50, 50]
+    # simulate draws through exp_harness.transform_uniforms, which the tracer counts
+    assert tracer.counters["dist_models.transform.items"] == 3 * 50

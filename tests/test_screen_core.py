@@ -109,9 +109,8 @@ def test_control_variate_is_unbiased():
 def test_run_trajectory_single_step():
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.1, u=0.5, n=1)
-    stream = sm.RandomStream(55).substream(0)
-    traj = sm.run_trajectory(model, pair, cfg, stream)
     x = sm.sample(model, sm.RandomStream(55).substream(0), 1)
+    traj = sm.run_trajectory(pair, x, cfg)
     assert len(traj.s_hat) == len(traj.t_hat) == len(traj.screened) == 1
     assert traj.s_hat[0] == pytest.approx(float(x[0] ** 0.75), rel=1e-15)
 
@@ -158,7 +157,8 @@ def test_run_trajectory_equals_reference_loop(build, n, u, sidedness):
     model, pair = build()
     cfg = sm.ScreenConfig(epsilon=0.1, u=u, n=n, sidedness=sidedness)
     for t in range(3):
-        got = sm.run_trajectory(model, pair, cfg, sm.RandomStream(31).substream(t))
+        x = sm.sample(model, sm.RandomStream(31).substream(t), n)
+        got = sm.run_trajectory(pair, x, cfg)
         want = _reference_trajectory(model, pair, cfg, sm.RandomStream(31).substream(t))
         assert [r[0] for r in want] == list(range(1, n + 1))  # step k is index k - 1
         # exact: the same IEEE operations in the same order; hex tells -0.0 from 0.0
@@ -176,7 +176,8 @@ def test_column_predicate_is_strict_at_a_tie():
         cfg = sm.ScreenConfig(epsilon=0.1, u=0.5, n=20, sidedness=sidedness)
         starts = set()
         for t in range(16):
-            traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(3).substream(t))
+            x = sm.sample(model, sm.RandomStream(3).substream(t), cfg.n)
+            traj = sm.run_trajectory(pair, x, cfg)
             starts.add(traj.t_hat[0])
             if traj.t_hat[0] == 1.0 or sidedness == "two_sided":  # a tie on the screened side
                 assert not traj.screened[0]
@@ -189,7 +190,7 @@ def test_column_predicate_is_strict_at_a_tie():
 def test_trajectory_screened_set_is_consistent():
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=2000)
-    traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(99).substream(0))
+    traj = sm.run_trajectory(pair, sm.sample(model, sm.RandomStream(99).substream(0), cfg.n), cfg)
     for k, (s, t, flag) in enumerate(zip(traj.s_hat, traj.t_hat, traj.screened), 1):
         state = StreamState(k=k, s_hat=s, t_hat=t)
         assert flag == sm.screen_decision(state, pair.nu, cfg.u, cfg.sidedness)
@@ -198,7 +199,7 @@ def test_trajectory_screened_set_is_consistent():
 def test_trajectory_screened_times_are_strict_subset_with_late_mass():
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=5000)
-    traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(2026).substream(0))
+    traj = sm.run_trajectory(pair, sm.sample(model, sm.RandomStream(2026).substream(0), cfg.n), cfg)
     screened = [k for k, flag in enumerate(traj.screened, 1) if flag]
     assert 0 < len(screened) < cfg.n
     assert sum(k > cfg.n // 2 for k in screened) > 0
@@ -224,7 +225,8 @@ def test_event_inclusion_per_trial():
     cfg = sm.ScreenConfig(epsilon=0.3, u=0.05, n=50)
     screened_err = unscreened_err = 0
     for t in range(500):
-        traj = sm.run_trajectory(model, pair, cfg, sm.RandomStream(8).substream(t))
+        x = sm.sample(model, sm.RandomStream(8).substream(t), cfg.n)
+        traj = sm.run_trajectory(pair, x, cfg)
         err = traj.s_hat[-1] - pair.mu > cfg.epsilon
         unscreened_err += err
         screened_err += err and traj.screened[-1]
