@@ -288,15 +288,22 @@ def thm31_ii_exponent_at(pair: ObservablePair, epsilon: float, u: float, alpha):
 
 
 def bound_thm31_ii(pair: ObservablePair, epsilon: float, u: float) -> BoundReport:
-    """Covariance-aware exponent, optimized over the free parameter.
-
-    Dense grid (step 1e-4, evaluated in one array call) plus
-    golden-section refinement around the best grid point; the zero-event
-    certificate takes precedence.
-    """
+    """Covariance-aware exponent, optimized over the free parameter: the
+    zero-event certificate, and where it fails ``thm31_ii_search``."""
     _require_normalized(pair)
     if zero_event_check(pair, epsilon, u):
         return BoundReport(method="zero_event", exponent=math.inf, zero_event=True)
+    return thm31_ii_search(pair, epsilon, u)
+
+
+def thm31_ii_search(pair: ObservablePair, epsilon: float, u: float) -> BoundReport:
+    """``bound_thm31_ii`` past a failed certificate: the search over alpha.
+
+    Dense grid (step 1e-4, evaluated in one array call) plus
+    golden-section refinement around the best grid point.  Gamma enters
+    the search but not the certificate, so a pair whose certificate
+    failed needs only this at another gamma.
+    """
 
     def neg_exponent(alpha):
         return -thm31_ii_exponent_at(pair, epsilon, u, alpha)

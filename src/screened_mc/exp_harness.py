@@ -39,7 +39,8 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .bound_engine import (
     bound_thm31_ii,
     bound_thm31_iii,
     normalize_observables,
+    thm31_ii_search,
 )
 from .dist_models import (
     AbsCentered,
@@ -220,10 +222,27 @@ def _observables(value, where: str) -> dict:
     return _section(value, {"f": (_form, True), "u": (_form, True)}, where)
 
 
+def _integer_in(low: int, bits: int | None, value, where: str) -> int:
+    """An integer >= ``low``, and below 2^``bits`` when ``bits`` is given."""
+    value = _integer(value, where)
+    if bits is None and value < low:
+        raise ConfigError(f"{where} must be >= {low}")
+    if bits is not None and not low <= value < 1 << bits:
+        raise ConfigError(f"{where} must be in [{low}, 2^{bits}), got {value}")
+    return value
+
+
+def _positive(value, where: str) -> float:
+    real = _real(value, where)
+    if not real > 0.0:
+        raise ConfigError(f"{where} must be > 0, got {value!r}")
+    return real
+
+
 _SCREEN = {
-    "epsilon": (_real, True),
-    "u": (_real, True),
-    "n": (_integer, True),
+    "epsilon": (_positive, True),
+    "u": (_positive, True),
+    "n": (partial(_integer_in, 1, None), True),
     "sidedness": (partial(_one_of, SIDEDNESS), False),
 }
 _OUTPUT = {"kind": (partial(_one_of, OUTPUT_KINDS), True), "path": (_text, True)}
@@ -240,20 +259,9 @@ def _outputs(value, where: str) -> tuple[OutputSpec, ...]:
     return outputs
 
 
-def _integer_in(low: int, bits: int | None, value, where: str) -> int:
-    """An integer >= ``low``, and below 2^``bits`` when ``bits`` is given."""
-    value = _integer(value, where)
-    if bits is None and value < low:
-        raise ConfigError(f"{where} must be >= {low}")
-    if bits is not None and not low <= value < 1 << bits:
-        raise ConfigError(f"{where} must be in [{low}, 2^{bits}), got {value}")
-    return value
-
-
 _CONFIG = {
     "model": (_model, True),
     "observables": (_observables, True),
-    # ScreenConfig checks the ranges
     "screen": (lambda value, where: ScreenConfig(**_section(value, _SCREEN, where)), True),
     "trials": (partial(_integer_in, 1, None), True),
     "seed": (partial(_integer_in, 0, 64), True),  # the SeedSequence entropy of every stream
@@ -415,8 +423,9 @@ def thm31_reports(
     pair with its exact moments.  Returns the normalized thresholds and the
     reports keyed as ``bound`` prints them: thm31_ii at the pair's gamma,
     with ``worst_gamma`` thm31_ii at gamma = -1, and thm31_iii at
-    K = u_n/eps_n.  Gamma does not enter the zero-event certificate, so an
-    event certified empty serves the gamma = -1 report as it is.
+    K = u_n/eps_n.  Gamma does not enter the zero-event certificate, so it
+    is decided once: an event certified empty serves the gamma = -1 report
+    as it is, and otherwise that report runs only the search over alpha.
     """
     if heavy_tail_policy(obs_spec, epsilon, u)[0]:
         norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
@@ -427,7 +436,7 @@ def thm31_reports(
     reports = {"thm31_ii": exact}
     if worst_gamma:
         reports["thm31_ii_worst_gamma"] = (
-            exact if exact.zero_event else bound_thm31_ii(with_gamma(norm, -1.0), eps_n, u_n)
+            exact if exact.zero_event else thm31_ii_search(with_gamma(norm, -1.0), eps_n, u_n)
         )
     reports["thm31_iii"] = bound_thm31_iii(norm, eps_n, u_n / eps_n)
     return (eps_n, u_n), reports
@@ -811,20 +820,147 @@ def run_heavy_tail_slope(
 
 def emit_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     """One row ``k,s_hat,t_hat,screened`` per step; floats carry 17 significant
-    digits (exact round trip).
+    digits (exact round trip), the bytes of ``b"%.17g" % x``."""
+    _write_file(path, _trajectory_csv(trajectory))
 
-    The columns are interleaved into one flat list and every row is
-    formatted by one bytes ``%`` call, which skips the str object per
-    float and the encoding that a str ``%`` call needs; ``%.17g`` writes
-    the same bytes as ``format(x, ".17g")``.
-    """
+
+_CSV_HEADER = b"k,s_hat,t_hat,screened\n"
+_FIELD = 24  # a positional %.17g field: sign, "0." and 3 zeros, 17 digits and a point
+_SPLITTER = 2.0**27 + 1.0  # Veltkamp's constant for doubles
+
+
+def _trajectory_csv_printf(trajectory: Trajectory) -> bytes:
+    """The CSV by one bytes ``%`` call: the reference of ``_trajectory_csv``,
+    and its path for a trajectory the kernel does not print."""
     n = len(trajectory.s_hat)
     flat: list = [0] * (4 * n)
     flat[0::4] = range(1, n + 1)
     flat[1::4] = trajectory.s_hat
     flat[2::4] = trajectory.t_hat
     flat[3::4] = trajectory.screened
-    _write_file(path, b"k,s_hat,t_hat,screened\n" + b"%d,%.17g,%.17g,%d\n" * n % tuple(flat))
+    return _CSV_HEADER + b"%d,%.17g,%.17g,%d\n" * n % tuple(flat)
+
+
+def _trajectory_csv(trajectory: Trajectory) -> bytes:
+    """The bytes of ``_trajectory_csv_printf``: one NUL-padded row per step,
+    ``k,`` from a cached table, the two fields of ``_positional_g17`` and the
+    flag, assembled as columns, transposed once, and the NULs deleted at once."""
+    n = len(trajectory.s_hat)
+    columns = np.fromiter(chain(trajectory.s_hat, trajectory.t_hat), float, 2 * n)
+    fields = _positional_g17(columns) if n else None
+    if fields is None:
+        return _trajectory_csv_printf(trajectory)
+    labels = _step_labels(n)
+    w = len(labels)
+    rows = np.empty((w + 2 * _FIELD + 4, n), np.uint8)
+    rows[:w] = labels
+    rows[w : w + _FIELD] = fields[:, :n]
+    rows[w + _FIELD] = rows[-3] = ord(",")
+    rows[w + _FIELD + 1 : -3] = fields[:, n:]
+    rows[-2] = np.fromiter(trajectory.screened, np.uint8, n) + ord("0")
+    rows[-1] = ord("\n")
+    return _CSV_HEADER + rows.T.tobytes().translate(None, b"\0")
+
+
+@lru_cache(maxsize=4)
+def _step_labels(n: int) -> np.ndarray:
+    """The text ``k,`` of k = 1..n as NUL-padded uint8 columns, step k in column k - 1."""
+    labels = np.array([b"%d," % k for k in range(1, n + 1)])
+    return np.ascontiguousarray(labels.view(np.uint8).reshape(n, labels.itemsize).T)
+
+
+@lru_cache(maxsize=1)
+def _g17_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's lookup tables, built on first use, not at import:
+
+    - 10^k for k = 0..22, every one an exact double, and its Veltkamp halves;
+    - the four ASCII digits of each of 0..9999 as one native uint32 word;
+    - the text "0.000" that leads the digits of an X < 0, and for each of
+      its bytes the least -X that shows it.
+    """
+    pow10 = np.array([float(10**k) for k in range(23)])
+    c = _SPLITTER * pow10
+    pow_hi = c - (c - pow10)
+    i = np.arange(10**4)
+    quads = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    words = np.ascontiguousarray(quads, np.uint8).view(np.uint32).ravel()
+    head = np.frombuffer(b"0.000", np.uint8)[:, None]
+    shown_from = np.array([1, 1, 2, 3, 4], np.uint8)[:, None]
+    return pow10, pow_hi, pow10 - pow_hi, words, head, shown_from
+
+
+def _positional_g17(values: np.ndarray) -> np.ndarray | None:
+    """``b"%.17g" % x`` of each x in ``values`` as a NUL-padded column of
+    ``_FIELD`` uint8; None unless every x is finite, nonzero and printed
+    positionally (decimal exponent X of x rounded to 17 digits in -4..16).
+
+    The exponent X is the k = 16 - X with 10^16 <= |x| 10^k < 10^17, and
+    the 17-digit significand is N = round(|x| 10^k), half to even; a
+    significand rounded up to 10^17 carries into X.  Both are exact:
+    Dekker's TwoProduct gives |x| 10^k = p + err with no rounding, which
+    decides the bounds, and p lies at or above 2^53 so is an even integer,
+    so p + rint(err) is the half-even rounding of p + err.  The guess
+    X = floor(log10|x|) is corrected until the bounds hold, so no bit of
+    ``log10`` reaches the output.  The layout works on columns of bytes,
+    one column per value, with products of masks in place of ``np.where``.
+    """
+    a = np.abs(values)
+    if not 1e-5 <= a.min() <= a.max() < 1e17:  # also False on nan
+        return None
+    pow10, pow_hi, pow_lo, words, head, shown_from = _g17_tables()
+    x = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    for _ in range(2):  # a guess one off, near a power of ten
+        k = 16 - x
+        p = a * pow10[k]
+        err = ((a_hi * pow_hi[k] - p) + a_hi * pow_lo[k] + a_lo * pow_hi[k]) + a_lo * pow_lo[k]
+        shift = _at_least(p, err, 1e17).astype(np.intp) - ~_at_least(p, err, 1e16)
+        if not shift.any():
+            break
+        x += shift
+        if not -4 <= x.min() <= x.max() <= 16:
+            return None
+    else:
+        return None
+    sig = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    carry = sig == 10**17
+    if carry.any():
+        sig[carry] = 10**16
+        x += carry
+        if x.max() > 16:
+            return None
+    # digits: the first, then four words of four from the table
+    m = a.size
+    top, upper = sig // 10**16, sig // 10**8
+    halves = np.stack([upper - top * 10**8, sig - upper * 10**8])
+    quads = np.empty((2, 2, m), np.int64)
+    quads[:, 0] = halves // 10**4
+    quads[:, 1] = halves - quads[:, 0] * 10**4
+    digits = np.empty((18, m), np.uint8)  # 17 and a NUL
+    digits[0] = top + ord("0")
+    quad_digits = words[quads.reshape(4, m)].view(np.uint8).reshape(4, m, 4)
+    digits[1:17] = quad_digits.transpose(0, 2, 1).reshape(16, m)
+    digits[17] = 0
+    # layout: trailing fraction zeros dropped, a point after digit X >= 0 unless bare
+    place = np.arange(18, dtype=np.uint8)[:, None]
+    keep = np.maximum(((digits[:17] != ord("0")) * place[:17]).max(axis=0), x) + 1
+    digits *= place < keep.astype(np.uint8)
+    point = np.where(x >= 0, x + 1, 18).astype(np.uint8)
+    field = np.empty((_FIELD, m), np.uint8)
+    field[0] = (values < 0) * np.uint8(ord("-"))
+    field[1:6] = (shown_from <= np.clip(-x, 0, 4).astype(np.uint8)) * head
+    body = field[6:]
+    np.multiply(digits, place < point, out=body)
+    body[1:] += digits[:17] * (place[1:] > point)
+    body += (place == point) * ((keep > x + 1) * np.uint8(ord(".")))
+    return field
+
+
+def _at_least(p: np.ndarray, err: np.ndarray, bound: float) -> np.ndarray:
+    """p + err >= bound, exactly, where p is p + err rounded and bound is a double."""
+    return (p > bound) | ((p == bound) & (err >= 0.0))
 
 
 def canonicalize(obj):

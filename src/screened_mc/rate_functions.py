@@ -110,6 +110,11 @@ def _newton_step(theta: np.ndarray, grad: np.ndarray, curvature: np.ndarray) -> 
         free.remove(min(blocked, key=grad.__getitem__))
 
 
+def _plain(v: np.ndarray) -> tuple[float, ...]:
+    """A point as plain floats, for an error message to print."""
+    return tuple(map(float, v))
+
+
 def _line_search(value, theta, v, step, slope, floor, last=False):
     """Armijo search along ``step``, cut where it leaves the orthant.
 
@@ -128,7 +133,7 @@ def _line_search(value, theta, v, step, slope, floor, last=False):
         point[out[cut <= alpha]] = 0.0  # what the step zeroes lands on 0 exactly
         fv = value(point)
         if math.isnan(fv):
-            raise NumericError(f"objective evaluated to NaN at {tuple(point)}")
+            raise NumericError(f"objective evaluated to NaN at {_plain(point)}")
         return fv, point
 
     alpha = min(1.0, limit)
@@ -182,7 +187,7 @@ def legendre_sup(
     for _ in range(NEWTON_MAX_ITER):
         v, grad, hess = derivatives(theta)
         if not (np.isfinite(v) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            raise NumericError(f"objective or its derivatives not finite at {tuple(theta)}")
+            raise NumericError(f"objective or its derivatives not finite at {_plain(theta)}")
         step = _newton_step(theta, grad, -hess)
         decrement, scale = float(grad @ step), 1.0 + abs(v)
         point, floor = None, _RESOLUTION * scale
@@ -198,7 +203,7 @@ def legendre_sup(
             if point is None and reached == -math.inf:
                 return v, theta
             if point is None and decrement > _DECREMENT_NOISE * scale:
-                raise NumericError(f"no Newton ascent from {tuple(theta)} ({decrement=:.3g})")
+                raise NumericError(f"no Newton ascent from {_plain(theta)} ({decrement=:.3g})")
         if point is None:
             # the value oracle no longer resolves the gain: full steps while the KKT residual falls
             pg = np.where(theta > 0.0, grad, np.maximum(grad, 0.0))
@@ -206,10 +211,12 @@ def legendre_sup(
             if polished and kkt <= _KKT_TOL * scale:
                 return v, theta
             if kkt >= last_kkt:
-                raise NumericError(f"Newton ascent stalled at {tuple(theta)} ({grad=})")
+                raise NumericError(
+                    f"Newton ascent stalled at {_plain(theta)} (grad={_plain(grad)})"
+                )
             point, _ = _line_search(value, theta, v, step, decrement, floor, last=True)
             if point is None:
-                raise NumericError(f"a converged Newton step leaves the domain at {tuple(theta)}")
+                raise NumericError(f"a converged Newton step leaves the domain at {_plain(theta)}")
             polished, last_kkt = True, kkt
         else:
             polished, last_kkt = False, math.inf

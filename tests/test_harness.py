@@ -86,6 +86,21 @@ def test_parse_config_rejects_duplicate_paths_and_bad_kinds():
         parse_config(heavy_tail_config(trials=0))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("epsilon", 0.0, "screen.epsilon must be > 0, got 0.0"),
+        ("u", -0.5, "screen.u must be > 0, got -0.5"),
+        ("n", 0, "screen.n must be >= 1"),
+    ],
+)
+def test_screen_range_errors_name_their_field(field, value, message):
+    doc = heavy_tail_config()
+    doc["screen"] = dict(doc["screen"], **{field: value})
+    with pytest.raises(sm.ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(doc)
+
+
 def test_build_pair_from_forms():
     model = build_model({"kind": "finite_support", "atoms": [1.0, 2.0], "probs": [0.5, 0.5]})
     pair = build_pair(

@@ -69,6 +69,25 @@ def test_legendre_sup_nan_objective_raises():
         sm.legendre_sup(value, derivatives, dim=1)
 
 
+@pytest.mark.parametrize(
+    "oracles, message",
+    [
+        # a gradient that never falls: the polished step stalls on its second pass
+        (
+            (lambda t: 0.0, lambda t: 1e-6, lambda t: -1e6),
+            "Newton ascent stalled at (1e-12,) (grad=(1e-06,))",
+        ),
+        ((lambda t: math.nan,) * 3, "objective or its derivatives not finite at (0.0,)"),
+    ],
+    ids=["stalled", "not_finite"],
+)
+def test_legendre_sup_failures_print_plain_floats(oracles, message):
+    value, derivatives = _objective_1d(*oracles)
+    with pytest.raises(sm.NumericError) as info:
+        sm.legendre_sup(value, derivatives, dim=1)
+    assert str(info.value) == message
+
+
 def test_legendre_sup_iteration_cap_raises(monkeypatch):
     # the two-point rate at eps = 1 is log 2, reached only as theta -> inf;
     # Newton then advances about 1/2 per step, so two steps cannot finish
