@@ -265,16 +265,20 @@ def thm31_ii_exponent_at(pair: ObservablePair, epsilon: float, u: float, alpha):
     its limit as m grows.
     """
     _require_normalized(pair)
-    grid = isinstance(alpha, np.ndarray)
     inside = (0.0 < alpha) & (alpha < 1.0)
-    if not (inside.all() if grid else inside):
+    if not (inside.all() if isinstance(alpha, np.ndarray) else inside):
         raise DomainError("alpha must lie in (0, 1)")
     beta = alpha * epsilon / u
-    m = margin(pair, beta)
+    return _thm31_ii_objective(pair.gamma, epsilon, alpha, beta, margin(pair, beta))
+
+
+def _thm31_ii_objective(gamma: float, epsilon: float, alpha, beta, m):
+    """``thm31_ii_exponent_at`` from the margin m at beta = alpha eps/u, unchecked."""
+    grid = isinstance(alpha, np.ndarray)
     empty, unbounded = m <= 0.0, m == math.inf
     if not grid and (empty or unbounded):
         return math.inf if empty else 0.0
-    sigma2 = 1.0 + beta * beta - 2.0 * beta * pair.gamma
+    sigma2 = 1.0 + beta * beta - 2.0 * beta * gamma
     if grid:
         m = np.where(unbounded, 0.0, m)
     denom = np.where(empty | unbounded, 1.0, m * m + sigma2) if grid else m * m + sigma2
@@ -287,29 +291,63 @@ def thm31_ii_exponent_at(pair: ObservablePair, epsilon: float, u: float, alpha):
     return np.where(empty, math.inf, value) if grid else value
 
 
-def bound_thm31_ii(pair: ObservablePair, epsilon: float, u: float) -> BoundReport:
+class AlphaGrid:
+    """thm31_ii's alpha grid (step 1e-4) at (epsilon, u), and the margin on it.
+
+    Gamma enters neither, so the searches of one request at the pair's
+    gamma and at gamma = -1 share one array margin call, made on first
+    use: an event certified empty makes none.  Build one per request.
+    """
+
+    def __init__(self, pair: ObservablePair, epsilon: float, u: float):
+        self.pair, self.epsilon, self.u = pair, epsilon, u
+
+    @functools.cached_property
+    def values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(alphas, betas, margins) on the grid."""
+        alphas = np.arange(1e-4, 1.0, 1e-4)
+        betas = alphas * self.epsilon / self.u
+        return alphas, betas, margin(self.pair, betas)
+
+
+def bound_thm31_ii(
+    pair: ObservablePair, epsilon: float, u: float, grid: AlphaGrid | None = None
+) -> BoundReport:
     """Covariance-aware exponent, optimized over the free parameter: the
     zero-event certificate, and where it fails ``thm31_ii_search``."""
     _require_normalized(pair)
     if zero_event_check(pair, epsilon, u):
         return BoundReport(method="zero_event", exponent=math.inf, zero_event=True)
-    return thm31_ii_search(pair, epsilon, u)
+    return thm31_ii_search(pair, epsilon, u, grid)
 
 
-def thm31_ii_search(pair: ObservablePair, epsilon: float, u: float) -> BoundReport:
+def thm31_ii_search(
+    pair: ObservablePair, epsilon: float, u: float, grid: AlphaGrid | None = None
+) -> BoundReport:
     """``bound_thm31_ii`` past a failed certificate: the search over alpha.
 
     Dense grid (step 1e-4, evaluated in one array call) plus
     golden-section refinement around the best grid point.  Gamma enters
     the search but not the certificate, so a pair whose certificate
-    failed needs only this at another gamma.
+    failed needs only this at another gamma; ``grid``, an ``AlphaGrid``
+    of a pair with the same margin oracle at the same thresholds, lends
+    it the margin already evaluated.  The pair is checked once here: the
+    refinement stays inside the grid's span of (0, 1).
     """
+    _require_normalized(pair)
+    if grid is None:
+        grid = AlphaGrid(pair, epsilon, u)
+    if (grid.pair.margin, grid.epsilon, grid.u) != (pair.margin, epsilon, u):
+        raise PreconditionError("the alpha grid was evaluated for another margin or thresholds")
+    gamma = pair.gamma
 
     def neg_exponent(alpha):
-        return -thm31_ii_exponent_at(pair, epsilon, u, alpha)
+        beta = alpha * epsilon / u
+        return -_thm31_ii_objective(gamma, epsilon, alpha, beta, margin(pair, beta))
 
-    alphas = np.arange(1e-4, 1.0, 1e-4)
-    a_star, neg = grid_min(neg_exponent, alphas, neg_exponent(alphas))
+    alphas, betas, margins = grid.values
+    values = -_thm31_ii_objective(gamma, epsilon, alphas, betas, margins)
+    a_star, neg = grid_min(neg_exponent, alphas, values)
     return BoundReport(method="thm31_ii", exponent=-neg, alpha_star=a_star)
 
 

@@ -280,6 +280,10 @@ class DistributionModel:
     def is_finite(self) -> bool:
         return self.kind == KIND_FINITE
 
+    @functools.cached_property
+    def _log_probs(self) -> np.ndarray:
+        return np.log(self.probs)
+
 
 def pareto_like() -> DistributionModel:
     return DistributionModel(kind=KIND_PARETO)
@@ -530,7 +534,7 @@ _PANEL_CAP = 1280  # dyadic panels k < 1280 reach q = 2**-1280, x = 2**512
 
 @functools.lru_cache(maxsize=256)
 def _panel_block_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/log-weights for panels k0..k0+block-1, flattened."""
+    """Nodes x = q**(-2/5) and log-weights for panels k0..k0+block-1, flattened."""
     nodes, weights = np.polynomial.legendre.leggauss(32)
     half = 0.5 * (nodes + 1.0)
     ks = np.arange(k0, k0 + _PANEL_BLOCK)
@@ -538,7 +542,7 @@ def _panel_block_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     lo = hi / 2.0
     q = lo + half[None, :] * (hi - lo)
     logw = np.log(weights)[None, :] + np.log(0.5 * (hi - lo))
-    return q.ravel(), logw.ravel()
+    return q.ravel() ** (-0.4), logw.ravel()
 
 
 def _pareto_log_exp_integral(h: Callable) -> tuple[float, np.ndarray, np.ndarray]:
@@ -560,8 +564,7 @@ def _pareto_log_exp_integral(h: Callable) -> tuple[float, np.ndarray, np.ndarray
     last_max = math.inf
     xs, logterms = [], []
     for k0 in range(0, _PANEL_CAP, _PANEL_BLOCK):
-        q, logw = _panel_block_nodes(k0)
-        x = q ** (-0.4)
+        x, logw = _panel_block_nodes(k0)
         vals = np.asarray(h(x), dtype=float)
         if np.any(np.isnan(vals)):
             raise NumericError(f"log-MGF integrand produced NaN near panel k={k0}")
@@ -596,12 +599,31 @@ def _node_values(pair: ObservablePair, x: np.ndarray) -> np.ndarray:
     return fu
 
 
+_LAST_LOG_MGF: tuple = (None, None, None, None)  # the last (model, pair, key, result)
+
+
 def _log_mgf_nodes(model: DistributionModel, pair: ObservablePair, a: float, b: float):
     """log E[exp(a F(X) + b U(X))], its nodes (atoms or quadrature nodes) and
-    log-terms; the nodes and terms are None when the integral diverges."""
+    log-terms; the nodes and terms are None when the integral diverges.
+
+    The last result is kept for the same (model, pair) objects and the same
+    (a, b), signs of zeros included: a Newton step's derivatives come at the
+    point its line search has just evaluated.  Callers do not write to it.
+    """
+    global _LAST_LOG_MGF
+    key = (a, b, math.copysign(1.0, a), math.copysign(1.0, b))
+    last_model, last_pair, last_key, result = _LAST_LOG_MGF
+    if last_model is not model or last_pair is not pair or last_key != key:
+        result = _log_mgf_eval(model, pair, a, b)
+        _LAST_LOG_MGF = (model, pair, key, result)
+    return result
+
+
+def _log_mgf_eval(model: DistributionModel, pair: ObservablePair, a: float, b: float):
+    """``_log_mgf_nodes`` evaluated afresh."""
     if model.is_finite:
         fu = _node_values(pair, model.atoms)
-        terms = np.log(model.probs) + a * fu[0] + b * fu[1]
+        terms = model._log_probs + a * fu[0] + b * fu[1]
         return _logsumexp(terms), model.atoms, terms
 
     # divergence is decided by metadata, not by numeric overflow

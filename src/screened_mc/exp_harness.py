@@ -47,6 +47,7 @@ import numpy as np
 from . import __version__
 from ._optim import grid_min
 from .bound_engine import (
+    AlphaGrid,
     BoundReport,
     CONSTANT_III_QUOTED,
     CONSTANT_IV_QUOTED,
@@ -426,17 +427,22 @@ def thm31_reports(
     K = u_n/eps_n.  Gamma does not enter the zero-event certificate, so it
     is decided once: an event certified empty serves the gamma = -1 report
     as it is, and otherwise that report runs only the search over alpha.
+    Gamma does not enter the margin either, so both searches read the
+    margin on the alpha grid from one ``AlphaGrid``, which dies with the call.
     """
     if heavy_tail_policy(obs_spec, epsilon, u)[0]:
         norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
     else:
         norm = normalize_observables(pair)
     eps_n, u_n = norm.map_thresholds(epsilon, u)
-    exact = bound_thm31_ii(norm, eps_n, u_n)
+    grid = AlphaGrid(norm, eps_n, u_n)
+    exact = bound_thm31_ii(norm, eps_n, u_n, grid)
     reports = {"thm31_ii": exact}
     if worst_gamma:
         reports["thm31_ii_worst_gamma"] = (
-            exact if exact.zero_event else thm31_ii_search(with_gamma(norm, -1.0), eps_n, u_n)
+            exact
+            if exact.zero_event
+            else thm31_ii_search(with_gamma(norm, -1.0), eps_n, u_n, grid)
         )
     reports["thm31_iii"] = bound_thm31_iii(norm, eps_n, u_n / eps_n)
     return (eps_n, u_n), reports

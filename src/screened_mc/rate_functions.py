@@ -43,6 +43,7 @@ from .dist_models import DistributionModel, ObservablePair, log_mgf_signed, tilt
 from .errors import CapabilityError, NumericError
 
 THETA_MAX_CERTIFY = 2.0**60
+_CERTIFY_BETAS = 2.0 ** np.arange(-30, 31)  # the emptiness certificate's beta grid
 DELTA_CLAMP_TOL = 1e-6
 NEWTON_MAX_ITER = 100
 _ARMIJO = 1e-4  # fraction of the predicted ascent a step must realize
@@ -235,6 +236,7 @@ def _tilt_sup(
     """
     dim = len(c)
     s, c = np.asarray(signs[:dim], dtype=float), np.asarray(c, dtype=float)
+    ss = np.outer(s, s)
 
     def coefficients(theta: np.ndarray) -> tuple[float, float]:
         return float(s[0] * theta[0]), float(s[1] * theta[1]) if dim == 2 else 0.0
@@ -245,7 +247,7 @@ def _tilt_sup(
 
     def derivatives(theta: np.ndarray):
         lam, mean, cov = tilted_moments(model, pair, *coefficients(theta))
-        return float(theta @ c) - lam, c - s * mean[:dim], -cov[:dim, :dim] * np.outer(s, s)
+        return float(theta @ c) - lam, c - s * mean[:dim], -cov[:dim, :dim] * ss
 
     return legendre_sup(value, derivatives, dim)
 
@@ -285,7 +287,7 @@ def _event_is_empty(sup_oracle, c1: float, c2: float) -> bool:
     does not suffice: the event is closed, so a law with
     mean G1 + beta mean G2 = sup[G1 + beta G2] may still lie in it.
     """
-    return min_convex_gap(sup_oracle, c1, c2, 2.0 ** np.arange(-30, 31)) < 0.0
+    return min_convex_gap(sup_oracle, c1, c2, _CERTIFY_BETAS) < 0.0
 
 
 def rate_plus_star(

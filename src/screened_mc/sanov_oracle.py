@@ -234,11 +234,15 @@ def _primal_descent(
         grad = np.log(safe / p) + 1.0
         return value, grad
 
+    # one callable for every half-space: SLSQP stacks them in this order anyway
+    neg_a = -np.array([a for a, _ in all_hs])
     constraints = [
-        {"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones_like(q)}
-    ] + [
-        {"type": "ineq", "fun": lambda q, a=a, b=b: b - float(a @ q), "jac": lambda q, a=a: -a}
-        for a, b in all_hs
+        {"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones_like(q)},
+        {
+            "type": "ineq",
+            "fun": lambda q: np.array([b - float(a @ q) for a, b in all_hs]),
+            "jac": lambda q: neg_a,
+        },
     ]
     res = minimize(
         objective, q0, jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * len(p),

@@ -749,6 +749,33 @@ def test_bound_decides_the_zero_event_certificate_once(tmp_path, monkeypatch, ca
     assert len(searches) == (0 if zero_event else 2)
 
 
+def test_finite_bound_shares_the_alpha_grid_margin(tmp_path, monkeypatch, capsys):
+    # one array call for the certificate's beta grid and one for the alpha
+    # grid of both searches; the failed certificate is settled on its grid
+    calls, in_certificate = [], []
+    real_margin, real_check = bound_engine.margin, bound_engine.zero_event_check
+
+    def margin(pair, beta):
+        calls.append((bool(in_certificate), isinstance(beta, np.ndarray)))
+        return real_margin(pair, beta)
+
+    def check(*args):
+        in_certificate.append(True)
+        try:
+            return real_check(*args)
+        finally:
+            in_certificate.clear()
+
+    monkeypatch.setattr(bound_engine, "margin", margin)
+    monkeypatch.setattr(bound_engine, "zero_event_check", check)
+    cfg = write_config(tmp_path, _REPORT_CONFIGS["finite_four_atoms"])
+    assert main(["bound", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["zero_event"] is False and "thm31_ii_worst_gamma" in doc
+    assert calls.count((True, True)) == 1 and (True, False) not in calls
+    assert calls.count((False, True)) == 1 and (False, False) in calls
+
+
 def test_prop11_constants_are_optimized_once_per_process(monkeypatch):
     calls = []
     _count_calls(monkeypatch, bound_engine, "_maximize_restricted", calls)

@@ -94,3 +94,77 @@ def test_min_convex_gap_evaluates_its_grid_in_one_call():
     grids = [x for x, _ in calls if isinstance(x, np.ndarray)]
     assert len(grids) == 1 and grids[0].shape == (61,)
     assert all(type(x) is float for x, _ in calls[1:])
+
+
+def _table_oracle(g1, g2, beta_inf):
+    """sup over a table's rows of g1 + beta g2, +inf below beta_inf."""
+    rows = list(zip(g1.tolist(), g2.tolist()))
+
+    def sup(beta):
+        if isinstance(beta, np.ndarray):
+            values = np.max(g1[:, None] + beta[None, :] * g2[:, None], axis=0)
+            return np.where(beta < beta_inf, math.inf, values)
+        if beta < beta_inf:
+            return math.inf
+        return max(a + beta * b for a, b in rows)
+
+    return sup
+
+
+# the rate certificate's grid and the zero-event grid at eps/u = 20 and 1.5
+_GAP_GRIDS = [2.0 ** np.arange(-30, 31)] + [
+    np.geomspace(hi * 1e-9, hi * (1.0 - 1e-12), 256) for hi in (20.0, 1.5)
+]
+
+
+def test_min_convex_gap_decides_as_the_full_refinement():
+    rng = np.random.default_rng(20261019)
+    grid_decided = refined = 0
+    for case in range(2000):
+        grid = _GAP_GRIDS[case % 3]
+        m = int(rng.integers(2, 9))
+        g1, g2 = rng.normal(size=m), rng.normal(size=m)
+        beta_inf = float(grid[rng.integers(1, 40)]) if case % 5 == 0 else 0.0
+        sup = _table_oracle(g1, g2, beta_inf)
+        # a touching point inside the grid, or a gap monotone toward either end
+        where = case % 4
+        if where == 0:
+            c2 = float(g2.min()) - rng.uniform(0.0, 1.0)  # the gap rises: best at the left end
+            beta0 = float(grid[0])
+        elif where == 1:
+            c2 = float(g2.max()) + rng.uniform(0.0, 1.0)  # the gap falls: best at the right end
+            beta0 = float(grid[-1])
+        else:
+            c2 = float(rng.normal())
+            beta0 = float(np.exp(rng.uniform(np.log(grid[0]), np.log(grid[-1]))))
+        beta0 = max(beta0, beta_inf)
+        s0 = sup(beta0)
+        scale = abs(s0) + abs(beta0 * c2) + 1.0
+        # 1e-12 to 1 of the terms' size from the boundary; every seventh case
+        # closer, down to the rounding of the terms, where only a refinement decides
+        low = -18.0 if case % 7 == 0 else -12.0
+        offset = 0.0 if case % 50 == 0 else 10.0 ** rng.uniform(low, 0.0) * scale
+        c1 = s0 - beta0 * c2 + (offset if case % 2 else -offset)
+
+        calls = []
+
+        def counted(beta):
+            calls.append(beta)
+            return sup(beta)
+
+        result = min_convex_gap(counted, c1, c2, grid)
+
+        def gap(beta):
+            return sup(beta) - (c1 + beta * c2)
+
+        _, reference = grid_min(gap, grid, gap(grid), log=True)
+        assert (result <= 0.0) == (reference <= 0.0), (case, result, reference)
+        assert (result < 0.0) == (reference < 0.0), (case, result, reference)
+        if result > 0.0:
+            assert reference > 0.0
+        if len(calls) == 1:
+            grid_decided += 1
+        else:
+            refined += 1
+    # both routes are exercised
+    assert grid_decided > 1000 and refined > 50
