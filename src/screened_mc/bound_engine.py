@@ -382,17 +382,19 @@ def _restricted_objective_cov(alpha: float | np.ndarray) -> float | np.ndarray:
     return 0.5 * (num / den) ** 2
 
 
-# the worked example's alpha grid, evaluated in blocks: whole-grid temporaries
+# the worked example's alpha grid is evaluated in blocks: whole-grid temporaries
 # (0.8 MB each) were paged in afresh on every call, ~1000 page faults
-_RESTRICTED_ALPHAS = np.arange(3.0 / 80.0, 1.0, 1e-5)
 _BLOCK = 8192
 
 
 def _maximize_restricted(fn: Callable[[float], float]) -> tuple[float, float]:
-    values = np.empty_like(_RESTRICTED_ALPHAS)
+    # the 96,250-point grid is built per call, not at import: only the cached
+    # _optimized_constants calls this, once per objective and process
+    alphas = np.arange(3.0 / 80.0, 1.0, 1e-5)
+    values = np.empty_like(alphas)
     for i in range(0, len(values), _BLOCK):
-        values[i : i + _BLOCK] = -fn(_RESTRICTED_ALPHAS[i : i + _BLOCK])
-    a_star, neg = grid_min(lambda a: -fn(a), _RESTRICTED_ALPHAS, values)
+        values[i : i + _BLOCK] = -fn(alphas[i : i + _BLOCK])
+    a_star, neg = grid_min(lambda a: -fn(a), alphas, values)
     return a_star, -neg
 
 

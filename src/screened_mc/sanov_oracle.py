@@ -9,9 +9,10 @@ cross-checked:
 (a) the dual route: the minimizer is the exponential tilt
     q*_j proportional to p_j * exp(th1 f_j - th2 u_j) at the maximizing
     tilt of the Fenchel rate, then projected back onto E;
-(b) the primal route: direct constrained minimization over the simplex
-    starting from the Euclidean projection of P onto E, sharing nothing
-    with the tilt parameterization.
+(b) the primal route: Newton's method on Q itself over the simplex,
+    started from P mixed with the vertex of largest mean F and stopped
+    by a Lagrange-dual gap certificate at its own multipliers, sharing
+    no code with (a).
 
 Agreement of (a), (b) and the Fenchel value is the package's strongest
 internal consistency check: two convex solvers and one concave solver
@@ -24,16 +25,22 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize, nnls
+from scipy.optimize import nnls
 
 from .dist_models import DistributionModel, ObservablePair, finite_support, tabulated_pair
 from .errors import CapabilityError, InputError, NumericError
 from .rate_functions import _lambda_star_detail, rate_plus_star_detail
 
+# unused here: perfbench/layers.py traces these names as sanov_oracle attributes
+from scipy.optimize import linprog, minimize
+
 SUPPORT_CAP = 64
 _FEAS_TOL = 1e-9
-# the primal route starts where every atom keeps this share of its mass
-START_FLOOR = 1e-2
+# the primal Newton run: its step cap, its certified relative gap, and the
+# squared Newton decrement below which it takes full steps and drops rows
+_NEWTON_CAP = 50
+_CERT_GAP = 1e-14
+_SMALL_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,8 @@ class SanovResult:
     degenerate: bool = False
     primal_entropy: float = math.inf
     dual_entropy: float = math.inf
-    primal_converged: bool | None = None  # SLSQP status; None when no primal solve ran
+    # the primal run certified its Lagrange-dual gap; None when no primal solve ran
+    primal_converged: bool | None = None
 
     def to_dict(self) -> dict:
         q_star = None if self.q_star is None else [float(v) for v in self.q_star]
@@ -118,6 +126,43 @@ def _project_constrained_simplex(
 # ---------------------------------------------------------------------------
 
 
+def _vertices(
+    f: np.ndarray, halfspaces: list[tuple[np.ndarray, float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The vertices of the screened simplex as (i, j, t, mean F).
+
+    Vertex k puts mass t[k] on atom i[k] and the rest on atom j[k].  The
+    half-spaces are the screen: none, one, or the two sides of a slab of
+    positive width, so a point on one boundary lies inside the other.  A
+    vertex is then a single atom inside every half-space (i = j, t = 1),
+    or the mixture of two atoms on opposite sides of one boundary that
+    lies on it: m atoms and at most m(m-1)/2 pairs per boundary.
+    """
+    inside = np.ones(f.size, dtype=bool)
+    for a, b in halfspaces:
+        inside &= a <= b
+    atoms = np.flatnonzero(inside)
+    i_parts, j_parts, t_parts = [atoms], [atoms], [np.ones(atoms.size)]
+    i, j = np.triu_indices(f.size, 1)
+    for a, b in halfspaces:
+        # the pairs strictly on opposite sides of the boundary a.q = b
+        cross = ((a[i] < b) & (a[j] > b)) | ((a[i] > b) & (a[j] < b))
+        ii, jj = i[cross], j[cross]
+        i_parts.append(ii)
+        j_parts.append(jj)
+        t_parts.append((b - a[jj]) / (a[ii] - a[jj]))  # the mass on atom ii
+    i, j, t = (np.concatenate(parts) for parts in (i_parts, j_parts, t_parts))
+    return i, j, t, t * f[i] + (1.0 - t) * f[j]
+
+
+def _classify(f_max: float, f_target: float) -> tuple[bool, bool]:
+    """(feasible, degenerate) for the largest reachable mean F ``f_max``."""
+    scale = 1.0 + abs(f_target)
+    if f_max < f_target - _FEAS_TOL * scale:
+        return False, False
+    return True, f_max <= f_target + _FEAS_TOL * scale
+
+
 def _feasibility(
     f: np.ndarray,
     halfspaces: list[tuple[np.ndarray, float]],
@@ -125,34 +170,15 @@ def _feasibility(
 ) -> tuple[bool, bool]:
     """(feasible, degenerate): can int F dQ reach f_target under the half-spaces?
 
-    The half-spaces are the screen: none, one, or the two sides of a slab
-    of positive width, so a point on one boundary lies inside the other.
-    The largest mean F over the simplex they cut is a linear program,
-    attained at a vertex: a single atom inside every half-space, or a
-    mixture of two atoms on one boundary.  The maximum is the best of
-    these m atoms and at most m(m-1)/2 pairs per boundary, enumerated
-    exactly: no solver and no solver tolerance.
+    The largest mean F over the simplex the half-spaces cut is a linear
+    program, attained at a vertex, so it is the best of the enumerated
+    vertices: no solver and no solver tolerance.
 
     Degenerate means the target is attained only with equality, i.e. the
     feasible set is a face on which the F constraint is active for every
     point.
     """
-    inside = np.ones(f.size, dtype=bool)
-    for a, b in halfspaces:
-        inside &= a <= b
-    f_max = float(f[inside].max(initial=-math.inf))
-    i, j = np.triu_indices(f.size, 1)
-    for a, b in halfspaces:
-        # the pairs strictly on opposite sides of the boundary a.q = b
-        cross = ((a[i] < b) & (a[j] > b)) | ((a[i] > b) & (a[j] < b))
-        ii, jj = i[cross], j[cross]
-        t = (b - a[jj]) / (a[ii] - a[jj])  # the mass on atom ii
-        f_max = max(f_max, float((t * f[ii] + (1.0 - t) * f[jj]).max(initial=-math.inf)))
-    scale = 1.0 + abs(f_target)
-    if f_max < f_target - _FEAS_TOL * scale:
-        return False, False
-    degenerate = f_max <= f_target + _FEAS_TOL * scale
-    return True, degenerate
+    return _classify(float(_vertices(f, halfspaces)[3].max(initial=-math.inf)), f_target)
 
 
 # ---------------------------------------------------------------------------
@@ -195,62 +221,149 @@ def _tilted_dual(
     return q, relative_entropy(q, p)
 
 
+def _newton(
+    p: np.ndarray, g: np.ndarray, h: np.ndarray, q: np.ndarray, held: list[int]
+) -> tuple[np.ndarray, bool]:
+    """Active-set Newton for min H(q||p) subject to sum q = 1 and g q <= h.
+
+    ``q`` is a start inside every row with every entry positive; the rows
+    in ``held`` stay active, as equalities.  A step solves the Newton
+    system of the active rows C: the Hessian is diag(1/q), so
+    dq = -q (grad + C^T w), with w from one (1 + |active|)-square solve of
+    C diag(q) C^T w = -C (q grad) - r, r the active rows' residual.  It
+    goes at most 99% of the way to q = 0, stops at the first inactive row
+    it meets, which joins the active set, and backtracks (Armijo) while
+    the squared Newton decrement exceeds _SMALL_STEP.  Below that, a row
+    with a negative multiplier leaves the active set.
+
+    The run stops on a certificate, not a step rule.  At the full step
+    x = q + dq, with multipliers lam = w[1:] (>= 0 on rows not held), the
+    Lagrange dual D(lam) = -log sum_j p_j exp(-lam.(g_j - h)) bounds the
+    minimum from below, and H(x) - D(lam) = sum_j x_j phi(r_j) + lam.(h - g x),
+    with phi(r) = r - 1 + exp(-r) >= 0 and r_j = log(x_j / tilt_j), is
+    summed without cancellation.  Returns the last point and whether that
+    gap fell to _CERT_GAP (1 + H(x)), x inside every row to 1e-12, within
+    _NEWTON_CAP steps.
+    """
+    logp = np.log(p)
+    ones = np.ones((1, q.size))
+    tol = 1e-12 * (1.0 + np.abs(h))
+    active = list(held)
+    for _ in range(_NEWTON_CAP):
+        rows = np.concatenate([ones, g[active]])
+        grad = np.log(q) - logp
+        room = h - g @ q
+        cq = rows * q
+        resid = np.concatenate([[1.0 - q.sum()], room[active]])
+        try:
+            w = np.linalg.solve(cq @ rows.T, -(cq @ grad) - resid)
+        except np.linalg.LinAlgError:
+            return q, False  # the active rows are dependent on the support
+        ratio = -(grad + w @ rows)  # dq / q
+        lam = w[1:]
+        free = [k for k, row in enumerate(active) if row not in held]
+        decrement = float(q @ ratio**2)  # the squared Newton decrement
+        small = decrement <= _SMALL_STEP
+        lowest = float(ratio.min())
+        if small and lowest >= -0.99 and all(lam[k] >= 0.0 for k in free):
+            x = q + q * ratio
+            slack = h - g @ x
+            if (slack >= -tol).all():
+                log_x = np.log(x) - logp
+                tilt = lam @ (h[active, None] - g[active])
+                r = log_x - tilt + np.logaddexp.reduce(logp + tilt)
+                gap = float(x @ (np.expm1(-r) + r) + lam @ slack[active])
+                if gap <= _CERT_GAP * (1.0 + abs(float(x @ log_x))):
+                    return x, True
+        if small and free:
+            worst = min(free, key=lambda k: lam[k])
+            if lam[worst] < 0.0:
+                del active[worst]
+                continue
+        step = 1.0 if lowest >= -0.99 else -0.99 / lowest
+        dq = q * ratio
+        blocker = None
+        for k, slope in enumerate(g @ dq):
+            if slope > 0.0 and k not in active and max(room[k], 0.0) < step * slope:
+                step, blocker = max(room[k], 0.0) / slope, k
+        if not small:
+            descent, entropy = float(grad @ dq), float(q @ grad)
+            while step > 0.0:
+                trial = q + step * dq
+                if float(trial @ (np.log(trial) - logp)) <= entropy + 0.25 * step * descent:
+                    break
+                step *= 0.5
+                blocker = None
+        q = q + step * dq
+        if blocker is not None:
+            active.append(blocker)
+    return q, False
+
+
 def _primal_descent(
     p: np.ndarray,
     halfspaces: list[tuple[np.ndarray, float]],
     f: np.ndarray,
     f_floor: float,
+    vertices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    degenerate: bool,
 ) -> tuple[np.ndarray, float, bool]:
     """Primal minimization of H(q||p) over the constrained simplex.
 
-    Sequential quadratic programming with the exact entropy gradient,
-    started from the Euclidean projection of p onto the feasible laws
-    keeping START_FLOOR of every atom's mass (the plain projection where
-    there are none).  The plain projection zeroes atoms, where the entropy
-    gradient is -inf, and SLSQP then took twice the iterations, with
-    twice the spread.  The route shares nothing with the exponential-tilt
-    dual, which is the point: the two must agree to certify the rate.  First-order
-    projected-gradient schemes were tried first and crawl hopelessly
-    when the minimizer carries atoms of mass ~1e-8 (the entropy Hessian
-    is diag(1/q)), so a curvature-aware solver is a necessity here, not
-    a luxury.
+    Newton's method on q itself (``_newton``), certified by its own
+    Lagrange-dual gap.  It shares no code with the exponential-tilt dual
+    route, which is the point: the two must agree to certify the rate.
+    First-order projected-gradient schemes crawl when the minimizer
+    carries atoms of mass ~1e-8 (the Hessian is diag(1/q)).
 
-    Also returns whether SLSQP reported convergence; when it did not,
-    the result may be the starting projection.
+    The start comes from the vertex enumeration that decided feasibility.
+    Off a degenerate face it is p mixed with the max-F vertex, halfway
+    from where the mixture meets the F row to the vertex: inside every
+    row, with every atom positive.  On a degenerate face the feasible laws
+    mix the vertices that reach the target, so the run starts from their
+    centroid, on their atoms, and holds active every row tight there that
+    the others do not already fix on those atoms.
+
+    Also returns whether the gap certificate was reached.
     """
     all_hs = halfspaces + [(-f, -f_floor)]
-    q0 = _project_constrained_simplex(p, all_hs, START_FLOOR * p)
-    if q0 is None:  # no interior start: the set is thin, or only a face
-        q0 = _project_constrained_simplex(p, all_hs)
-    if q0 is None:  # empty up to the feasibility rule's tolerance
-        q0 = p
-    q0 = q0 / q0.sum()
-    floor = 1e-300
-
-    def objective(q: np.ndarray):
-        safe = np.maximum(q, floor)
-        mask = q > 0.0
-        value = float(np.sum(q[mask] * np.log(safe[mask] / p[mask])))
-        grad = np.log(safe / p) + 1.0
-        return value, grad
-
-    # one callable for every half-space: SLSQP stacks them in this order anyway
-    neg_a = -np.array([a for a, _ in all_hs])
-    constraints = [
-        {"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones_like(q)},
-        {
-            "type": "ineq",
-            "fun": lambda q: np.array([b - float(a @ q) for a, b in all_hs]),
-            "jac": lambda q: neg_a,
-        },
-    ]
-    res = minimize(
-        objective, q0, jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * len(p),
-        constraints=constraints, options={"maxiter": 800, "ftol": 1e-14},
-    )
-    candidates = [q0]
-    if res.x is not None:
-        candidates.append(np.asarray(res.x, dtype=float))
+    g = np.array([a for a, _ in all_hs])
+    h = np.array([b for _, b in all_hs])
+    i, j, t, values = vertices
+    support = np.ones(p.size, dtype=bool)
+    held: list[int] = []
+    if degenerate:
+        chosen = values >= f_floor - _FEAS_TOL * (1.0 + abs(f_floor))
+        q0 = np.zeros(p.size)
+        np.add.at(q0, i[chosen], t[chosen])
+        np.add.at(q0, j[chosen], 1.0 - t[chosen])
+        q0 /= np.count_nonzero(chosen)
+        support = q0 > 0.0
+        at_start = g @ q0
+        tight = np.abs(at_start - h) <= _FEAS_TOL * (1.0 + np.abs(h))
+        basis = np.ones((1, np.count_nonzero(support)))
+        for k in np.flatnonzero(tight):
+            trial = np.vstack([basis, g[k, support]])
+            if np.linalg.matrix_rank(trial, tol=1e-9 * np.abs(trial).max()) == len(trial):
+                basis, held = trial, held + [k]
+        # a tight row the held ones fix on the support cannot move: drop it;
+        # the held rows keep the values they have at the start
+        keep = held + [k for k in range(len(h)) if not tight[k]]
+        g, h = g[keep], np.where(tight, at_start, h)[keep]
+        held = list(range(len(held)))
+    else:
+        k = int(np.argmax(values))
+        vertex = np.zeros(p.size)
+        vertex[i[k]] += t[k]
+        vertex[j[k]] += 1.0 - t[k]
+        mean = float(f @ p)
+        share = 0.0  # p is strictly feasible when eps < 0
+        if f_floor >= mean:  # halfway from where the mixture meets the F row
+            share = 0.5 * (1.0 + (f_floor - mean) / (float(values[k]) - mean))
+        q0 = (1.0 - share) * p + share * vertex
+    q = np.zeros(p.size)
+    q[support], converged = _newton(p[support], g[:, support], h, q0[support], held)
+    candidates = [q0, q]
     best_q, best_val = None, math.inf
     for cand in candidates:
         cand = np.maximum(cand, 0.0)
@@ -266,7 +379,7 @@ def _primal_descent(
             best_q, best_val = cand, val
     if best_q is None:
         best_q, best_val = q0, relative_entropy(q0, p)
-    return best_q, best_val, bool(res.success)
+    return best_q, best_val, converged
 
 
 def sanov_rate(
@@ -280,7 +393,8 @@ def sanov_rate(
 
     ``one_sided`` constrains int U dQ <= nu + u (matching lambda_plus);
     ``two_sided`` adds int U dQ >= nu - u.  ``u = inf`` drops the
-    screening constraint entirely, leaving the plain excess-mean set.
+    screening constraint entirely, leaving the plain excess-mean set; a
+    finite ``u`` must be > 0, so that P lies strictly inside the screen.
     Infeasible sets return entropy = +inf with ``feasible = False``.
     """
     if not model.is_finite:
@@ -289,6 +403,8 @@ def sanov_rate(
         raise CapabilityError(
             f"support size {len(model.atoms)} exceeds the oracle cap {SUPPORT_CAP}"
         )
+    if not u > 0.0:
+        raise InputError(f"the screen needs u > 0 (or inf), got {u}")
     p = model.probs.astype(float)
     f = np.asarray(pair.f(model.atoms), dtype=float)
     u_vals = np.asarray(pair.u(model.atoms), dtype=float)
@@ -300,7 +416,8 @@ def sanov_rate(
         if sidedness == "two_sided":
             halfspaces.append((-u_vals, -(pair.nu - u)))
 
-    feasible, degenerate = _feasibility(f, halfspaces, f_floor)
+    vertices = _vertices(f, halfspaces)
+    feasible, degenerate = _classify(float(vertices[3].max(initial=-math.inf)), f_floor)
     if math.isfinite(u):
         fenchel, theta = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
     else:
@@ -324,7 +441,9 @@ def sanov_rate(
         # feasible only on a degenerate face: the tilt runs away, so the
         # dual route contributes nothing useful
         q_dual, h_dual = None, math.inf
-    q_primal, h_primal, primal_converged = _primal_descent(p, halfspaces, f, f_floor)
+    q_primal, h_primal, primal_converged = _primal_descent(
+        p, halfspaces, f, f_floor, vertices, degenerate
+    )
     if h_dual <= h_primal:
         q_star, entropy = q_dual, h_dual
     else:
@@ -363,17 +482,7 @@ def random_instance(rng: np.random.Generator):
     pair = tabulated_pair(model, f_vals, u_vals)
 
     u_thr = float(rng.uniform(0.05, 0.6) * (u_vals.max() - pair.nu) + 1e-3)
-    halfspaces = [(np.asarray(u_vals), pair.nu + u_thr)]
-    res = linprog(
-        -np.asarray(f_vals),
-        A_ub=np.array([hs[0] for hs in halfspaces]),
-        b_ub=np.array([hs[1] for hs in halfspaces]),
-        A_eq=np.ones((1, m)),
-        b_eq=np.array([1.0]),
-        bounds=[(0.0, None)] * m,
-        method="highs",
-    )
-    f_max = -res.fun
+    f_max = float(_vertices(f_vals, [(u_vals, pair.nu + u_thr)])[3].max())
     if f_max <= pair.mu + 1e-6:
         return None  # cannot exceed the mean under this screen; resample
     eps = float(rng.uniform(0.2, 0.7) * (f_max - pair.mu))

@@ -598,7 +598,7 @@ _REPORT_DIGESTS = {
     ("bound", "finite_three_atoms"): "eb4839af4229b98d0b2d224a572035fb16d72d79444cc6e183eba835316a139b",
     ("rates", "finite_three_atoms"): "e0b39ff55a8801626a8af8cf5404a722520ee016575f3eb802eae5a2f757a72e",
     ("prop11", ""): "fa01693d956ea96979dc2e33b701f79007f47f53d1da6581363cd26825cd4e9f",
-    ("sanov", "finite_four_atoms"): "99fc929d02b0860bce579df6002248b7bbf801dc61df28a090b3836fe8e3fc7d",
+    ("sanov", "finite_four_atoms"): "5c5e61e202b24bdef434bc3d50f862d75a21b98b06e93bc06311ea935a125d08",
 }
 
 

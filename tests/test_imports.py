@@ -83,3 +83,21 @@ def test_star_import_binds_every_name_in_all():
 
 def test_dir_lists_the_oracle_names():
     assert {*_ORACLE_NAMES, "sanov_oracle", "run_validation"} <= set(dir(sm))
+
+
+def test_no_module_holds_a_large_array_after_import():
+    # tables the package needs are built on first use, so a process that
+    # never asks for them (every CLI call, every pool worker) never holds them
+    script = (
+        "import importlib, pkgutil\n"
+        "import numpy as np\n"
+        "import screened_mc\n"
+        "for info in pkgutil.iter_modules(screened_mc.__path__):\n"
+        "    if info.name == '__main__':\n"
+        "        continue\n"
+        "    module = importlib.import_module('screened_mc.' + info.name)\n"
+        "    for name, value in vars(module).items():\n"
+        "        if isinstance(value, np.ndarray) and value.nbytes > 64 * 1024:\n"
+        "            print(f'{info.name}.{name}: {value.nbytes} bytes')\n"
+    )
+    assert _fresh(script) == ""

@@ -4,12 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog, minimize
 
 import screened_mc as sm
 from screened_mc import sanov_oracle
 from screened_mc.exp_harness import build_model, build_pair, parse_config
-from screened_mc.sanov_oracle import _feasibility, _project_constrained_simplex
+from screened_mc.sanov_oracle import _feasibility, _project_constrained_simplex, _vertices
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -258,13 +258,120 @@ def test_sanov_reports_primal_convergence(monkeypatch):
     assert res.primal_converged is True
     assert res.to_dict()["primal_converged"] is True
 
-    def failed_minimize(fun, x0, **kwargs):
-        return OptimizeResult(x=x0, success=False, status=9, nit=800, message="iteration limit")
-
-    monkeypatch.setattr(sanov_oracle, "minimize", failed_minimize)
+    # one Newton step from the start cannot certify the gap
+    monkeypatch.setattr(sanov_oracle, "_NEWTON_CAP", 1)
     res = sm.sanov_rate(model, pair, 0.1, 0.05)
     assert res.primal_converged is False
     assert res.to_dict()["primal_converged"] is False
+
+
+@pytest.mark.parametrize("u", [0.0, -0.05, math.nan])
+def test_sanov_requires_a_positive_screen(u):
+    # p lies strictly inside every screen with u > 0, which the primal's start needs
+    model, pair = four_atom()
+    with pytest.raises(sm.InputError, match="u > 0"):
+        sm.sanov_rate(model, pair, 0.1, u)
+
+
+# ---------------------------------------------------------------------------
+# the primal Newton run against SLSQP
+# ---------------------------------------------------------------------------
+
+
+def _slsqp_primal(p, halfspaces, f, f_floor):
+    """Reference: the SLSQP primal the Newton run replaced, as it was run.
+
+    SLSQP from the Euclidean projection of p onto the feasible laws that
+    keep 1% of every atom's mass (the plain projection where there are
+    none); returns (q, entropy).
+    """
+    all_hs = halfspaces + [(-f, -f_floor)]
+    q0 = _project_constrained_simplex(p, all_hs, 1e-2 * p)
+    if q0 is None:
+        q0 = _project_constrained_simplex(p, all_hs)
+    q0 = q0 / q0.sum()
+
+    def objective(q):
+        safe = np.maximum(q, 1e-300)
+        mask = q > 0.0
+        return float(np.sum(q[mask] * np.log(safe[mask] / p[mask]))), np.log(safe / p) + 1.0
+
+    neg_a = -np.array([a for a, _ in all_hs])
+    res = minimize(
+        objective, q0, jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * len(p),
+        constraints=[
+            {"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones_like(q)},
+            {"type": "ineq", "fun": lambda q: np.array([b - float(a @ q) for a, b in all_hs]),
+             "jac": lambda q: neg_a},
+        ],
+        options={"maxiter": 800, "ftol": 1e-14},
+    )
+    best = (q0, sm.relative_entropy(q0, p))
+    q = np.maximum(res.x, 0.0)
+    q = q / q.sum()
+    if all(float(a @ q) <= b + 1e-9 * (1.0 + abs(b)) for a, b in all_hs):
+        best = min(best, (q, sm.relative_entropy(q, p)), key=lambda c: c[1])
+    return best
+
+
+def test_primal_newton_certifies_every_finite_instance(monkeypatch):
+    # every feasible one- and two-sided request of the benchmark's finite
+    # instances, seeds 1-30: the run certifies its gap, stays inside every
+    # row, meets the dual route on one-sided screens, and never reads
+    # above SLSQP (which, where it read lower, left the moment set)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import finite_instance
+
+    seen = {"one_sided": 0, "two_sided": 0}
+    for seed in range(1, 31):
+        for k in range(8):
+            cfg = parse_config(finite_instance(seed, k))
+            model = build_model(cfg.model)
+            pair = build_pair(model, cfg.observables)
+            p, f, u_vals = model.probs, pair.f(model.atoms), pair.u(model.atoms)
+            f_floor = pair.mu + cfg.screen.epsilon
+            for sidedness in seen:
+                halfspaces = _screen(u_vals, pair.nu, cfg.screen.u, sidedness)
+                vertices = _vertices(f, halfspaces)
+                feasible, degenerate = sanov_oracle._classify(float(vertices[3].max()), f_floor)
+                if not feasible:
+                    continue
+                seen[sidedness] += 1
+                where = (seed, k, sidedness)
+                q, h, converged = sanov_oracle._primal_descent(
+                    p, halfspaces, f, f_floor, vertices, degenerate
+                )
+                assert converged, where
+                assert h == sm.relative_entropy(q, p)
+                rows = halfspaces + [(-f, -f_floor)]
+                assert max(float(a @ q) - b for a, b in rows) <= 1e-12, where
+                assert abs(q.sum() - 1.0) <= 1e-12, where
+                assert h <= _slsqp_primal(p, halfspaces, f, f_floor)[1] + 1e-11, where
+                if sidedness == "one_sided":
+                    res = sm.sanov_rate(model, pair, cfg.screen.epsilon, cfg.screen.u)
+                    assert res.primal_entropy == h and res.primal_converged
+                    assert abs(h - res.dual_entropy) <= 1e-12 * (1.0 + h), where
+    assert seen == {"one_sided": 240, "two_sided": 229}
+
+
+def test_primal_newton_on_a_point_mass_face():
+    # no screen: only atom 2 reaches the target, so Q is its point mass
+    model = sm.finite_support([0.0, 1.0, 2.0], [0.5, 0.3, 0.2])
+    pair = sm.tabulated_pair(model, [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    res = sm.sanov_rate(model, pair, 2.0 - pair.mu, math.inf)
+    assert res.feasible and res.degenerate and res.primal_converged
+    assert res.primal_entropy == pytest.approx(-math.log(0.2), rel=1e-15)
+
+
+@pytest.mark.parametrize("sidedness", ["one_sided", "two_sided"])
+def test_primal_newton_on_a_two_atom_boundary_face(sidedness):
+    # the screen u.q <= 0 lets mean F reach 1/2 only at (1/2, 1/2, 0), the
+    # mixture of atoms 0 and 1 on the boundary; atom 2 reaches only 1/3
+    model = sm.finite_support([0.0, 1.0, 2.0], [0.2, 0.5, 0.3])
+    pair = sm.tabulated_pair(model, [1.0, 0.0, 0.0], [1.0, -1.0, -0.5])
+    res = sm.sanov_rate(model, pair, 0.5 - pair.mu, -pair.nu, sidedness)
+    assert res.feasible and res.degenerate and res.primal_converged
+    assert res.primal_entropy == pytest.approx(0.5 * math.log(2.5), rel=1e-15)
 
 
 def test_sanov_two_sided_constraint():
