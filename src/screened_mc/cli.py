@@ -84,18 +84,14 @@ def _load_pair(args):
 
 
 def _out_path(args, path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(args.out, path)
+    return os.path.join(args.out, path)  # an absolute path discards --out
 
 
-def _emit_or_print(args, cfg: ExperimentConfig, document: dict) -> None:
-    wrote = False
-    for spec in cfg.outputs:
-        if spec.kind == "report":
-            emit_report(document, _out_path(args, spec.path))
-            wrote = True
-    if not wrote:
+def _emit_or_print(args, cfg: ExperimentConfig | None, document: dict) -> None:
+    reports = [spec.path for spec in (cfg.outputs if cfg else ()) if spec.kind == "report"]
+    for path in reports:
+        emit_report(document, _out_path(args, path))
+    if not reports:
         json.dump(canonicalize(document), sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
 
@@ -109,17 +105,15 @@ def _simulate_trials(task) -> int:
     replace; pool workers see the names as of their fork.
     """
     model, pair, cfg, csv_bases, lo, hi = task
+    stems = [(stem, ext or ".csv") for stem, ext in map(os.path.splitext, csv_bases)]
     screened = 0
     for start, x in _sample_blocks(model, cfg.screen.n, cfg.master_seed, lo, hi):
         for t, row in enumerate(x, start):
             trajectory = run_trajectory(pair, row, cfg.screen)
-            for base in csv_bases:
-                if cfg.trials == 1:
-                    emit_trajectory_csv(trajectory, base)
-                else:
-                    stem, ext = os.path.splitext(base)
-                    emit_trajectory_csv(trajectory, f"{stem}_{t:03d}{ext or '.csv'}")
-            screened += trajectory.screened[-1]
+            paths = csv_bases if cfg.trials == 1 else [f"{s}_{t:03d}{e}" for s, e in stems]
+            for path in paths:
+                emit_trajectory_csv(trajectory, path)
+            screened += bool(trajectory.screened[-1])
     return screened
 
 
@@ -257,12 +251,7 @@ def _cmd_prop11(args) -> int:
         "constants_pass": const_ok,
         "pass": ok,
     }
-    if args.config:
-        cfg = _load_config(args)
-        _emit_or_print(args, cfg, doc)
-    else:
-        json.dump(canonicalize(doc), sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+    _emit_or_print(args, _load_config(args) if args.config else None, doc)
     return 0 if ok else 1
 
 

@@ -26,6 +26,7 @@ or a ``fork`` makes the next call build a new one.  Workers see module
 state as of their fork, so a later monkeypatch does not reach them.  A
 worker exits on its own once the process that built the pool is gone,
 also when that process was killed and never shut the pool down.
+Every output file is rewritten in place by ``_write_file``.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import stat
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import chain
 
 import numpy as np
 
@@ -841,9 +842,9 @@ def _trajectory_csv_printf(trajectory: Trajectory) -> bytes:
     n = len(trajectory.s_hat)
     flat: list = [0] * (4 * n)
     flat[0::4] = range(1, n + 1)
-    flat[1::4] = trajectory.s_hat
-    flat[2::4] = trajectory.t_hat
-    flat[3::4] = trajectory.screened
+    flat[1::4] = trajectory.s_hat.tolist()
+    flat[2::4] = trajectory.t_hat.tolist()
+    flat[3::4] = trajectory.screened.tolist()
     return _CSV_HEADER + b"%d,%.17g,%.17g,%d\n" * n % tuple(flat)
 
 
@@ -852,7 +853,7 @@ def _trajectory_csv(trajectory: Trajectory) -> bytes:
     ``k,`` from a cached table, the two fields of ``_positional_g17`` and the
     flag, assembled as columns, transposed once, and the NULs deleted at once."""
     n = len(trajectory.s_hat)
-    columns = np.fromiter(chain(trajectory.s_hat, trajectory.t_hat), float, 2 * n)
+    columns = np.concatenate((trajectory.s_hat, trajectory.t_hat))
     fields = _positional_g17(columns) if n else None
     if fields is None:
         return _trajectory_csv_printf(trajectory)
@@ -863,7 +864,7 @@ def _trajectory_csv(trajectory: Trajectory) -> bytes:
     rows[w : w + _FIELD] = fields[:, :n]
     rows[w + _FIELD] = rows[-3] = ord(",")
     rows[w + _FIELD + 1 : -3] = fields[:, n:]
-    rows[-2] = np.fromiter(trajectory.screened, np.uint8, n) + ord("0")
+    rows[-2] = trajectory.screened.view(np.uint8) + ord("0")
     rows[-1] = ord("\n")
     return _CSV_HEADER + rows.T.tobytes().translate(None, b"\0")
 
@@ -998,11 +999,21 @@ def emit_report(document: dict, path: str) -> None:
 
 
 def _write_file(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path)
+    """Make ``data`` the whole of ``path``, written over its old bytes in place (README)."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            fd = os.open(path, flags, 0o666)
+        except FileNotFoundError:  # the directory is made on the first write into it
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            fd = os.open(path, flags, 0o666)
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # not O_TRUNC: ext4 flushes a file cut to 0
+                os.ftruncate(fd, len(data))  # the new length: no stale tail survives
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise InputError(f"cannot write output file {path!r}: {exc}") from exc

@@ -79,23 +79,22 @@ def relative_entropy(q, p) -> float:
 
 
 def _project_constrained_simplex(
-    v: np.ndarray, halfspaces: list[tuple[np.ndarray, float]], floor: np.ndarray | None = None
+    v: np.ndarray, halfspaces: list[tuple[np.ndarray, float]]
 ) -> np.ndarray | None:
-    """Euclidean projection onto {q >= floor, sum q = 1} intersect half-spaces.
+    """Euclidean projection onto {q >= 0, sum q = 1} intersect half-spaces.
 
     An exact least-distance program (Lawson and Hanson, ch. 23): with
-    x = q - v, minimize |x| subject to G x >= h (rows q >= floor, sum q = 1
+    x = q - v, minimize |x| subject to G x >= h (rows q >= 0, sum q = 1
     as two opposite rows, each half-space as a unit row), whose dual is one
     active-set NNLS on [G^T; h^T].  Coordinate bisection over the
     multipliers left thin-wedge sets unconverged after any fixed number of
     sweeps.  None when the set is empty, or misses a constraint by 1e-9.
     """
     m = len(v)
-    lower = np.zeros(m) if floor is None else floor
     ones = np.full(m, 1.0 / math.sqrt(m))
     mass_gap = (1.0 - float(v.sum())) / math.sqrt(m)
     rows = [np.eye(m), ones, -ones]
-    rhs = [lower - v, [mass_gap, -mass_gap]]
+    rhs = [-v, [mass_gap, -mass_gap]]
     for a, b in halfspaces:
         norm = float(np.linalg.norm(a))
         if norm == 0.0:
@@ -113,7 +112,7 @@ def _project_constrained_simplex(
     scale = float(h @ w) - 1.0
     if not scale < 0.0:
         return None
-    q = np.maximum(v - (g.T @ w) / scale, lower)
+    q = np.maximum(v - (g.T @ w) / scale, 0.0)
     if abs(float(q.sum()) - 1.0) > 1e-9 or any(
         float(a @ q) > b + 1e-9 * (1.0 + abs(b)) for a, b in halfspaces
     ):
@@ -155,30 +154,20 @@ def _vertices(
     return i, j, t, t * f[i] + (1.0 - t) * f[j]
 
 
-def _classify(f_max: float, f_target: float) -> tuple[bool, bool]:
-    """(feasible, degenerate) for the largest reachable mean F ``f_max``."""
+def _classify(vertices: tuple[np.ndarray, ...], f_target: float) -> tuple[bool, bool]:
+    """(feasible, degenerate): can int F dQ reach f_target on the set of these ``_vertices``?
+
+    The largest mean F over the simplex the half-spaces cut is a linear
+    program, attained at a vertex, so it is the best of the enumerated
+    vertices: no solver and no solver tolerance.  Degenerate means the
+    target is attained only with equality: the feasible set is a face on
+    which the F constraint is active for every point.
+    """
+    f_max = float(vertices[3].max(initial=-math.inf))
     scale = 1.0 + abs(f_target)
     if f_max < f_target - _FEAS_TOL * scale:
         return False, False
     return True, f_max <= f_target + _FEAS_TOL * scale
-
-
-def _feasibility(
-    f: np.ndarray,
-    halfspaces: list[tuple[np.ndarray, float]],
-    f_target: float,
-) -> tuple[bool, bool]:
-    """(feasible, degenerate): can int F dQ reach f_target under the half-spaces?
-
-    The largest mean F over the simplex the half-spaces cut is a linear
-    program, attained at a vertex, so it is the best of the enumerated
-    vertices: no solver and no solver tolerance.
-
-    Degenerate means the target is attained only with equality, i.e. the
-    feasible set is a face on which the F constraint is active for every
-    point.
-    """
-    return _classify(float(_vertices(f, halfspaces)[3].max(initial=-math.inf)), f_target)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +406,7 @@ def sanov_rate(
             halfspaces.append((-u_vals, -(pair.nu - u)))
 
     vertices = _vertices(f, halfspaces)
-    feasible, degenerate = _classify(float(vertices[3].max(initial=-math.inf)), f_floor)
+    feasible, degenerate = _classify(vertices, f_floor)
     if math.isfinite(u):
         fenchel, theta = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
     else:
@@ -444,10 +433,11 @@ def sanov_rate(
     q_primal, h_primal, primal_converged = _primal_descent(
         p, halfspaces, f, f_floor, vertices, degenerate
     )
-    if h_dual <= h_primal:
-        q_star, entropy = q_dual, h_dual
-    else:
+    # a certified primal lies in the set; the tilt may miss the F row by rounding, reading low
+    if primal_converged or h_primal < h_dual:
         q_star, entropy = q_primal, h_primal
+    else:
+        q_star, entropy = q_dual, h_dual
 
     if abs(float(q_star.sum()) - 1.0) > 1e-10:
         raise NumericError("entropy minimizer is not a probability vector")

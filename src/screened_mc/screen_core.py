@@ -11,10 +11,10 @@ recurrence and the predicate one step at a time; ``screened_mask``
 applies the predicate elementwise, for the harness kernel's counts too.
 ``run_trajectory`` is a function of one trial's samples X_1..X_n: it
 performs the same IEEE operations, on plain floats in one loop, and
-returns a ``Trajectory``: three columns, the running means of F and U
-and the screening flag, with step k at index k - 1.  The columns, and
-the trajectory CSVs written from them, are bit-identical to stepping
-the reference functions (the tests pin both).
+returns a ``Trajectory``: three read-only numpy columns, the running
+means of F and U and the screening flag, with step k at index k - 1.
+The columns, and the CSVs written from them with no conversion, are
+bit-identical to stepping the reference functions (tests pin both).
 """
 
 from __future__ import annotations
@@ -59,13 +59,21 @@ class StreamState:
     t_hat: float = 0.0  # running mean of U values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array columns: equality and hash by identity
 class Trajectory:
     """One trajectory as equal-length columns; step k = 1..n is index k - 1."""
 
-    s_hat: tuple[float, ...]  # running means of F values
-    t_hat: tuple[float, ...]  # running means of U values
-    screened: tuple[bool, ...]  # the strict screening predicate at each step
+    s_hat: np.ndarray  # running means of F values, float64
+    t_hat: np.ndarray  # running means of U values, float64
+    screened: np.ndarray  # the strict screening predicate at each step, bool
+
+    def __post_init__(self):  # any sequence becomes a read-only array view
+        for name, dtype in (("s_hat", np.float64), ("t_hat", np.float64), ("screened", np.bool_)):
+            column = np.asarray(getattr(self, name), dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not len(self.s_hat) == len(self.t_hat) == len(self.screened):
+            raise InputError("trajectory columns must have equal lengths")
 
 
 def update_stream(state: StreamState, f_value: float, u_value: float) -> StreamState:
@@ -128,5 +136,6 @@ def run_trajectory(pair: ObservablePair, x: np.ndarray, config: ScreenConfig) ->
         t_hat += (u_value - t_hat) / k
         s_append(s_hat)
         t_append(t_hat)
-    screened = screened_mask(np.array(t_col) - float(pair.nu), config.u, config.sidedness)
-    return Trajectory(tuple(s_col), tuple(t_col), tuple(screened.tolist()))
+    t_arr = np.array(t_col)
+    screened = screened_mask(t_arr - float(pair.nu), config.u, config.sidedness)
+    return Trajectory(np.array(s_col), t_arr, screened)

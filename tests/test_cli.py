@@ -466,6 +466,45 @@ def test_simulate_split_writes_the_bytes_of_jobs_1(tmp_path, trials, jobs, names
     assert split == _simulate_outputs(tmp_path, "1", trials=trials, n=200)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_rewrites_longer_csvs_to_the_bytes_of_a_fresh_run(tmp_path, jobs):
+    doc = heavy_tail_doc(
+        trials=3,
+        outputs=[
+            {"kind": "trajectory_csv", "path": "traj.csv"},
+            {"kind": "report", "path": "summary.json"},
+        ],
+    )
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for n, out, run_jobs in ((50, reused, "1"), (20, reused, jobs), (20, fresh, "1")):
+        doc["screen"]["n"] = n
+        cfg = write_config(tmp_path, doc, f"config_{n}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--jobs", run_jobs]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in reused.iterdir())
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert len((fresh / "traj_000.csv").read_text().splitlines()) == 21
+
+
+def test_simulate_onto_a_directory_exits_2_naming_the_path(tmp_path, capsys):
+    (tmp_path / "traj.csv").mkdir()
+    doc = heavy_tail_doc(trials=1, outputs=[{"kind": "trajectory_csv", "path": "traj.csv"}])
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output file {str(tmp_path / 'traj.csv')!r}: ")
+    assert "Traceback" not in err
+
+
+def test_an_absolute_output_path_ignores_out(tmp_path, capsys):
+    report = tmp_path / "abs" / "report.json"
+    cfg = write_config(tmp_path, finite_doc(outputs=[{"kind": "report", "path": str(report)}]))
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "elsewhere")]) == 0
+    assert json.loads(report.read_text())["kind"] == "bound_report"
+    assert not (tmp_path / "elsewhere").exists() and capsys.readouterr().out == ""
+
+
 def test_simulate_reads_the_jobs_default_when_it_runs(tmp_path, monkeypatch):
     seen = []
     real = cli._run_batches
@@ -598,7 +637,7 @@ _REPORT_DIGESTS = {
     ("bound", "finite_three_atoms"): "eb4839af4229b98d0b2d224a572035fb16d72d79444cc6e183eba835316a139b",
     ("rates", "finite_three_atoms"): "e0b39ff55a8801626a8af8cf5404a722520ee016575f3eb802eae5a2f757a72e",
     ("prop11", ""): "fa01693d956ea96979dc2e33b701f79007f47f53d1da6581363cd26825cd4e9f",
-    ("sanov", "finite_four_atoms"): "5c5e61e202b24bdef434bc3d50f862d75a21b98b06e93bc06311ea935a125d08",
+    ("sanov", "finite_four_atoms"): "682164772e547e12c89bd4fc517725ba5904ce01f39ccb7c3fdf252192ddf636",
 }
 
 

@@ -687,6 +687,45 @@ def test_emit_trajectory_csv_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_file_rewrites_longer_and_shorter_files_exactly(tmp_path):
+    path = tmp_path / "out.bin"
+    for data in (b"x" * 5000, b"short", b"", b"y" * 300, b"z" * 70_000):
+        exp_harness._write_file(str(path), data)
+        assert path.read_bytes() == data
+    exp_harness.emit_report({"a": 1}, str(path))  # the report emitter shares the path
+    assert path.read_bytes() == b'{\n  "a": 1\n}\n'
+
+
+def test_write_file_makes_missing_directories_and_writes_through_symlinks(tmp_path):
+    nested = tmp_path / "a" / "b" / "t.csv"
+    exp_harness._write_file(str(nested), b"new")
+    assert nested.read_bytes() == b"new"
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"an older and longer content")
+    link = tmp_path / "link.csv"
+    try:
+        link.symlink_to(target)
+    except (OSError, NotImplementedError):
+        pytest.skip("the file system makes no symlinks")
+    exp_harness._write_file(str(link), b"rewritten")
+    assert link.is_symlink() and target.read_bytes() == b"rewritten"
+
+
+def test_write_file_to_a_non_regular_file(tmp_path):
+    # the null device is not a regular file, so nothing truncates it
+    exp_harness._write_file(os.devnull, b"discarded")
+    traj = sm.Trajectory((0.25, 0.5), (1.0, 2.0), (True, False))
+    sm.emit_trajectory_csv(traj, os.devnull)
+
+
+def test_write_file_onto_a_directory_raises_input_error(tmp_path):
+    with pytest.raises(sm.InputError, match="cannot write output file"):
+        exp_harness._write_file(str(tmp_path), b"data")
+    (tmp_path / "blocker").write_text("a regular file, not a directory")
+    with pytest.raises(sm.InputError, match="cannot write output file"):
+        exp_harness._write_file(str(tmp_path / "blocker" / "t.csv"), b"data")
+
+
 def test_emitted_trajectory_screen_predicate_recomputable(tmp_path):
     model, pair = sm.heavy_tail_pair()
     cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=5000)

@@ -9,7 +9,7 @@ from scipy.optimize import linprog, minimize
 import screened_mc as sm
 from screened_mc import sanov_oracle
 from screened_mc.exp_harness import build_model, build_pair, parse_config
-from screened_mc.sanov_oracle import _feasibility, _project_constrained_simplex, _vertices
+from screened_mc.sanov_oracle import _classify, _project_constrained_simplex, _vertices
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -114,17 +114,15 @@ def test_constrained_projection_on_thin_wedges(x_max):
                 assert dist <= np.sum((cand - p) ** 2) + 1e-15
 
 
-def test_constrained_projection_floor_and_empty_set():
+def test_constrained_projection_halfspaces_and_empty_set():
     p, f, u, mu, nu = truncation(100.0)
     halfspaces = [(u, nu + 0.05), (-f, -(mu + 0.03))]
-    floor = 1e-2 * p
-    z = _project_constrained_simplex(p, halfspaces, floor)
-    assert np.all(z >= floor)
+    z = _project_constrained_simplex(p, halfspaces)
+    assert np.all(z >= 0.0) and z.sum() == pytest.approx(1.0, abs=1e-12)
     for a, b in halfspaces:
         assert float(a @ z) <= b + 1e-12 * (1.0 + abs(b))
-    # F cannot exceed its largest atom, with or without a floor
+    # F cannot exceed its largest atom
     assert _project_constrained_simplex(p, [(-f, -(f.max() + 1.0))]) is None
-    assert _project_constrained_simplex(p, halfspaces, 0.5 * p + 0.1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +175,7 @@ def test_feasibility_matches_the_lp_on_random_instances(monkeypatch):
             ):
                 halfspaces = _screen(u_vals, pair.nu, u, sidedness)
                 target = pair.mu + cfg.screen.epsilon
-                got = _feasibility(f, halfspaces, target)
+                got = _classify(_vertices(f, halfspaces), target)
                 assert got == _feasibility_lp(f, halfspaces, target), (seed, k, sidedness, u)
                 decisions.add(got)
     assert decisions == {(True, False), (False, False)}  # some two-sided screens are empty
@@ -212,7 +210,7 @@ def test_feasibility_on_constructed_sets(f, u_vals, halfspaces, target, want):
     f, u_vals = np.asarray(f), np.asarray(u_vals)
     signs = [1.0, -1.0]  # a second bound is the lower side of a slab
     hs = [(s * u_vals, b) for s, b in zip(signs, halfspaces)]
-    assert _feasibility(f, hs, target) == want
+    assert _classify(_vertices(f, hs), target) == want
     assert _feasibility_lp(f, hs, target) == want
 
 
@@ -286,7 +284,12 @@ def _slsqp_primal(p, halfspaces, f, f_floor):
     none); returns (q, entropy).
     """
     all_hs = halfspaces + [(-f, -f_floor)]
-    q0 = _project_constrained_simplex(p, all_hs, 1e-2 * p)
+    # q = floor + s y with y on the simplex, s = 1 - sum(floor): the floored
+    # projection is the plain one in y, scaled back
+    floor = 1e-2 * p
+    s = 1.0 - float(floor.sum())
+    y = _project_constrained_simplex((p - floor) / s, [(a, (b - a @ floor) / s) for a, b in all_hs])
+    q0 = None if y is None else floor + s * y
     if q0 is None:
         q0 = _project_constrained_simplex(p, all_hs)
     q0 = q0 / q0.sum()
@@ -333,7 +336,7 @@ def test_primal_newton_certifies_every_finite_instance(monkeypatch):
             for sidedness in seen:
                 halfspaces = _screen(u_vals, pair.nu, cfg.screen.u, sidedness)
                 vertices = _vertices(f, halfspaces)
-                feasible, degenerate = sanov_oracle._classify(float(vertices[3].max()), f_floor)
+                feasible, degenerate = sanov_oracle._classify(vertices, f_floor)
                 if not feasible:
                     continue
                 seen[sidedness] += 1
@@ -371,7 +374,10 @@ def test_primal_newton_on_a_two_atom_boundary_face(sidedness):
     pair = sm.tabulated_pair(model, [1.0, 0.0, 0.0], [1.0, -1.0, -0.5])
     res = sm.sanov_rate(model, pair, 0.5 - pair.mu, -pair.nu, sidedness)
     assert res.feasible and res.degenerate and res.primal_converged
-    assert res.primal_entropy == pytest.approx(0.5 * math.log(2.5), rel=1e-15)
+    exact = 0.5 * math.log(2.5)
+    assert res.primal_entropy == pytest.approx(exact, rel=1e-15)
+    # the reported entropy is the certified primal's, not a dual reading below the minimum
+    assert res.entropy >= exact - 1e-14 * (1.0 + exact)
 
 
 def test_sanov_two_sided_constraint():

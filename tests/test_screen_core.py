@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import screened_mc as sm
+from screened_mc.exp_harness import _trajectory_csv
 from screened_mc.screen_core import SIDEDNESS, StreamState
 
 
@@ -113,6 +114,47 @@ def test_run_trajectory_single_step():
     traj = sm.run_trajectory(pair, x, cfg)
     assert len(traj.s_hat) == len(traj.t_hat) == len(traj.screened) == 1
     assert traj.s_hat[0] == pytest.approx(float(x[0] ** 0.75), rel=1e-15)
+
+
+def test_trajectory_columns_are_read_only_arrays():
+    model, pair = sm.heavy_tail_pair()
+    cfg = sm.ScreenConfig(epsilon=0.2, u=0.005, n=50)
+    traj = sm.run_trajectory(pair, sm.sample(model, sm.RandomStream(8).substream(0), cfg.n), cfg)
+    for column, dtype in ((traj.s_hat, np.float64), (traj.t_hat, np.float64), (traj.screened, np.bool_)):
+        assert isinstance(column, np.ndarray) and column.dtype == dtype and column.shape == (50,)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+    # built from tuples: the same columns, and the same CSV bytes
+    rebuilt = sm.Trajectory(tuple(traj.s_hat.tolist()), tuple(traj.t_hat.tolist()),
+                            tuple(traj.screened.tolist()))
+    for name in ("s_hat", "t_hat", "screened"):
+        assert getattr(rebuilt, name).tobytes() == getattr(traj, name).tobytes()
+        assert not getattr(rebuilt, name).flags.writeable
+    assert _trajectory_csv(rebuilt) == _trajectory_csv(traj)
+
+
+def test_trajectory_views_the_callers_arrays_without_locking_them():
+    s = np.array([0.5, 0.25])
+    traj = sm.Trajectory(s, s, np.array([True, False]))
+    assert s.flags.writeable and not traj.s_hat.flags.writeable
+    assert np.shares_memory(traj.s_hat, s)
+
+
+def test_trajectory_columns_must_have_equal_lengths():
+    # a one-flag column would otherwise broadcast over every row of the CSV
+    with pytest.raises(sm.InputError, match="equal lengths"):
+        sm.Trajectory((0.5, 0.25, 0.125), (1.0, 2.0, 3.0), (True,))
+    with pytest.raises(sm.InputError, match="equal lengths"):
+        sm.Trajectory((0.5, 0.25), (1.0,), (True, False))
+
+
+def test_trajectory_equality_and_hash_are_by_identity():
+    # array columns have no single truth value, so the dataclass compares nothing
+    a = sm.Trajectory((0.5, 0.25), (1.0, 2.0), (True, False))
+    b = sm.Trajectory(a.s_hat, a.t_hat, a.screened)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 def _reference_trajectory(model, pair, config, stream):
