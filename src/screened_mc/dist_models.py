@@ -472,15 +472,14 @@ def _pareto_power_moment(a: float, name: str) -> float:
 
 
 def _finite_moments(p: np.ndarray, f: np.ndarray, u: np.ndarray) -> tuple[float, ...]:
-    """(mu, nu, var_F, var_U, gamma) of per-atom values f, u under probabilities p."""
+    """(mu, nu, var_F, var_U, gamma) of per-atom values f, u under probabilities p.
+
+    Centred sums: E[F^2] - (E F)^2 would cancel when the values sit near a
+    large offset.
+    """
     mu, nu = float(p @ f), float(p @ u)
-    return (
-        mu,
-        nu,
-        float(p @ f**2 - mu**2),
-        float(p @ u**2 - nu**2),
-        float(p @ (f * u) - mu * nu),
-    )
+    df, du = f - mu, u - nu
+    return mu, nu, float(p @ (df * df)), float(p @ (du * du)), float(p @ (df * du))
 
 
 def _pareto_moments(cf: tuple, cu: tuple) -> tuple[float, float, float, float, float]:

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._optim import min_convex_gap
 from .dist_models import DistributionModel, ObservablePair, log_mgf_signed, tilted_moments
-from .errors import CapabilityError, NumericError
+from .errors import CapabilityError, InputError, NumericError
 
 THETA_MAX_CERTIFY = 2.0**60
 _CERTIFY_BETAS = 2.0 ** np.arange(-30, 31)  # the emptiness certificate's beta grid
@@ -82,7 +82,7 @@ class RatePoint:
 # ---------------------------------------------------------------------------
 
 
-def _newton_step(theta: np.ndarray, grad: np.ndarray, curvature: np.ndarray) -> np.ndarray:
+def _newton_step(theta, grad, curvature) -> list[float]:
     """Newton ascent step, holding at 0 the coordinates it would push below.
 
     ``curvature`` (minus the Hessian) is a tilted covariance: positive
@@ -91,29 +91,41 @@ def _newton_step(theta: np.ndarray, grad: np.ndarray, curvature: np.ndarray) -> 
     eigenvectors the objective is linear and the step is the gradient's
     component.  Blocked coordinates are held one at a time, the one the
     gradient pulls outward hardest first.  One free coordinate takes g/c,
-    or g where c is flat (c <= 0): what eigh gives on a 1x1 matrix.
+    or g where c is flat (c <= 0).  A free 2x2 block takes its eigenpairs
+    from one Jacobi rotation (Golub & Van Loan, sec. 8.5.2).
     """
-    free = list(range(theta.size))
+    free = list(range(len(theta)))
     while True:
-        step = np.zeros_like(theta)
+        step = [0.0] * len(theta)
         if len(free) == 1:
             (i,) = free
-            c = float(curvature[i, i])
+            c = curvature[i][i]
             step[i] = grad[i] / c if c > 0.0 else grad[i]
         elif free:
-            sub = curvature if len(free) == theta.size else curvature[np.ix_(free, free)]
-            w, vecs = np.linalg.eigh(sub)
-            flat = w <= _FLAT_CURVATURE * max(float(w.max()), 0.0)
-            step[free] = vecs @ ((vecs.T @ grad[free]) / np.where(flat, 1.0, w))
+            (a, b), (_, d) = curvature
+            cos, sin = 1.0, 0.0
+            if b != 0.0:  # J^T C J = diag(a, d) for J = [[cos, sin], [-sin, cos]]
+                tau = (d - a) / (2.0 * b)
+                r = math.hypot(1.0, tau)
+                t = 1.0 / (tau + r) if tau >= 0.0 else -1.0 / (r - tau)
+                cos = 1.0 / math.sqrt(1.0 + t * t)
+                sin, a, d = t * cos, a - t * b, d + t * b
+            flat = _FLAT_CURVATURE * max(a, d, 0.0)
+            p = (cos * grad[0] - sin * grad[1]) / (a if a > flat else 1.0)
+            q = (sin * grad[0] + cos * grad[1]) / (d if d > flat else 1.0)
+            step = [cos * p + sin * q, cos * q - sin * p]
         blocked = [i for i in free if theta[i] == 0.0 and step[i] < 0.0]
         if not blocked:
             return step
         free.remove(min(blocked, key=grad.__getitem__))
 
 
-def _plain(v: np.ndarray) -> tuple[float, ...]:
-    """A point as plain floats, for an error message to print."""
-    return tuple(map(float, v))
+def _dot(x, y) -> float:
+    """x . y, summed left to right from +0.0 (so a sum of zeros is +0.0)."""
+    total = 0.0
+    for a, b in zip(x, y):
+        total += a * b
+    return total
 
 
 def _line_search(value, theta, v, step, slope, floor, last=False):
@@ -125,22 +137,22 @@ def _line_search(value, theta, v, step, slope, floor, last=False):
     ``last`` takes the first step as it is.  Returns the point (None if
     none is accepted) and the best value seen.
     """
-    out = np.flatnonzero(step < 0.0)
-    cut = theta[out] / -step[out]
-    limit = float(cut.min(initial=math.inf))
+    cut = [t / -s if s < 0.0 else math.inf for t, s in zip(theta, step)]
+    limit = min(cut)
 
-    def trial(alpha: float) -> tuple[float, np.ndarray]:
-        point = np.maximum(theta + alpha * step, 0.0)
-        point[out[cut <= alpha]] = 0.0  # what the step zeroes lands on 0 exactly
+    def trial(alpha: float) -> tuple[float, tuple[float, ...]]:
+        point = tuple(  # what the step zeroes lands on 0 exactly
+            0.0 if k <= alpha else max(t + alpha * s, 0.0) for t, s, k in zip(theta, step, cut)
+        )
         fv = value(point)
         if math.isnan(fv):
-            raise NumericError(f"objective evaluated to NaN at {_plain(point)}")
+            raise NumericError(f"objective evaluated to NaN at {point}")
         return fv, point
 
     alpha = min(1.0, limit)
     fv, point = trial(alpha)
     if last or fv >= v + 0.75 * alpha * slope:
-        while not last and alpha < limit and float(point.max()) <= THETA_MAX_CERTIFY:
+        while not last and alpha < limit and max(point) <= THETA_MAX_CERTIFY:
             alpha = min(2.0 * alpha, limit)
             longer = trial(alpha)
             if longer[0] <= fv:
@@ -158,15 +170,16 @@ def _line_search(value, theta, v, step, slope, floor, last=False):
 
 
 def legendre_sup(
-    value: Callable[[np.ndarray], float],
-    derivatives: Callable[[np.ndarray], tuple[float, np.ndarray, np.ndarray]],
+    value: Callable[[tuple[float, ...]], float],
+    derivatives: Callable[[tuple[float, ...]], tuple[float, Sequence, Sequence]],
     dim: int = 2,
 ) -> tuple[float, np.ndarray]:
-    """Supremum of a concave objective over the nonnegative orthant.
+    """Supremum of a concave objective over the nonnegative orthant, dim 1 or 2.
 
     ``value(theta)`` is the objective, -inf outside its domain;
-    ``derivatives(theta)`` gives the value, gradient and Hessian at a
-    point of the domain.  Damped Newton from theta = 0.  Once the
+    ``derivatives(theta)`` gives the value, gradient and Hessian (any
+    sequences) at a point of the domain; both get theta as a tuple of
+    floats.  Damped Newton on plain floats from theta = 0.  Once the
     decrement grad . step is below the value oracle's resolution,
     1e-15 (1 + |value|), full Newton steps go on while the KKT residual
     (projected gradient times 1 + |theta|) falls.  The point is returned
@@ -184,47 +197,53 @@ def legendre_sup(
     running NEWTON_MAX_ITER iterations.  An improving iterate beyond
     THETA_MAX_CERTIFY certifies +inf.
     """
-    theta, polished, last_kkt = np.zeros(dim), False, math.inf
+    if dim not in (1, 2):
+        raise InputError(f"legendre_sup solves in 1 or 2 dimensions, not {dim}")
+    theta, polished, last_kkt = (0.0,) * dim, False, math.inf
     for _ in range(NEWTON_MAX_ITER):
         v, grad, hess = derivatives(theta)
-        if not (np.isfinite(v) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-            raise NumericError(f"objective or its derivatives not finite at {_plain(theta)}")
-        step = _newton_step(theta, grad, -hess)
-        decrement, scale = float(grad @ step), 1.0 + abs(v)
+        v, grad = float(v), tuple(map(float, grad))
+        curvature = [[-float(h) for h in row] for row in hess]
+        if not all(map(math.isfinite, (v, *grad, *[h for row in curvature for h in row]))):
+            raise NumericError(f"objective or its derivatives not finite at {theta}")
+        step = _newton_step(theta, grad, curvature)
+        decrement, scale = _dot(grad, step), 1.0 + abs(v)
         point, floor = None, _RESOLUTION * scale
         if decrement > floor:
             point, reached = _line_search(value, theta, v, step, decrement, floor)
-            held = (theta == 0.0) & (step == 0.0) & (grad < 0.0)
-            if point is None and reached == -math.inf and held.any():
+            held = [i for i in range(dim) if theta[i] == 0.0 and step[i] == 0.0 and grad[i] < 0.0]
+            if point is None and reached == -math.inf and held:
                 # the face held at 0 is outside the domain: push into the interior
-                step[held] = decrement / (2.0 * held.sum() * -grad[held])
+                for i in held:
+                    step[i] = decrement / (2.0 * len(held) * -grad[i])
                 decrement *= 0.5
                 point, _ = _line_search(value, theta, v, step, decrement, floor)
                 reached = -math.inf
             if point is None and reached == -math.inf:
-                return v, theta
+                break
             if point is None and decrement > _DECREMENT_NOISE * scale:
-                raise NumericError(f"no Newton ascent from {_plain(theta)} ({decrement=:.3g})")
+                raise NumericError(f"no Newton ascent from {theta} ({decrement=:.3g})")
         if point is None:
             # the value oracle no longer resolves the gain: full steps while the KKT residual falls
-            pg = np.where(theta > 0.0, grad, np.maximum(grad, 0.0))
-            kkt = float(np.abs(pg).max()) * (1.0 + float(theta.max()))
+            pg = [abs(g if t > 0.0 else max(g, 0.0)) for t, g in zip(theta, grad)]
+            kkt = max(pg) * (1.0 + max(theta))
             if polished and kkt <= _KKT_TOL * scale:
-                return v, theta
+                break
             if kkt >= last_kkt:
-                raise NumericError(
-                    f"Newton ascent stalled at {_plain(theta)} (grad={_plain(grad)})"
-                )
+                raise NumericError(f"Newton ascent stalled at {theta} (grad={grad})")
             point, _ = _line_search(value, theta, v, step, decrement, floor, last=True)
             if point is None:
-                raise NumericError(f"a converged Newton step leaves the domain at {_plain(theta)}")
+                raise NumericError(f"a converged Newton step leaves the domain at {theta}")
             polished, last_kkt = True, kkt
         else:
             polished, last_kkt = False, math.inf
-        if float(point.max()) > THETA_MAX_CERTIFY:
-            return math.inf, point
+        if max(point) > THETA_MAX_CERTIFY:
+            v, theta = math.inf, point
+            break
         theta = point
-    raise NumericError(f"Newton ascent did not converge in {NEWTON_MAX_ITER} iterations")
+    else:
+        raise NumericError(f"Newton ascent did not converge in {NEWTON_MAX_ITER} iterations")
+    return v, np.array(theta)
 
 
 def _tilt_sup(
@@ -235,19 +254,21 @@ def _tilt_sup(
     G = (F, U), cut to the first len(c) coordinates.
     """
     dim = len(c)
-    s, c = np.asarray(signs[:dim], dtype=float), np.asarray(c, dtype=float)
-    ss = np.outer(s, s)
+    s, c = tuple(map(float, signs[:dim])), tuple(map(float, c))
 
-    def coefficients(theta: np.ndarray) -> tuple[float, float]:
-        return float(s[0] * theta[0]), float(s[1] * theta[1]) if dim == 2 else 0.0
+    def coefficients(theta: tuple[float, ...]) -> tuple[float, float]:
+        return s[0] * theta[0], s[1] * theta[1] if dim == 2 else 0.0
 
-    def value(theta: np.ndarray) -> float:
+    def value(theta: tuple[float, ...]) -> float:
         lam = log_mgf_signed(model, pair, *coefficients(theta))
-        return -math.inf if math.isinf(lam) else float(theta @ c) - lam
+        return -math.inf if math.isinf(lam) else _dot(theta, c) - lam
 
-    def derivatives(theta: np.ndarray):
+    def derivatives(theta: tuple[float, ...]):
         lam, mean, cov = tilted_moments(model, pair, *coefficients(theta))
-        return float(theta @ c) - lam, c - s * mean[:dim], -cov[:dim, :dim] * ss
+        mean, cov = mean.tolist(), cov.tolist()
+        grad = [c[i] - s[i] * mean[i] for i in range(dim)]
+        hess = [[-cov[i][j] * (s[i] * s[j]) for j in range(dim)] for i in range(dim)]
+        return _dot(theta, c) - lam, grad, hess
 
     return legendre_sup(value, derivatives, dim)
 

@@ -631,13 +631,13 @@ _REPORT_DIGESTS = {
     ("bound", "heavy_prop11"): "e65b3abc3d9619d466c26508f7525c7a1aa558de6c4b278016c692799425a143",
     ("rates", "heavy_prop11"): "7c768a03205c775e56534b4b02414de5497889a54457e0a4ed4d9ca62adc8cc5",
     ("bound", "finite_four_atoms"): "6a1cf4bc2e8f3b4fa83693241a8995b9c292085348061dcdf63f379d5b0b30dc",
-    ("rates", "finite_four_atoms"): "74979c4c2de434edf2f826c2b4040772d212f7f3fdcd7f27db493cb5a744ce52",
+    ("rates", "finite_four_atoms"): "aa3fe921e165586d6c11ebf1b06f15e8ab76e31f85cc7f5b1551f11e080554ad",
     ("bound", "finite_four_atoms_empty"): "8d9bf17930331753ed1cf9ca0b7cfba8e2a4e34ce0ce6e93a1aed1dc4454d1d0",
     ("rates", "finite_four_atoms_empty"): "2d6b14b8442e0838c9c281187c9dd548a3a5e27e3454e0cdcfc4861ce8eba204",
-    ("bound", "finite_three_atoms"): "eb4839af4229b98d0b2d224a572035fb16d72d79444cc6e183eba835316a139b",
+    ("bound", "finite_three_atoms"): "115babab9ef06ad81bd4fab1fc3d14f42b4886e1e978925942b9c5a667a1a9bf",
     ("rates", "finite_three_atoms"): "e0b39ff55a8801626a8af8cf5404a722520ee016575f3eb802eae5a2f757a72e",
     ("prop11", ""): "fa01693d956ea96979dc2e33b701f79007f47f53d1da6581363cd26825cd4e9f",
-    ("sanov", "finite_four_atoms"): "682164772e547e12c89bd4fc517725ba5904ce01f39ccb7c3fdf252192ddf636",
+    ("sanov", "finite_four_atoms"): "65e7e7d8f979477d4e6986c08dadff93c59b9a82e8eea0d9c69186331a6b7869",
 }
 
 
@@ -680,10 +680,10 @@ _VALIDATE_DIGESTS = {
     ("readme", "1"): "c3430bc933c7fe77684ceeb54339598632a4480e8ccd41b5d62821f3921885ef",
     ("readme", "2"): "c3430bc933c7fe77684ceeb54339598632a4480e8ccd41b5d62821f3921885ef",
     ("heavy_prop11", "1"): "6bf37ee3646c8739d9e06c2acbd1d0b2c41f8b0c5340c51ea1d708f93e64b797",
-    ("finite_four_atoms", "1"): "dd41f0c89f014d1289e3b959a839a9b0cf5a5d5d96f7653d78dbd388c3dedd2f",
+    ("finite_four_atoms", "1"): "6b7b2160ade042c3ce4eda0052033f852bdfd380907f9b4f5d089612efcf8824",
     ("finite_four_atoms_empty", "1"): "2cf0d57ef37ea3367f6e79bb0265292bf81d5743604a82f8e59e54aee8a09f5a",
     ("finite_three_atoms", "1"): "561c66cc9d5a1523d1101527e3a6f0548c9de366aa8339ff16fffa55b07e0435",
-    ("power_half_identity", "1"): "3c494b6a6a86d15346e52a9fb92240278c7bd0239454920f8ddb1ede4f0fefea",
+    ("power_half_identity", "1"): "ff7cec8bdca18341ce07ac16c296c6b947efe988fb42e1713f4241be9b544ff2",
     ("finite_constant_u", "1"): "c46830d1df4bc23f5a0a8bf5d638a9e5f5c96142965fd1da661bffa62f06f41b",
 }
 

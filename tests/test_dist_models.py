@@ -104,6 +104,15 @@ def test_pareto_moments_do_not_cancel_near_a_large_shift():
     assert pair.gamma**2 <= pair.var_f * pair.var_u
 
 
+def test_finite_moments_do_not_cancel_near_a_large_offset():
+    # F = 1e8 + {0, 1} against U = {0, 1} at p = (0.3, 0.7): Var F = Var U = Cov = 0.21;
+    # E[F^2] - (E F)^2 read Var F = -2.0 here
+    model = sm.finite_support([0.0, 1.0], [0.3, 0.7])
+    pair = sm.tabulated_pair(model, [1e8, 1e8 + 1.0], [0.0, 1.0])
+    for moments in ((pair.var_f, pair.var_u, pair.gamma), sm.exact_moments(model, pair)[2:]):
+        assert moments == pytest.approx((0.21, 0.21, 0.21), rel=1e-14)
+
+
 def test_divergent_moment_is_named():
     model = sm.pareto_like()
     with pytest.raises(sm.DivergenceError, match="E\\[F\\^2\\]"):

@@ -26,6 +26,17 @@ _README = {
     "seed": 20240808,
     "outputs": [{"kind": "report", "path": "report.json"}],
 }
+# the four-atom config of the golden `rates` digest: its lambda+ tilt is interior in 2-d
+_FINITE = {
+    "model": {"kind": "finite_support", "atoms": [1.0, 2.0, 3.0, 4.0], "probs": [0.25] * 4},
+    "observables": {
+        "f": {"form": "table", "values": [-2.0**0.5, 0.0, 0.0, 2.0**0.5]},
+        "u": {"form": "table", "values": [-1.0, -1.0, 1.0, 1.0]},
+    },
+    "screen": {"epsilon": 0.1, "u": 0.05, "n": 100},
+    "trials": 2000,
+    "seed": 7,
+}
 
 
 def _fresh(script):
@@ -56,6 +67,18 @@ def test_bound_on_the_readme_config_leaves_scipy_out(tmp_path):
         "from screened_mc.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main(['bound', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+    )
+    assert not _scipy_loaded_after(script)
+
+
+def test_rates_on_a_finite_config_leaves_scipy_out(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_FINITE))
+    script = (
+        "import contextlib, io\n"
+        "from screened_mc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['rates', '--config', {str(cfg)!r}]) == 0\n"
     )
     assert not _scipy_loaded_after(script)
 

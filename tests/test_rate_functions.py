@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,9 @@ from scipy import integrate
 
 import screened_mc as sm
 from screened_mc import rate_functions
+from screened_mc.exp_harness import build_model, build_pair, parse_config
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def two_point():
@@ -63,6 +67,12 @@ def test_legendre_sup_binary_rate():
     assert value == pytest.approx(sm.binary_kl(0.75, 0.5), rel=1e-9)
 
 
+def test_legendre_sup_solves_in_one_or_two_dimensions():
+    value, derivatives = _objective_1d(lambda t: 0.0, lambda t: 0.0, lambda t: 0.0)
+    with pytest.raises(sm.InputError, match="1 or 2 dimensions, not 3"):
+        sm.legendre_sup(value, derivatives, dim=3)
+
+
 def test_legendre_sup_nan_objective_raises():
     value, derivatives = _objective_1d(lambda t: math.nan, lambda t: math.nan, lambda t: math.nan)
     with pytest.raises(sm.NumericError):
@@ -102,19 +112,129 @@ def test_legendre_sup_iteration_cap_raises(monkeypatch):
         sm.legendre_sup(value, derivatives, dim=1)
 
 
-def _newton_step_eigh(theta, grad, curvature):
-    """Reference: the Newton step with eigh on every free block, as it was."""
-    free = np.ones(theta.size, dtype=bool)
+# ---------------------------------------------------------------------------
+# the numpy ascent, kept as the reference for the plain-float one
+# ---------------------------------------------------------------------------
+
+
+def _newton_step_numpy(theta, grad, curvature):
+    """Reference: the Newton step on arrays, eigh on a 2x2 free block."""
+    free = list(range(theta.size))
     while True:
         step = np.zeros_like(theta)
-        if free.any():
-            w, vecs = np.linalg.eigh(curvature[np.ix_(free, free)])
+        if len(free) == 1:
+            (i,) = free
+            c = float(curvature[i, i])
+            step[i] = grad[i] / c if c > 0.0 else grad[i]
+        elif free:
+            sub = curvature if len(free) == theta.size else curvature[np.ix_(free, free)]
+            w, vecs = np.linalg.eigh(sub)
             flat = w <= rate_functions._FLAT_CURVATURE * max(float(w.max()), 0.0)
             step[free] = vecs @ ((vecs.T @ grad[free]) / np.where(flat, 1.0, w))
-        blocked = np.flatnonzero(free & (theta == 0.0) & (step < 0.0))
-        if blocked.size == 0:
+        blocked = [i for i in free if theta[i] == 0.0 and step[i] < 0.0]
+        if not blocked:
             return step
-        free[blocked[np.argmin(grad[blocked])]] = False
+        free.remove(min(blocked, key=grad.__getitem__))
+
+
+def _plain(v):
+    return tuple(map(float, v))
+
+
+def _line_search_numpy(value, theta, v, step, slope, floor, last=False):
+    """Reference: the Armijo search of ``legendre_sup`` on arrays."""
+    out = np.flatnonzero(step < 0.0)
+    cut = theta[out] / -step[out]
+    limit = float(cut.min(initial=math.inf))
+
+    def trial(alpha):
+        point = np.maximum(theta + alpha * step, 0.0)
+        point[out[cut <= alpha]] = 0.0
+        fv = value(point)
+        if math.isnan(fv):
+            raise sm.NumericError(f"objective evaluated to NaN at {_plain(point)}")
+        return fv, point
+
+    alpha = min(1.0, limit)
+    fv, point = trial(alpha)
+    if last or fv >= v + 0.75 * alpha * slope:
+        while not last and alpha < limit and float(point.max()) <= rate_functions.THETA_MAX_CERTIFY:
+            alpha = min(2.0 * alpha, limit)
+            longer = trial(alpha)
+            if longer[0] <= fv:
+                break
+            fv, point = longer
+        return (point if fv > -math.inf else None), fv
+    reached = fv
+    while fv < v + rate_functions._ARMIJO * alpha * slope:
+        alpha *= 0.5
+        if alpha * slope <= floor:
+            return None, reached
+        fv, point = trial(alpha)
+        reached = max(reached, fv)
+    return point, fv
+
+
+def _legendre_sup_numpy(value, derivatives, dim):
+    """Reference: ``legendre_sup`` on numpy arrays, rule for rule."""
+    rf = rate_functions
+    theta, polished, last_kkt = np.zeros(dim), False, math.inf
+    for _ in range(rf.NEWTON_MAX_ITER):
+        v, grad, hess = derivatives(theta)
+        if not (np.isfinite(v) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+            raise sm.NumericError(f"objective or its derivatives not finite at {_plain(theta)}")
+        step = _newton_step_numpy(theta, grad, -hess)
+        decrement, scale = float(grad @ step), 1.0 + abs(v)
+        point, floor = None, rf._RESOLUTION * scale
+        if decrement > floor:
+            point, reached = _line_search_numpy(value, theta, v, step, decrement, floor)
+            held = (theta == 0.0) & (step == 0.0) & (grad < 0.0)
+            if point is None and reached == -math.inf and held.any():
+                step[held] = decrement / (2.0 * held.sum() * -grad[held])
+                decrement *= 0.5
+                point, _ = _line_search_numpy(value, theta, v, step, decrement, floor)
+                reached = -math.inf
+            if point is None and reached == -math.inf:
+                return v, theta
+            if point is None and decrement > rf._DECREMENT_NOISE * scale:
+                raise sm.NumericError(f"no Newton ascent from {_plain(theta)} ({decrement=:.3g})")
+        if point is None:
+            pg = np.where(theta > 0.0, grad, np.maximum(grad, 0.0))
+            kkt = float(np.abs(pg).max()) * (1.0 + float(theta.max()))
+            if polished and kkt <= rf._KKT_TOL * scale:
+                return v, theta
+            if kkt >= last_kkt:
+                raise sm.NumericError(f"Newton ascent stalled at {_plain(theta)} (grad={_plain(grad)})")
+            point, _ = _line_search_numpy(value, theta, v, step, decrement, floor, last=True)
+            if point is None:
+                raise sm.NumericError(f"a converged Newton step leaves the domain at {_plain(theta)}")
+            polished, last_kkt = True, kkt
+        else:
+            polished, last_kkt = False, math.inf
+        if float(point.max()) > rf.THETA_MAX_CERTIFY:
+            return math.inf, point
+        theta = point
+    raise sm.NumericError(f"Newton ascent did not converge in {rf.NEWTON_MAX_ITER} iterations")
+
+
+def _tilt_sup_numpy(model, pair, signs, c):
+    """Reference: ``_tilt_sup`` on arrays, through the same module-level oracles."""
+    dim = len(c)
+    s, c = np.asarray(signs[:dim], dtype=float), np.asarray(c, dtype=float)
+    ss = np.outer(s, s)
+
+    def coefficients(theta):
+        return float(s[0] * theta[0]), float(s[1] * theta[1]) if dim == 2 else 0.0
+
+    def value(theta):
+        lam = rate_functions.log_mgf_signed(model, pair, *coefficients(theta))
+        return -math.inf if math.isinf(lam) else float(theta @ c) - lam
+
+    def derivatives(theta):
+        lam, mean, cov = rate_functions.tilted_moments(model, pair, *coefficients(theta))
+        return float(theta @ c) - lam, c - s * mean[:dim], -cov[:dim, :dim] * ss
+
+    return _legendre_sup_numpy(value, derivatives, dim)
 
 
 def _newton_step_cases():
@@ -139,10 +259,85 @@ def _newton_step_cases():
 
 
 def test_newton_step_matches_the_eigh_reference():
+    # the same held (zero) coordinates; bit for bit where at most one coordinate
+    # is free (g/c on both sides), and within 1e-12 of the largest component where
+    # the Jacobi rotation stands in for eigh on a free 2x2 block
+    cases = 0
     for theta, grad, cov in _newton_step_cases():
-        got = rate_functions._newton_step(theta, grad, cov)
-        want = _newton_step_eigh(theta, grad, cov)
-        assert got.tobytes() == want.tobytes(), (theta, grad, cov)
+        got = rate_functions._newton_step(tuple(theta.tolist()), tuple(grad.tolist()), cov.tolist())
+        want = _newton_step_numpy(theta, grad, cov)
+        assert [x == 0.0 for x in got] == [x == 0.0 for x in want], (theta, grad, cov)
+        if theta.size == 1 or 0.0 in want:
+            assert np.array(got).tobytes() == want.tobytes(), (theta, grad, cov)
+        else:
+            assert np.abs(np.array(got) - want).max() <= 1e-12 * np.abs(want).max(), (theta, grad, cov)
+        cases += 1
+    assert cases == 4001
+
+
+def _counted_oracles(monkeypatch):
+    """Count the ascent's oracle calls, made through ``rate_functions`` by name."""
+    calls = []
+    for name in ("log_mgf_signed", "tilted_moments"):
+        def counted(*args, _real=getattr(rate_functions, name)):
+            calls.append(None)
+            return _real(*args)
+
+        monkeypatch.setattr(rate_functions, name, counted)
+    return calls
+
+
+def _solve(tilt_sup, calls, model, pair, signs, c):
+    """(outcome, value, theta, oracle calls) of one supremum."""
+    start = len(calls)
+    try:
+        value, theta = tilt_sup(model, pair, signs, c)
+    except sm.ScreenedMcError as exc:
+        return type(exc).__name__, None, None, len(calls) - start
+    return ("inf" if value == math.inf else "finite"), value, theta, len(calls) - start
+
+
+def _assert_matches_the_numpy_ascent(calls, model, pair, signs, c, where):
+    got = _solve(rate_functions._tilt_sup, calls, model, pair, signs, c)
+    want = _solve(_tilt_sup_numpy, calls, model, pair, signs, c)
+    assert (got[0], got[3]) == (want[0], want[3]), where
+    if want[0] == "finite":
+        assert abs(got[1] - want[1]) <= 1e-12 * (1.0 + abs(want[1])), where
+    if want[0] in ("finite", "inf"):
+        assert got[2].dtype == np.float64
+        assert np.abs(got[2] - want[2]).max() <= 1e-9 * (1.0 + np.abs(want[2]).max()), where
+    return want[0]
+
+
+def test_ascent_matches_the_numpy_reference_on_finite_instances(monkeypatch):
+    # lambda*, lambda+ and gamma+ on 240 random finite instances: the same outcome
+    # and oracle calls, values within 1e-12 (1 + |v|), tilts within 1e-9 (1 + |theta|)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import finite_instance
+
+    calls, outcomes = _counted_oracles(monkeypatch), []
+    for seed in range(1, 31):
+        for k in range(1, 9):
+            cfg = parse_config(finite_instance(seed, k))
+            model = build_model(cfg.model)
+            pair = build_pair(model, cfg.observables)
+            eps, u = cfg.screen.epsilon, cfg.screen.u
+            for signs, c in (
+                ((1.0,), (pair.mu + eps,)),
+                ((1.0, -1.0), (pair.mu + eps, -pair.nu - u)),
+                ((1.0, 1.0), (pair.mu + eps, pair.nu - u)),
+            ):
+                where = (seed, k, signs)
+                outcomes.append(_assert_matches_the_numpy_ascent(calls, model, pair, signs, c, where))
+    assert len(outcomes) == 720
+
+
+@pytest.mark.parametrize("eps, u", [(0.03, 0.005), (0.02, 0.002)])
+def test_ascent_matches_the_numpy_reference_on_the_heavy_tail(monkeypatch, eps, u):
+    model, pair = sm.heavy_tail_pair()
+    calls = _counted_oracles(monkeypatch)
+    c = (pair.mu + eps, -pair.nu - u)
+    assert _assert_matches_the_numpy_ascent(calls, model, pair, (1.0, -1.0), c, (eps, u)) == "finite"
 
 
 # ---------------------------------------------------------------------------
