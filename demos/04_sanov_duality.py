@@ -3,9 +3,9 @@
 On a finite alphabet the screened error exponent equals the minimum
 relative entropy H(Q || P) over laws Q that (a) push the F-mean above
 mu + eps and (b) keep the U-mean within the screen.  This script solves
-that projection two independent ways (exponential tilting and projected
-gradient on the simplex), confirms both match the tilt-optimization
-rate, and shows the geometry that explains why screening rescues heavy
+that projection two independent ways (exponential tilting and a
+certified Newton method on the simplex), confirms both match the
+tilt-optimization rate, and shows the geometry that explains why screening rescues heavy
 tails: growing the support lets the *unscreened* projection sneak
 arbitrarily close to P, while the screened one stays pinned away.
 """

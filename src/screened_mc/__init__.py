@@ -74,6 +74,7 @@ from .rate_functions import (
     rate_plus_star_detail,
     two_sided_bound,
 )
+from .sanov_oracle import SanovResult, duality_suite, relative_entropy, sanov_rate
 from .screen_core import (
     ScreenConfig,
     StreamState,
@@ -160,21 +161,3 @@ __all__ = [
     # streams
     "RandomStream",
 ]
-
-# the entropy oracle is the one part of the package that needs scipy, whose
-# import costs more than the rest of the package's together; it loads on
-# first use of one of these names (PEP 562)
-_ORACLE_NAMES = ("SanovResult", "duality_suite", "relative_entropy", "sanov_rate")
-
-
-def __getattr__(name):
-    if name == "sanov_oracle" or name in _ORACLE_NAMES:
-        import importlib  # not `from . import`: its attribute probe would call back here
-
-        oracle = importlib.import_module(".sanov_oracle", __name__)
-        return oracle if name == "sanov_oracle" else getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *_ORACLE_NAMES, "sanov_oracle"})

@@ -44,6 +44,7 @@ from .exp_harness import (
     thm31_reports,
 )
 from .rate_functions import _delta_point, rate_lambda_star, rate_plus_star_detail
+from .sanov_oracle import duality_suite, sanov_rate
 from .screen_core import run_trajectory
 
 # unused here: perfbench/layers.py traces these names as cli attributes
@@ -186,8 +187,6 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_sanov(args) -> int:
-    from .sanov_oracle import duality_suite, sanov_rate  # the one command that loads scipy
-
     cfg, model, pair = _load_pair(args)
     sc = cfg.screen
     result = sanov_rate(model, pair, sc.epsilon, sc.u, sc.sidedness)

@@ -521,10 +521,10 @@ _LOG_REL_CUTOFF = math.log(1e-15)
 
 
 def _logsumexp(values: np.ndarray) -> float:
-    m = float(np.max(values))
+    m = float(values.max())
     if m == -math.inf:
         return -math.inf
-    return m + math.log(float(np.sum(np.exp(values - m))))
+    return m + math.log(float(np.exp(values - m).sum()))
 
 
 _PANEL_BLOCK = 16

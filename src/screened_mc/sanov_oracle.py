@@ -8,7 +8,7 @@ cross-checked:
 
 (a) the dual route: the minimizer is the exponential tilt
     q*_j proportional to p_j * exp(th1 f_j - th2 u_j) at the maximizing
-    tilt of the Fenchel rate, then projected back onto E;
+    tilt of the Fenchel rate; a tilted law outside E gives no dual point;
 (b) the primal route: Newton's method on Q itself over the simplex,
     started from P mixed with the vertex of largest mean F and stopped
     by a Lagrange-dual gap certificate at its own multipliers, sharing
@@ -25,14 +25,10 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .dist_models import DistributionModel, ObservablePair, finite_support, tabulated_pair
 from .errors import CapabilityError, InputError, NumericError
 from .rate_functions import _lambda_star_detail, rate_plus_star_detail
-
-# unused here: perfbench/layers.py traces these names as sanov_oracle attributes
-from scipy.optimize import linprog, minimize
 
 SUPPORT_CAP = 64
 _FEAS_TOL = 1e-9
@@ -41,6 +37,15 @@ _FEAS_TOL = 1e-9
 _NEWTON_CAP = 50
 _CERT_GAP = 1e-14
 _SMALL_STEP = 1e-6
+
+
+def __getattr__(name):
+    # perfbench/layers.py traces these unused names as sanov_oracle attributes
+    if name in ("linprog", "minimize"):
+        import scipy.optimize
+
+        return getattr(scipy.optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -71,53 +76,6 @@ def relative_entropy(q, p) -> float:
         return math.inf
     mask = q > 0.0
     return float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
-
-
-# ---------------------------------------------------------------------------
-# Euclidean projection machinery
-# ---------------------------------------------------------------------------
-
-
-def _project_constrained_simplex(
-    v: np.ndarray, halfspaces: list[tuple[np.ndarray, float]]
-) -> np.ndarray | None:
-    """Euclidean projection onto {q >= 0, sum q = 1} intersect half-spaces.
-
-    An exact least-distance program (Lawson and Hanson, ch. 23): with
-    x = q - v, minimize |x| subject to G x >= h (rows q >= 0, sum q = 1
-    as two opposite rows, each half-space as a unit row), whose dual is one
-    active-set NNLS on [G^T; h^T].  Coordinate bisection over the
-    multipliers left thin-wedge sets unconverged after any fixed number of
-    sweeps.  None when the set is empty, or misses a constraint by 1e-9.
-    """
-    m = len(v)
-    ones = np.full(m, 1.0 / math.sqrt(m))
-    mass_gap = (1.0 - float(v.sum())) / math.sqrt(m)
-    rows = [np.eye(m), ones, -ones]
-    rhs = [-v, [mass_gap, -mass_gap]]
-    for a, b in halfspaces:
-        norm = float(np.linalg.norm(a))
-        if norm == 0.0:
-            continue  # holds everywhere, or nowhere (checked below)
-        rows.append(-a / norm)
-        rhs.append([(float(a @ v) - b) / norm])
-    g = np.vstack(rows)
-    h = np.concatenate(rhs)
-    target = np.zeros(m + 1)
-    target[m] = 1.0
-    try:
-        w, _ = nnls(np.vstack([g.T, h]), target)
-    except RuntimeError as exc:
-        raise NumericError(f"constrained simplex projection: {exc}") from exc
-    scale = float(h @ w) - 1.0
-    if not scale < 0.0:
-        return None
-    q = np.maximum(v - (g.T @ w) / scale, 0.0)
-    if abs(float(q.sum()) - 1.0) > 1e-9 or any(
-        float(a @ q) > b + 1e-9 * (1.0 + abs(b)) for a, b in halfspaces
-    ):
-        return None
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -183,30 +141,18 @@ def _tilted_dual(
     halfspaces: list[tuple[np.ndarray, float]],
     f_floor: float,
 ) -> tuple[np.ndarray | None, float]:
-    """The tilted law at ``theta`` and its entropy, or (None, inf).
+    """The law proportional to p exp(t1 f - t2 u) and its entropy, or (None, inf).
 
-    A residual constraint violation left by finite solver tolerance is
-    repaired by projection; when the repaired law is still outside the
-    moment set there is no dual point, and the primal route decides.
+    A law that misses a row of the moment set by more than 1e-12 gives no
+    dual point, and the primal route decides.
     """
     t1, t2 = theta
     logits = np.log(p) + t1 * f - t2 * u_vals
     logits -= logits.max()
     q = np.exp(logits)
     q /= q.sum()
-
-    def outside(q: np.ndarray) -> bool:
-        return float(f @ q) < f_floor - 1e-12 or any(
-            float(a @ q) > b + 1e-12 for a, b in halfspaces
-        )
-
-    if outside(q):
-        q = _project_constrained_simplex(q, halfspaces + [(-f, -f_floor)])
-        if q is None:
-            return None, math.inf
-        q /= q.sum()
-        if outside(q):
-            return None, math.inf
+    if float(f @ q) < f_floor - 1e-12 or any(float(a @ q) > b + 1e-12 for a, b in halfspaces):
+        return None, math.inf
     return q, relative_entropy(q, p)
 
 
@@ -381,9 +327,13 @@ def sanov_rate(
     """Minimum relative entropy over the screened moment set.
 
     ``one_sided`` constrains int U dQ <= nu + u (matching lambda_plus);
-    ``two_sided`` adds int U dQ >= nu - u.  ``u = inf`` drops the
-    screening constraint entirely, leaving the plain excess-mean set; a
-    finite ``u`` must be > 0, so that P lies strictly inside the screen.
+    ``two_sided`` adds int U dQ >= nu - u (matching gamma_plus).  The
+    minimizer lies on at most one row of that slab of positive width, so
+    the two-sided rate is max(lambda_plus, gamma_plus), at the tilt of
+    the larger (Csiszar 1975, the KKT conditions of an I-projection).
+    ``u = inf`` drops the screening constraint entirely, leaving the
+    plain excess-mean set; a finite ``u`` must be > 0, so that P lies
+    strictly inside the screen.
     Infeasible sets return entropy = +inf with ``feasible = False``.
     """
     if not model.is_finite:
@@ -409,6 +359,10 @@ def sanov_rate(
     feasible, degenerate = _classify(vertices, f_floor)
     if math.isfinite(u):
         fenchel, theta = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
+        if sidedness == "two_sided":
+            lower, (t1, t2) = rate_plus_star_detail(model, pair, epsilon, u, "gamma_plus")
+            if lower > fenchel:  # the tilt exp(t1 F + t2 U), in _tilted_dual's sign
+                fenchel, theta = lower, (t1, -t2)
     else:
         # no screening constraint: 1-d tilt on F alone
         fenchel, theta1 = _lambda_star_detail(model, pair, epsilon)

@@ -1,9 +1,9 @@
-"""Which imports load scipy.
+"""The package runs on numpy alone.
 
-Only the entropy oracle (`sanov_oracle`) needs scipy, and its import costs
-more than the rest of the package's together, so the package loads the
-oracle on first use of one of its names.  Each check that scipy stays out
-runs in a fresh interpreter, since the test process has loaded it already.
+scipy is a test and benchmark dependency only: no module imports it, and
+every command, the entropy oracle's `sanov` included, runs where it is
+missing.  Each check runs in a fresh interpreter, since the test process
+has loaded scipy already.
 """
 
 import json
@@ -83,8 +83,18 @@ def test_rates_on_a_finite_config_leaves_scipy_out(tmp_path):
     assert not _scipy_loaded_after(script)
 
 
-def test_an_oracle_name_loads_scipy():
-    assert _scipy_loaded_after("import screened_mc as sm\nsm.sanov_rate")
+def test_the_oracle_runs_where_scipy_is_missing(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_FINITE))
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from screened_mc import sanov_rate\n"
+        "from screened_mc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['sanov', '--config', {str(cfg)!r}]) == 0\n"
+    )
+    _fresh(script)
 
 
 def test_the_oracle_names_resolve_to_the_oracle():

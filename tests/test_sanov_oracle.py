@@ -4,12 +4,13 @@ import pathlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog, minimize, nnls
 
 import screened_mc as sm
 from screened_mc import sanov_oracle
+from screened_mc.errors import NumericError
 from screened_mc.exp_harness import build_model, build_pair, parse_config
-from screened_mc.sanov_oracle import _classify, _project_constrained_simplex, _vertices
+from screened_mc.sanov_oracle import _classify, _vertices
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,8 +48,50 @@ def test_relative_entropy_nonnegative(m, seed):
 
 
 # ---------------------------------------------------------------------------
-# projections
+# projections: the start point of the SLSQP reference below
 # ---------------------------------------------------------------------------
+
+
+def _project_constrained_simplex(
+    v: np.ndarray, halfspaces: list[tuple[np.ndarray, float]]
+) -> np.ndarray | None:
+    """Euclidean projection onto {q >= 0, sum q = 1} intersect half-spaces.
+
+    An exact least-distance program (Lawson and Hanson, ch. 23): with
+    x = q - v, minimize |x| subject to G x >= h (rows q >= 0, sum q = 1
+    as two opposite rows, each half-space as a unit row), whose dual is one
+    active-set NNLS on [G^T; h^T].  Coordinate bisection over the
+    multipliers left thin-wedge sets unconverged after any fixed number of
+    sweeps.  None when the set is empty, or misses a constraint by 1e-9.
+    """
+    m = len(v)
+    ones = np.full(m, 1.0 / math.sqrt(m))
+    mass_gap = (1.0 - float(v.sum())) / math.sqrt(m)
+    rows = [np.eye(m), ones, -ones]
+    rhs = [-v, [mass_gap, -mass_gap]]
+    for a, b in halfspaces:
+        norm = float(np.linalg.norm(a))
+        if norm == 0.0:
+            continue  # holds everywhere, or nowhere (checked below)
+        rows.append(-a / norm)
+        rhs.append([(float(a @ v) - b) / norm])
+    g = np.vstack(rows)
+    h = np.concatenate(rhs)
+    target = np.zeros(m + 1)
+    target[m] = 1.0
+    try:
+        w, _ = nnls(np.vstack([g.T, h]), target)
+    except RuntimeError as exc:
+        raise NumericError(f"constrained simplex projection: {exc}") from exc
+    scale = float(h @ w) - 1.0
+    if not scale < 0.0:
+        return None
+    q = np.maximum(v - (g.T @ w) / scale, 0.0)
+    if abs(float(q.sum()) - 1.0) > 1e-9 or any(
+        float(a @ q) > b + 1e-9 * (1.0 + abs(b)) for a, b in halfspaces
+    ):
+        return None
+    return q
 
 
 def test_simplex_projection_known_points():
@@ -320,7 +363,7 @@ def _slsqp_primal(p, halfspaces, f, f_floor):
 def test_primal_newton_certifies_every_finite_instance(monkeypatch):
     # every feasible one- and two-sided request of the benchmark's finite
     # instances, seeds 1-30: the run certifies its gap, stays inside every
-    # row, meets the dual route on one-sided screens, and never reads
+    # row, meets the dual route and the Fenchel rate, and never reads
     # above SLSQP (which, where it read lower, left the moment set)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import finite_instance
@@ -350,10 +393,10 @@ def test_primal_newton_certifies_every_finite_instance(monkeypatch):
                 assert max(float(a @ q) - b for a, b in rows) <= 1e-12, where
                 assert abs(q.sum() - 1.0) <= 1e-12, where
                 assert h <= _slsqp_primal(p, halfspaces, f, f_floor)[1] + 1e-11, where
-                if sidedness == "one_sided":
-                    res = sm.sanov_rate(model, pair, cfg.screen.epsilon, cfg.screen.u)
-                    assert res.primal_entropy == h and res.primal_converged
-                    assert abs(h - res.dual_entropy) <= 1e-12 * (1.0 + h), where
+                res = sm.sanov_rate(model, pair, cfg.screen.epsilon, cfg.screen.u, sidedness)
+                assert res.primal_entropy == h and res.primal_converged
+                assert abs(h - res.dual_entropy) <= 1e-12 * (1.0 + h), where
+                assert res.gap <= 1e-12 * (1.0 + h), where
     assert seen == {"one_sided": 240, "two_sided": 229}
 
 
@@ -462,8 +505,8 @@ def test_heavy_tail_truncation_trend():
 
 def test_tilted_dual_stays_in_the_moment_set():
     # the x_max = 100 truncation of the trend test, with a tilt slightly
-    # short of the optimum: the projection repair must not hand back a law
-    # outside {f.q >= mu + eps, u.q <= nu + u}
+    # short of the optimum: the tilted law either lies in
+    # {f.q >= mu + eps, u.q <= nu + u} or gives no dual point at all
     grid = np.geomspace(1.0, 100.0, 24)
     probs = np.maximum(np.diff(np.concatenate([[0.0], 1.0 - grid**-2.5])), 1e-12)
     model = sm.finite_support(grid, probs / probs.sum())
@@ -480,3 +523,11 @@ def test_tilted_dual_stays_in_the_moment_set():
         assert f @ q >= pair.mu + eps - 1e-12
         assert u_vals @ q <= pair.nu + u + 1e-12
         assert h == sm.relative_entropy(q, model.probs)
+    # at the optimum itself the tilted law lies inside both rows
+    q, h = sanov_oracle._tilted_dual(
+        model.probs, f, u_vals, (t1, t2), [(u_vals, pair.nu + u)], pair.mu + eps
+    )
+    assert q is not None
+    assert f @ q >= pair.mu + eps - 1e-12
+    assert u_vals @ q <= pair.nu + u + 1e-12
+    assert h == sm.relative_entropy(q, model.probs)
