@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ._optim import grid_min, min_convex_gap
-from .dist_models import ObservablePair, Standardized
+from .dist_models import FiniteMargin, ObservablePair, Standardized
 from .errors import (
     CapabilityError,
     DegenerateScreenError,
@@ -291,9 +291,16 @@ def _thm31_ii_objective(gamma: float, epsilon: float, alpha, beta, m):
     return np.where(empty, math.inf, value) if grid else value
 
 
+# thm31_ii's alpha grid, and its span, which the closed form on finite tables keeps
+_ALPHA_STEP = 1e-4
+_ALPHA_LO, _ALPHA_HI = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)[[0, -1]].tolist()
+
+
 class AlphaGrid:
     """thm31_ii's alpha grid (step 1e-4) at (epsilon, u), and the margin on it.
 
+    Only a margin that is not a finite table reads it (the heavy tail):
+    ``thm31_ii_search`` takes a finite table's alpha in closed form.
     Gamma enters neither, so the searches of one request at the pair's
     gamma and at gamma = -1 share one array margin call, made on first
     use: an event certified empty makes none.  Build one per request.
@@ -305,7 +312,7 @@ class AlphaGrid:
     @functools.cached_property
     def values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(alphas, betas, margins) on the grid."""
-        alphas = np.arange(1e-4, 1.0, 1e-4)
+        alphas = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)
         betas = alphas * self.epsilon / self.u
         return alphas, betas, margin(self.pair, betas)
 
@@ -326,13 +333,16 @@ def thm31_ii_search(
 ) -> BoundReport:
     """``bound_thm31_ii`` past a failed certificate: the search over alpha.
 
-    Dense grid (step 1e-4, evaluated in one array call) plus
-    golden-section refinement around the best grid point.  Gamma enters
-    the search but not the certificate, so a pair whose certificate
-    failed needs only this at another gamma; ``grid``, an ``AlphaGrid``
-    of a pair with the same margin oracle at the same thresholds, lends
-    it the margin already evaluated.  The pair is checked once here: the
-    refinement stays inside the grid's span of (0, 1).
+    A margin that is a finite table, raw or through ``TransformedMargin``,
+    takes the maximum in closed form on its envelope
+    (``_thm31_ii_on_envelope``).  Any other margin takes the dense grid
+    (step 1e-4, evaluated in one array call) plus golden-section
+    refinement around the best grid point.  Gamma enters the search but
+    not the certificate, so a pair whose certificate failed needs only
+    this at another gamma; ``grid``, an ``AlphaGrid`` of a pair with the
+    same margin oracle at the same thresholds, lends it the margin
+    already evaluated.  The pair is checked once here: both searches stay
+    inside the grid's span of (0, 1).
     """
     _require_normalized(pair)
     if grid is None:
@@ -340,6 +350,12 @@ def thm31_ii_search(
     if (grid.pair.margin, grid.epsilon, grid.u) != (pair.margin, epsilon, u):
         raise PreconditionError("the alpha grid was evaluated for another margin or thresholds")
     gamma = pair.gamma
+    lines = _envelope_lines(pair.margin)
+    if lines is not None:
+        a_star = _thm31_ii_on_envelope(gamma, epsilon / u, *lines)
+        beta = a_star * epsilon / u
+        exponent = _thm31_ii_objective(gamma, epsilon, a_star, beta, margin(pair, beta))
+        return BoundReport(method="thm31_ii", exponent=exponent, alpha_star=a_star)
 
     def neg_exponent(alpha):
         beta = alpha * epsilon / u
@@ -349,6 +365,77 @@ def thm31_ii_search(
     values = -_thm31_ii_objective(gamma, epsilon, alphas, betas, margins)
     a_star, neg = grid_min(neg_exponent, alphas, values)
     return BoundReport(method="thm31_ii", exponent=-neg, alpha_star=a_star)
+
+
+def _envelope_lines(oracle) -> tuple[list, list, list] | None:
+    """(intercepts, slopes, breaks) of a finite table's margin, or None.
+
+    The margin is a + d*beta on the envelope's piece j, between breaks
+    j-1 and j, in the pair's own beta.  ``TransformedMargin`` maps each
+    raw line f + k*b, at b = beta c/s, to (f - mu)/c + beta (k + nu)/s
+    (nu with its sign), and each raw break b to b s/c.
+    """
+    raw = oracle.raw if isinstance(oracle, TransformedMargin) else oracle
+    if not (isinstance(raw, FiniteMargin) and raw.sense == "max"):
+        return None
+    atoms, breaks = raw.envelope
+    f = [raw.f_values[i] for i in atoms]
+    k = [raw.u_sign * raw.u_values[i] for i in atoms]
+    if raw is oracle:
+        return f, k, list(breaks)
+    c, s, nu = oracle.f_scale, oracle.u_scale, oracle.u_sign * oracle.nu
+    return (
+        [(x - oracle.mu_used) / c for x in f],
+        [(x + nu) / s for x in k],
+        [b * s / c for b in breaks],
+    )
+
+
+def _quadratic_roots(c2: float, c1: float, c0: float) -> tuple[float, ...]:
+    """The real roots of c2 x^2 + c1 x + c0, by the cancellation-free formula."""
+    if c2 == 0.0:
+        return (-c0 / c1,) if c1 != 0.0 else ()
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if not disc >= 0.0:
+        return ()
+    q = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return (q / c2, c0 / q) if q != 0.0 else (0.0,)
+
+
+def _thm31_ii_on_envelope(gamma: float, k: float, intercepts, slopes, breaks) -> float:
+    """The alpha in [alphas[0], alphas[-1]] of the grid that maximizes thm31_ii.
+
+    At beta = k alpha (k = eps/u) the envelope's piece gives m = A - D alpha,
+    and sigma^2 = 1 + k^2 alpha^2 - 2 k gamma alpha.  With
+    N = m (1 - alpha) = n0 + n1 alpha + n2 alpha^2 and
+    Q = m^2 + sigma^2 = q0 + q1 alpha + q2 alpha^2, the objective is
+    2 eps^2 (N/Q)^2, and (N/Q)' = 0 is the quadratic c2 alpha^2 + c1 alpha
+    + c0 = 0 (the cubic terms cancel).  So the maximum sits at a piece end
+    or at one of its roots; the candidates are ranked by N/Q, +inf where
+    m <= 0 (the event is empty).  Q is convex on a piece, so its minimum
+    over the span is checked: a nonpositive one raises ``NumericError``.
+    """
+    best, a_star = -math.inf, _ALPHA_LO
+    last = len(intercepts) - 1
+    for j, (A, slope) in enumerate(zip(intercepts, slopes)):
+        left = max(_ALPHA_LO, breaks[j - 1] / k) if j else _ALPHA_LO
+        right = min(_ALPHA_HI, breaks[j] / k) if j < last else _ALPHA_HI
+        if not left <= right:
+            continue
+        D = -slope * k
+        n0, n1, n2 = A, -(A + D), D
+        q0, q1, q2 = A * A + 1.0, -2.0 * (A * D + k * gamma), D * D + k * k
+        low = min(max(-q1 / (2.0 * q2), left), right)
+        if q0 + low * (q1 + low * q2) <= 0.0 and A - D * low > 0.0:
+            raise NumericError(f"nonpositive Bennett denominator at alpha={low}: check gamma")
+        roots = _quadratic_roots(n2 * q1 - n1 * q2, 2.0 * (n2 * q0 - n0 * q2), n1 * q0 - n0 * q1)
+        for x in (left, right, *roots):
+            if left <= x <= right:
+                m = A - D * x
+                r = math.inf if m <= 0.0 else m * (1.0 - x) / (q0 + x * (q1 + x * q2))
+                if r > best:
+                    best, a_star = r, x
+    return a_star
 
 
 def bound_thm31_iii(pair: ObservablePair, epsilon: float, K: float) -> BoundReport:

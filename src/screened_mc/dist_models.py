@@ -245,6 +245,53 @@ class FiniteMargin:
             pick(ext, f + scaled * u, out=ext)
         return ext
 
+    @functools.cached_property
+    def envelope(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """(atoms, breaks): the lines that attain the extremum, in beta order.
+
+        Atom ``atoms[j]`` attains it over all real beta in
+        [breaks[j-1], breaks[j]], unbounded at both ends.  Built on first
+        use by Andrew's monotone chain on the points (u_sign*u, f), both
+        negated for "min", with orientation tests on Python integers:
+        every double is an integer over a power of two, so one common
+        power makes every test exact.  Each break is the exact crossing
+        of its two lines, correctly rounded.  Of atoms with one slope only
+        the extreme f can win (the first of equal ones is kept), and a
+        line that touches the envelope at one point only is dropped.
+        """
+        sign = 1 if self.sense == "max" else -1
+        ratios = [x.as_integer_ratio() for x in (*self.f_values, *self.u_values)]
+        scale = max(d for _, d in ratios)  # a power of two
+        ints = [n * (scale // d) for n, d in ratios]
+        size = len(self.f_values)
+        best = {}  # slope -> (intercept, atom) of the extreme intercept
+        for i in range(size):
+            k, c = sign * int(self.u_sign) * ints[size + i], sign * ints[i]
+            if k not in best or c > best[k][0]:
+                best[k] = (c, i)
+        hull = []
+        for k in sorted(best):
+            c, i = best[k]
+            # pop a middle point on or below the chord from its left neighbour
+            while len(hull) >= 2 and (
+                (hull[-1][0] - hull[-2][0]) * (c - hull[-2][1])
+                >= (hull[-1][1] - hull[-2][1]) * (k - hull[-2][0])
+            ):
+                hull.pop()
+            hull.append((k, c, i))
+        breaks = tuple(
+            _ratio(c1 - c2, k2 - k1) for (k1, c1, _), (k2, c2, _) in zip(hull, hull[1:])
+        )
+        return tuple(i for _, _, i in hull), breaks
+
+
+def _ratio(num: int, den: int) -> float:
+    """num/den correctly rounded, +-inf beyond the doubles (den > 0)."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.copysign(math.inf, num)
+
 
 # ---------------------------------------------------------------------------
 # domain types

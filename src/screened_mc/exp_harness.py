@@ -428,8 +428,10 @@ def thm31_reports(
     K = u_n/eps_n.  Gamma does not enter the zero-event certificate, so it
     is decided once: an event certified empty serves the gamma = -1 report
     as it is, and otherwise that report runs only the search over alpha.
-    Gamma does not enter the margin either, so both searches read the
-    margin on the alpha grid from one ``AlphaGrid``, which dies with the call.
+    Gamma does not enter the margin either, so on the heavy tail both
+    searches read the margin on the alpha grid from one ``AlphaGrid``, which
+    dies with the call; a finite table's searches take alpha in closed form
+    on its margin's envelope, built once per pair, and never evaluate the grid.
     """
     if heavy_tail_policy(obs_spec, epsilon, u)[0]:
         norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)

@@ -27,8 +27,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dist_models import DistributionModel, ObservablePair, finite_support, tabulated_pair
-from .errors import CapabilityError, InputError, NumericError
+from .errors import CapabilityError, ConfigError, InputError, NumericError
 from .rate_functions import _lambda_star_detail, rate_plus_star_detail
+from .screen_core import SIDEDNESS
 
 SUPPORT_CAP = 64
 _FEAS_TOL = 1e-9
@@ -336,6 +337,8 @@ def sanov_rate(
     strictly inside the screen.
     Infeasible sets return entropy = +inf with ``feasible = False``.
     """
+    if sidedness not in SIDEDNESS:
+        raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
     if not model.is_finite:
         raise CapabilityError("the entropy oracle requires a finite-support model")
     if len(model.atoms) > SUPPORT_CAP:

@@ -101,7 +101,11 @@ def screen_decision(
 
 def screened_mask(t_dev, u: float, sidedness: str) -> np.ndarray:
     """``screen_decision`` elementwise, on deviations t_hat - nu of the running mean of U."""
-    return (np.abs(t_dev) if sidedness == "two_sided" else t_dev) < u
+    if sidedness == "two_sided":
+        return np.abs(t_dev) < u
+    if sidedness == "one_sided":
+        return t_dev < u
+    raise ConfigError(f"sidedness must be one of {SIDEDNESS}")
 
 
 def control_variate_estimate(f_values, u_values, beta: float, nu: float) -> float:

@@ -1,4 +1,6 @@
 import math
+import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from screened_mc.bound_engine import (
     REFERENCE_ALPHA_IV,
     thm31_ii_exponent_at,
 )
-from screened_mc.dist_models import Identity, Power
+from screened_mc.dist_models import FiniteMargin, Identity, Power
+from screened_mc.exp_harness import build_model, build_pair, parse_config, thm31_reports
 
 SQRT5 = math.sqrt(5.0)
 
@@ -250,18 +253,28 @@ def test_thm31_ii_reference_alpha_values(normalized_heavy_tail):
     assert got_iv == pytest.approx(0.036642, abs=1e-5)
 
 
-def _thm31_ii_by_scalar_loop(pair, epsilon, u):
-    """The alpha grid evaluated one scalar call at a time (the reference)."""
+_ALPHAS = np.arange(1e-4, 1.0, 1e-4)
+
+
+def _thm31_ii_by_scalar_loop(pair, epsilon, u, array=False):
+    """The alpha grid evaluated one scalar call at a time, refined by golden
+    section (the reference); ``array`` evaluates the grid in one array call,
+    which gives the same bits."""
 
     def neg_exponent(alpha):
         return -thm31_ii_exponent_at(pair, epsilon, u, alpha)
 
-    alphas = np.arange(1e-4, 1.0, 1e-4)
-    a_star, neg = grid_min(neg_exponent, alphas, [neg_exponent(float(a)) for a in alphas])
+    if array:
+        values = -thm31_ii_exponent_at(pair, epsilon, u, _ALPHAS)
+    else:
+        values = [neg_exponent(float(a)) for a in _ALPHAS]
+    a_star, neg = grid_min(neg_exponent, _ALPHAS, values)
     return -neg, a_star
 
 
 def test_thm31_ii_array_grid_matches_scalar_loop(normalized_heavy_tail):
+    # the heavy tail's grid search is the reference, bit for bit; a finite
+    # table's closed form is at least as high, but for rounding
     _, norm = normalized_heavy_tail
     cases = [(pair, *norm.map_thresholds(eps, u))
              for pair in (norm, sm.with_gamma(norm, -1.0))
@@ -270,7 +283,90 @@ def test_thm31_ii_array_grid_matches_scalar_loop(normalized_heavy_tail):
     for pair, eps_n, u_n in cases:
         rep = sm.bound_thm31_ii(pair, eps_n, u_n)
         assert rep.method == "thm31_ii" and 0.0 < rep.exponent < math.inf
-        assert (rep.exponent, rep.alpha_star) == _thm31_ii_by_scalar_loop(pair, eps_n, u_n)
+        reference = _thm31_ii_by_scalar_loop(pair, eps_n, u_n)
+        assert reference == _thm31_ii_by_scalar_loop(pair, eps_n, u_n, array=True)
+        if isinstance(pair.margin.raw, FiniteMargin):
+            assert rep.exponent >= (1.0 - 1e-13) * reference[0]
+        else:
+            assert (rep.exponent, rep.alpha_star) == reference
+
+
+def _finite_normalized_cases(monkeypatch):
+    """(name, normalized pair, eps_n, u_n) of every finite event that the
+    zero-event certificate leaves open, on the pinned finite configs and on
+    finite_instance seeds 1-30 x indices 1-8, at the pair's gamma and at -1."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from test_cli import _VALIDATE_CONFIGS
+    from workloads import finite_instance
+
+    docs = {name: doc for name, doc in _VALIDATE_CONFIGS.items() if doc["model"]["kind"] == "finite_support"}
+    docs.update({f"instance({s}, {k})": finite_instance(s, k) for s in range(1, 31) for k in range(1, 9)})
+    for name, doc in docs.items():
+        cfg = parse_config(doc)
+        model = build_model(cfg.model)
+        try:
+            norm = sm.normalize_observables(build_pair(model, cfg.observables))
+        except sm.DegenerateScreenError:  # a constant U: no normalized pair, no bound
+            continue
+        eps_n, u_n = norm.map_thresholds(cfg.screen.epsilon, cfg.screen.u)
+        if not bound_engine.zero_event_check(norm, eps_n, u_n):
+            yield name, norm, eps_n, u_n
+            yield f"{name}, gamma=-1", sm.with_gamma(norm, -1.0), eps_n, u_n
+
+
+def test_thm31_ii_closed_form_is_tight_and_sound_on_finite_tables(monkeypatch):
+    # the grid-plus-golden reference never beats the closed form by more than
+    # 1e-13 (relative); an optimum at a span end keeps its bits; the exponent
+    # is the objective at the reported alpha, so it is a valid bound
+    span, ends = (_ALPHAS[0], _ALPHAS[-1]), 0
+    cases = list(_finite_normalized_cases(monkeypatch))
+    assert len(cases) > 400
+    for name, pair, eps_n, u_n in cases:
+        rep = bound_engine.thm31_ii_search(pair, eps_n, u_n)
+        exponent, alpha = _thm31_ii_by_scalar_loop(pair, eps_n, u_n, array=True)
+        assert rep.exponent >= (1.0 - 1e-13) * exponent, name
+        assert span[0] <= rep.alpha_star <= span[1], name
+        assert rep.exponent == thm31_ii_exponent_at(pair, eps_n, u_n, rep.alpha_star), name
+        if alpha in span:
+            ends += 1
+            assert (rep.exponent, rep.alpha_star) == (exponent, alpha), name
+    assert ends > 0
+
+
+def test_thm31_ii_closed_form_on_an_empty_event_and_a_bogus_gamma():
+    # F = U = +-1: m(beta) = |1 - beta| is 0 at alpha = u/eps, inside the span
+    model = sm.finite_support([-1.0, 1.0], [0.5, 0.5])
+    same = sm.tabulated_pair(model, [-1.0, 1.0], [-1.0, 1.0])
+    rep = bound_engine.thm31_ii_search(same, 1.0, 0.4)
+    assert rep.exponent == math.inf and rep.alpha_star == 0.4
+    # a surrogate gamma far above 1 drives the Bennett denominator negative
+    bogus = sm.with_gamma(_finite_normalized_pair(), 50.0)
+    with pytest.raises(sm.NumericError):
+        sm.bound_thm31_ii(bogus, 0.5, 0.1)
+
+
+def test_zero_event_check_rejects_a_gap_of_1e_10_at_an_envelope_vertex():
+    # an exactly normalized table (mean 0, Var U = 1, Var F = 9/32) whose
+    # zero-event gap m(beta) - (eps - beta u) is convex and piecewise linear,
+    # with its minimum at the envelope's one break: about +1e-10, not <= 0
+    model = sm.finite_support([1.0, 2.0, 3.0, 4.0], [0.25] * 4)
+    pair = sm.tabulated_pair(model, [-0.5, -0.5, 0.25, 0.75], [-1.0, -1.0, 1.0, 1.0])
+    assert pair.normalized is False and pair.var_u == 1.0 and pair.mu == 0.0
+    norm = sm.normalize_observables(pair)
+    assert norm.margin is pair.margin
+    u = 0.25
+    eps = 0.28125 - 1e-10
+    atoms, breaks = pair.margin.envelope
+    assert atoms == (3, 0) and breaks == (0.625,)
+    vertex = Fraction(breaks[0])
+    exact_gap = max(
+        Fraction(f) - vertex * Fraction(x) for f, x in zip(pair.margin.f_values, pair.margin.u_values)
+    ) - (Fraction(eps) - vertex * Fraction(u))
+    assert 0.5e-10 < exact_gap < 2e-10
+    assert bound_engine.zero_event_check(norm, eps, u) is False
+    assert sm.bound_thm31_ii(norm, eps, u).method == "thm31_ii"
+    _, reports = thm31_reports(pair, {"f": {"form": "table"}, "u": {"form": "table"}}, eps, u)
+    assert reports["thm31_ii"].method == "thm31_ii" and not reports["thm31_ii"].zero_event
 
 
 def test_thm31_ii_exponent_at_on_arrays(normalized_heavy_tail):

@@ -630,7 +630,7 @@ _REPORT_DIGESTS = {
     ("rates", "readme"): "70c75c123d400862bdcdcadfa445e70befb9e8de2fa2d634b9cbe8e9270a9297",
     ("bound", "heavy_prop11"): "e65b3abc3d9619d466c26508f7525c7a1aa558de6c4b278016c692799425a143",
     ("rates", "heavy_prop11"): "7c768a03205c775e56534b4b02414de5497889a54457e0a4ed4d9ca62adc8cc5",
-    ("bound", "finite_four_atoms"): "6a1cf4bc2e8f3b4fa83693241a8995b9c292085348061dcdf63f379d5b0b30dc",
+    ("bound", "finite_four_atoms"): "cd90b2ab6c50cb6c6dbfff9d530c2fbfe0986b26867644ce26ca8f4f9ef96493",
     ("rates", "finite_four_atoms"): "aa3fe921e165586d6c11ebf1b06f15e8ab76e31f85cc7f5b1551f11e080554ad",
     ("bound", "finite_four_atoms_empty"): "8d9bf17930331753ed1cf9ca0b7cfba8e2a4e34ce0ce6e93a1aed1dc4454d1d0",
     ("rates", "finite_four_atoms_empty"): "2d6b14b8442e0838c9c281187c9dd548a3a5e27e3454e0cdcfc4861ce8eba204",
@@ -680,7 +680,7 @@ _VALIDATE_DIGESTS = {
     ("readme", "1"): "c3430bc933c7fe77684ceeb54339598632a4480e8ccd41b5d62821f3921885ef",
     ("readme", "2"): "c3430bc933c7fe77684ceeb54339598632a4480e8ccd41b5d62821f3921885ef",
     ("heavy_prop11", "1"): "6bf37ee3646c8739d9e06c2acbd1d0b2c41f8b0c5340c51ea1d708f93e64b797",
-    ("finite_four_atoms", "1"): "6b7b2160ade042c3ce4eda0052033f852bdfd380907f9b4f5d089612efcf8824",
+    ("finite_four_atoms", "1"): "b814f7679806127877c034e0825d58d0c9f39f066965a11132d2bb85d8c84776",
     ("finite_four_atoms_empty", "1"): "2cf0d57ef37ea3367f6e79bb0265292bf81d5743604a82f8e59e54aee8a09f5a",
     ("finite_three_atoms", "1"): "561c66cc9d5a1523d1101527e3a6f0548c9de366aa8339ff16fffa55b07e0435",
     ("power_half_identity", "1"): "ff7cec8bdca18341ce07ac16c296c6b947efe988fb42e1713f4241be9b544ff2",
@@ -788,9 +788,8 @@ def test_bound_decides_the_zero_event_certificate_once(tmp_path, monkeypatch, ca
     assert len(searches) == (0 if zero_event else 2)
 
 
-def test_finite_bound_shares_the_alpha_grid_margin(tmp_path, monkeypatch, capsys):
-    # one array call for the certificate's beta grid and one for the alpha
-    # grid of both searches; the failed certificate is settled on its grid
+def _bound_margin_calls(tmp_path, monkeypatch, capsys, name):
+    """(in the certificate, on an array) for each margin call of one `bound`."""
     calls, in_certificate = [], []
     real_margin, real_check = bound_engine.margin, bound_engine.zero_event_check
 
@@ -807,12 +806,27 @@ def test_finite_bound_shares_the_alpha_grid_margin(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(bound_engine, "margin", margin)
     monkeypatch.setattr(bound_engine, "zero_event_check", check)
-    cfg = write_config(tmp_path, _REPORT_CONFIGS["finite_four_atoms"])
-    assert main(["bound", "--config", cfg]) == 0
+    assert main(["bound", "--config", write_config(tmp_path, _REPORT_CONFIGS[name])]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["zero_event"] is False and "thm31_ii_worst_gamma" in doc
+    return calls
+
+
+def test_heavy_tail_bound_shares_the_alpha_grid_margin(tmp_path, monkeypatch, capsys):
+    # one array call for the certificate's beta grid and one for the alpha
+    # grid of both searches; the failed certificate is settled on its grid
+    calls = _bound_margin_calls(tmp_path, monkeypatch, capsys, "heavy_prop11")
     assert calls.count((True, True)) == 1 and (True, False) not in calls
     assert calls.count((False, True)) == 1 and (False, False) in calls
+
+
+def test_finite_bound_takes_alpha_in_closed_form(tmp_path, monkeypatch, capsys):
+    # one array call for the certificate's beta grid; past it, each of the two
+    # searches evaluates the margin once, at the alpha its envelope picks
+    calls = _bound_margin_calls(tmp_path, monkeypatch, capsys, "finite_four_atoms")
+    assert calls.count((True, True)) == 1 and (True, False) not in calls
+    # thm31_iii adds one scalar call at beta = 1/(2K)
+    assert calls.count((False, True)) == 0 and calls.count((False, False)) == 3
 
 
 def test_prop11_constants_are_optimized_once_per_process(monkeypatch):

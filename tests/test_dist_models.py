@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -482,3 +483,62 @@ def test_finite_log_mgf_evaluates_each_table_once_per_pair(monkeypatch):
             assert lam == pytest.approx(lam_ref, abs=1e-14)
             np.testing.assert_allclose(mean, [w @ f, w @ u], rtol=1e-12)
     assert len(calls) == 2 * 3  # F and U once per switch of pair
+
+
+def _envelope_values(oracle, betas):
+    """The extremum from the envelope alone: each beta evaluates only its winning line."""
+    atoms, breaks = oracle.envelope
+    idx = np.asarray(atoms, dtype=int)[np.searchsorted(np.asarray(breaks), betas, side="right")]
+    f, u = np.asarray(oracle.f_values)[idx], np.asarray(oracle.u_values)[idx]
+    return f + (oracle.u_sign * betas) * u
+
+
+def _finite_margins(f_values, u_values):
+    from screened_mc.dist_models import FiniteMargin
+
+    fv, uv = tuple(map(float, f_values)), tuple(map(float, u_values))
+    return [FiniteMargin(fv, uv, s, sense) for s in (-1.0, 1.0) for sense in ("max", "min")]
+
+
+def _envelope_tables(monkeypatch):
+    """(name, f, u) of every pinned finite config and finite_instance seeds 1-10 x 1-8."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from test_cli import _VALIDATE_CONFIGS
+    from workloads import finite_instance
+
+    docs = {name: doc for name, doc in _VALIDATE_CONFIGS.items() if doc["model"]["kind"] == "finite_support"}
+    docs.update({f"instance({s}, {k})": finite_instance(s, k) for s in range(1, 11) for k in range(1, 9)})
+    for name, doc in docs.items():
+        obs = doc["observables"]
+        yield name, obs["f"]["values"], obs["u"]["values"]
+
+
+# degenerate tables: (f, u, the margin's envelope as (atoms, breaks))
+_DEGENERATE_TABLES = {
+    "equal u values": ([0.3, -1.2, 2.0, 0.5], [1.0, 1.0, 1.0, -0.5], ((2, 3), (1.0,))),
+    "repeated atoms": ([1.0, 1.0, -0.5, 1.0], [0.5, 0.5, -2.0, 0.5], ((0, 2), (0.6,))),
+    # f = u: every line f(1 - beta) passes through (1, 0); the middle one only touches
+    "three lines through one point": ([-1.0, 0.5, 2.0], [-1.0, 0.5, 2.0], ((2, 0), (1.0,))),
+    "one line winning everywhere": ([0.1, 0.7, -0.3], [0.4, 0.4, 0.4], ((1,), ())),
+    "one atom": ([0.25], [-3.0], ((0,), ())),
+}
+
+
+def test_finite_margin_envelope_of_degenerate_tables():
+    for name, (f, u, margin_envelope) in _DEGENERATE_TABLES.items():
+        assert _finite_margins(f, u)[0].envelope == margin_envelope, name
+
+
+def test_finite_margin_envelope_gives_the_same_bits(monkeypatch):
+    # 10^4 seeded betas per table, on every sign and sense: the winning line
+    # found by the breaks computes the very bits of the full max or min
+    tables = list(_envelope_tables(monkeypatch))
+    tables += [(name, f, u) for name, (f, u, _) in _DEGENERATE_TABLES.items()]
+    rng = np.random.default_rng(18)
+    for name, f, u in tables:
+        betas = np.exp(rng.uniform(math.log(1e-4), math.log(1e4), 10**4))
+        for oracle in _finite_margins(f, u):
+            want, got = oracle(betas), _envelope_values(oracle, betas)
+            assert np.array_equal(want.view(np.uint64), got.view(np.uint64)), (name, oracle)
+            for beta in betas[:200].tolist():  # the scalar path, which the searches call
+                assert oracle(beta) == _envelope_values(oracle, np.array([beta]))[0]

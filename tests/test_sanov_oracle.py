@@ -531,3 +531,21 @@ def test_tilted_dual_stays_in_the_moment_set():
     assert f @ q >= pair.mu + eps - 1e-12
     assert u_vals @ q <= pair.nu + u + 1e-12
     assert h == sm.relative_entropy(q, model.probs)
+
+
+def test_sanov_rate_rejects_an_unknown_sidedness(monkeypatch):
+    # a misspelt side used to solve the one-sided set without a word
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import finite_instance
+
+    cfg = parse_config(finite_instance(11, 6))
+    model = build_model(cfg.model)
+    pair = build_pair(model, cfg.observables)
+    eps, u = cfg.screen.epsilon, cfg.screen.u
+    one = sm.sanov_rate(model, pair, eps, u, "one_sided").entropy
+    two = sm.sanov_rate(model, pair, eps, u, "two_sided").entropy
+    assert one == pytest.approx(0.6959655778938211, rel=1e-12)
+    assert two == pytest.approx(0.8801549069826822, rel=1e-12)
+    for wrong in ("two-sided", "both", ""):
+        with pytest.raises(sm.ConfigError, match="sidedness must be one of"):
+            sm.sanov_rate(model, pair, eps, u, wrong)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import screened_mc as sm
 from screened_mc.exp_harness import _trajectory_csv
-from screened_mc.screen_core import SIDEDNESS, StreamState
+from screened_mc.screen_core import SIDEDNESS, StreamState, screened_mask
 
 
 def test_update_stream_single_and_double():
@@ -285,3 +285,15 @@ def test_screen_config_validation():
         sm.ScreenConfig(epsilon=0.1, u=0.1, n=0)
     with pytest.raises(sm.ConfigError):
         sm.ScreenConfig(epsilon=0.1, u=0.1, n=10, sidedness="diagonal")
+
+
+def test_screened_mask_rejects_an_unknown_sidedness():
+    # the same error as screen_decision, not a silent one-sided screen
+    t_dev = np.array([-0.5, 0.0, 0.5])
+    assert screened_mask(t_dev, 0.25, "two_sided").tolist() == [False, True, False]
+    assert screened_mask(t_dev, 0.25, "one_sided").tolist() == [True, True, False]
+    for wrong in ("two-sided", "both", ""):
+        with pytest.raises(sm.ConfigError, match="sidedness must be one of"):
+            screened_mask(t_dev, 0.25, wrong)
+        with pytest.raises(sm.ConfigError, match="sidedness must be one of"):
+            sm.screen_decision(StreamState(1, 0.0, 0.0), 0.0, 0.25, wrong)
