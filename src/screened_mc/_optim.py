@@ -1,13 +1,14 @@
 """Scalar search: a caller-evaluated grid refined by golden section.
 
-Every scalar search in the package (the thm31(ii) alpha on the heavy
-tail, the worked example's alpha, a certifying beta, a margin's x, a
-tilt along one line) ends in ``golden_min``; a finite table's thm31(ii)
-alpha is taken in closed form on its margin's envelope instead
-(``bound_engine.thm31_ii_search``).  All but the line search start from
-a grid the caller evaluates, whose best point ``grid_min`` brackets by
-its two neighbours.  Maximization negates the objective, which is exact
-in floating point.
+Every scalar search in the package (the thm31(ii) alpha where the
+heavy tail's margin curves, the worked example's alpha, a certifying
+beta, a margin's x, a tilt along one line) ends in ``golden_min``; on a
+straight piece of the margin (a finite table's envelope, the heavy
+tail's straight branch) the thm31(ii) alpha is taken in closed form
+instead (``bound_engine.thm31_ii_search``).  All but the line search
+start from a grid the caller evaluates, whose best point ``grid_min``
+brackets by its two neighbours.  Maximization negates the objective,
+which is exact in floating point.
 """
 
 from __future__ import annotations

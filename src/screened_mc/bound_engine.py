@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ._optim import grid_min, min_convex_gap
-from .dist_models import FiniteMargin, ObservablePair, Standardized
+from .dist_models import FiniteMargin, ObservablePair, ParetoMargin, Standardized
 from .errors import (
     CapabilityError,
     DegenerateScreenError,
@@ -291,28 +291,67 @@ def _thm31_ii_objective(gamma: float, epsilon: float, alpha, beta, m):
     return np.where(empty, math.inf, value) if grid else value
 
 
-# thm31_ii's alpha grid, and its span, which the closed form on finite tables keeps
+# thm31_ii's alpha grid (built per request: no large array outlives a call),
+# its top, and the lowest alpha of the closed form on a straight piece: any
+# alpha in (0, 1) gives a valid bound, and beta = alpha eps/u stays a positive double
 _ALPHA_STEP = 1e-4
-_ALPHA_LO, _ALPHA_HI = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)[[0, -1]].tolist()
+_ALPHA_HI = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)[-1].item()
+_ALPHA_MIN = 2.0**-40
 
 
 class AlphaGrid:
-    """thm31_ii's alpha grid (step 1e-4) at (epsilon, u), and the margin on it.
+    """thm31_ii's alpha grid (step 1e-4) at (epsilon, u), split where the margin curves.
 
-    Only a margin that is not a finite table reads it (the heavy tail):
-    ``thm31_ii_search`` takes a finite table's alpha in closed form.
-    Gamma enters neither, so the searches of one request at the pair's
-    gamma and at gamma = -1 share one array margin call, made on first
-    use: an event certified empty makes none.  Build one per request.
+    ``pieces``: the margin's straight pieces, where ``thm31_ii_search``
+    takes alpha in closed form, and the grid's slice where it curves (none
+    of a finite table, all of a margin with no ``straight``).  Gamma enters
+    neither, so the searches of one request at two gammas share them and
+    one array margin call on the slice, made on first use: an event
+    certified empty makes none.  Build one per request.
     """
 
     def __init__(self, pair: ObservablePair, epsilon: float, u: float):
         self.pair, self.epsilon, self.u = pair, epsilon, u
 
     @functools.cached_property
-    def values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(alphas, betas, margins) on the grid."""
+    def pieces(self) -> tuple[tuple | None, np.ndarray | None]:
+        """((intercepts, slopes, breaks, lo, hi) of the straight pieces in the
+        pair's beta over alpha in [lo, hi], or None; the grid's curved slice,
+        widened by one point on each side, or None)."""
+        oracle = self.pair.margin
+        raw = oracle.raw if isinstance(oracle, TransformedMargin) else oracle
+        straight = raw.straight if isinstance(raw, (FiniteMargin, ParetoMargin)) else None
+        if straight is None:
+            return None, np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)
+        lines, (k, up) = _envelope_lines(oracle, straight[0]), straight[1] or (None, None)
+        if k is None:
+            return (*lines, _ALPHA_MIN, _ALPHA_HI), None
         alphas = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)
+        c, s = (oracle.f_scale, oracle.u_scale) if raw is not oracle else (1.0, 1.0)
+
+        def past(j):  # grid point j lies above the peak branch's edge, by __call__'s test
+            r = k / (float(alphas[j]) * self.epsilon / self.u * c / s)
+            return (r > 1.0 if up else r < 1.0) != up
+
+        # the first point above the edge: from the edge's alpha, then checked
+        # exactly on its neighbours (the test is monotone in j)
+        n, t = len(alphas), int(np.searchsorted(alphas, k * s / c * self.u / self.epsilon))
+        while t > 0 and past(t - 1):
+            t -= 1
+        while t < n and not past(t):
+            t += 1
+        if up:  # the peak branch below the edge, the straight pieces above it
+            curved = alphas[: t + 1] if t else None
+            span = (float(alphas[t]), _ALPHA_HI) if t < n else None
+        else:
+            curved = alphas[max(t - 1, 0) :] if t < n else None
+            span = (_ALPHA_MIN, float(alphas[t - 1])) if t else None
+        return span and (*lines, *span), curved
+
+    @functools.cached_property
+    def values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(alphas, betas, margins) on the curved slice."""
+        alphas = self.pieces[1]
         betas = alphas * self.epsilon / self.u
         return alphas, betas, margin(self.pair, betas)
 
@@ -333,16 +372,21 @@ def thm31_ii_search(
 ) -> BoundReport:
     """``bound_thm31_ii`` past a failed certificate: the search over alpha.
 
-    A margin that is a finite table, raw or through ``TransformedMargin``,
-    takes the maximum in closed form on its envelope
-    (``_thm31_ii_on_envelope``).  Any other margin takes the dense grid
-    (step 1e-4, evaluated in one array call) plus golden-section
-    refinement around the best grid point.  Gamma enters the search but
-    not the certificate, so a pair whose certificate failed needs only
-    this at another gamma; ``grid``, an ``AlphaGrid`` of a pair with the
-    same margin oracle at the same thresholds, lends it the margin
-    already evaluated.  The pair is checked once here: both searches stay
-    inside the grid's span of (0, 1).
+    On the margin's straight pieces (a finite table's envelope, or a
+    ``ParetoMargin`` off its peak branch, raw or through
+    ``TransformedMargin``) alpha is taken in closed form
+    (``_thm31_ii_on_envelope``), down to alpha = 2^-40 where a straight
+    piece reaches below the grid.  Where the margin curves, it takes the
+    dense grid (step 1e-4) on the curved slice of ``AlphaGrid``, evaluated
+    in one array call, plus golden-section refinement around its best
+    point; the slice is one grid point wider on each side than the curve,
+    so the refinement brackets as on the full grid.  The larger exponent
+    wins, the grid's on a tie.  Gamma enters the search but not the
+    certificate, so a pair whose certificate failed needs only this at
+    another gamma; ``grid``, an ``AlphaGrid`` of a pair with the same
+    margin oracle at the same thresholds, lends it the pieces and the
+    margin already evaluated.  The pair is checked once here: both
+    searches stay inside (0, 1).
     """
     _require_normalized(pair)
     if grid is None:
@@ -350,38 +394,38 @@ def thm31_ii_search(
     if (grid.pair.margin, grid.epsilon, grid.u) != (pair.margin, epsilon, u):
         raise PreconditionError("the alpha grid was evaluated for another margin or thresholds")
     gamma = pair.gamma
-    lines = _envelope_lines(pair.margin)
-    if lines is not None:
-        a_star = _thm31_ii_on_envelope(gamma, epsilon / u, *lines)
-        beta = a_star * epsilon / u
-        exponent = _thm31_ii_objective(gamma, epsilon, a_star, beta, margin(pair, beta))
-        return BoundReport(method="thm31_ii", exponent=exponent, alpha_star=a_star)
+    lines, curved = grid.pieces
 
-    def neg_exponent(alpha):
+    def exponent_at(alpha):
         beta = alpha * epsilon / u
-        return -_thm31_ii_objective(gamma, epsilon, alpha, beta, margin(pair, beta))
+        return _thm31_ii_objective(gamma, epsilon, alpha, beta, margin(pair, beta))
 
-    alphas, betas, margins = grid.values
-    values = -_thm31_ii_objective(gamma, epsilon, alphas, betas, margins)
-    a_star, neg = grid_min(neg_exponent, alphas, values)
-    return BoundReport(method="thm31_ii", exponent=-neg, alpha_star=a_star)
+    exponent, a_star = -math.inf, None
+    if curved is not None:
+        alphas, betas, margins = grid.values
+        values = -_thm31_ii_objective(gamma, epsilon, alphas, betas, margins)
+        a_star, neg = grid_min(lambda alpha: -exponent_at(alpha), alphas, values)
+        exponent = -neg
+    if lines is not None:
+        alpha = _thm31_ii_on_envelope(gamma, epsilon / u, *lines)
+        closed = exponent_at(alpha)
+        if closed > exponent:
+            exponent, a_star = closed, alpha
+    return BoundReport(method="thm31_ii", exponent=exponent, alpha_star=a_star)
 
 
-def _envelope_lines(oracle) -> tuple[list, list, list] | None:
-    """(intercepts, slopes, breaks) of a finite table's margin, or None.
+def _envelope_lines(oracle, table: FiniteMargin) -> tuple[list, list, list]:
+    """(intercepts, slopes, breaks) of the "max" table that ``oracle`` maps.
 
     The margin is a + d*beta on the envelope's piece j, between breaks
     j-1 and j, in the pair's own beta.  ``TransformedMargin`` maps each
     raw line f + k*b, at b = beta c/s, to (f - mu)/c + beta (k + nu)/s
     (nu with its sign), and each raw break b to b s/c.
     """
-    raw = oracle.raw if isinstance(oracle, TransformedMargin) else oracle
-    if not (isinstance(raw, FiniteMargin) and raw.sense == "max"):
-        return None
-    atoms, breaks = raw.envelope
-    f = [raw.f_values[i] for i in atoms]
-    k = [raw.u_sign * raw.u_values[i] for i in atoms]
-    if raw is oracle:
+    atoms, breaks = table.envelope
+    f = [table.f_values[i] for i in atoms]
+    k = [table.u_sign * table.u_values[i] for i in atoms]
+    if not isinstance(oracle, TransformedMargin):
         return f, k, list(breaks)
     c, s, nu = oracle.f_scale, oracle.u_scale, oracle.u_sign * oracle.nu
     return (
@@ -402,8 +446,8 @@ def _quadratic_roots(c2: float, c1: float, c0: float) -> tuple[float, ...]:
     return (q / c2, c0 / q) if q != 0.0 else (0.0,)
 
 
-def _thm31_ii_on_envelope(gamma: float, k: float, intercepts, slopes, breaks) -> float:
-    """The alpha in [alphas[0], alphas[-1]] of the grid that maximizes thm31_ii.
+def _thm31_ii_on_envelope(gamma: float, k: float, intercepts, slopes, breaks, lo, hi) -> float:
+    """The alpha in [lo, hi] that maximizes thm31_ii on the envelope's pieces.
 
     At beta = k alpha (k = eps/u) the envelope's piece gives m = A - D alpha,
     and sigma^2 = 1 + k^2 alpha^2 - 2 k gamma alpha.  With
@@ -415,11 +459,11 @@ def _thm31_ii_on_envelope(gamma: float, k: float, intercepts, slopes, breaks) ->
     m <= 0 (the event is empty).  Q is convex on a piece, so its minimum
     over the span is checked: a nonpositive one raises ``NumericError``.
     """
-    best, a_star = -math.inf, _ALPHA_LO
+    best, a_star = -math.inf, lo
     last = len(intercepts) - 1
     for j, (A, slope) in enumerate(zip(intercepts, slopes)):
-        left = max(_ALPHA_LO, breaks[j - 1] / k) if j else _ALPHA_LO
-        right = min(_ALPHA_HI, breaks[j] / k) if j < last else _ALPHA_HI
+        left = max(lo, breaks[j - 1] / k) if j else lo
+        right = min(hi, breaks[j] / k) if j < last else hi
         if not left <= right:
             continue
         D = -slope * k

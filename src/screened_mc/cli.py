@@ -34,12 +34,12 @@ from .exp_harness import (
     _write_file,
     build_model,
     build_pair,
-    canonicalize,
     default_jobs,
     emit_report,
     emit_trajectory_csv,
     heavy_tail_policy,
     parse_config,
+    report_text,
     run_validation,
     thm31_reports,
 )
@@ -93,8 +93,7 @@ def _emit_or_print(args, cfg: ExperimentConfig | None, document: dict) -> None:
     for path in reports:
         emit_report(document, _out_path(args, path))
     if not reports:
-        json.dump(canonicalize(document), sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(report_text(document))  # one write, the bytes of a report file
 
 
 def _simulate_trials(task) -> int:

@@ -161,7 +161,8 @@ class ParetoMargin:
     power with a positive coefficient leads; else g at its one stationary
     point x* = r**(1/(b-a)), r = -A a / (beta B b), when x* > 1 and g
     peaks there; else the larger of g(1) and the limit at x = inf.  Signs
-    decide once, at construction, which of these cases can arise.
+    decide once, at construction, which of these cases can arise.  Off the
+    peak branch the oracle is straight in beta (``straight``).
     """
 
     f: tuple  # (alpha_f, a, delta_f)
@@ -215,6 +216,19 @@ class ParetoMargin:
         value = p + beta * q
         return s * (max(value, limit[0] + beta * limit[1]) if limit else value)
 
+    @functools.cached_property
+    def straight(self) -> tuple[FiniteMargin, tuple | None] | None:
+        """(lines, peak) of a "max" oracle with no +inf part, else None: off
+        its peak branch the oracle is the table ``lines``, g(1) and the limit
+        at x = inf as lines in beta; it takes that branch where k/beta > 1
+        (up) or k/beta < 1 for ``peak`` = (k, up), as ``__call__`` tests, and
+        nowhere for ``peak`` None."""
+        s, p, q, _, _, infinite, peak, limit = self._cases
+        if s < 0.0 or infinite:
+            return None
+        f, k = zip(*([(p, q), limit] if limit else [(p, q)]))
+        return FiniteMargin(f, k, 1.0, "max"), peak and (peak[0], peak[3])
+
 
 @dataclass(frozen=True)
 class FiniteMargin:
@@ -244,6 +258,11 @@ class FiniteMargin:
         for f, u in zip(self.f_values[1:], self.u_values[1:]):
             pick(ext, f + scaled * u, out=ext)
         return ext
+
+    @property
+    def straight(self) -> tuple[FiniteMargin, None] | None:
+        """(self, None) for "max": straight pieces throughout (``ParetoMargin.straight``)."""
+        return (self, None) if self.sense == "max" else None
 
     @functools.cached_property
     def envelope(self) -> tuple[tuple[int, ...], tuple[float, ...]]:

@@ -428,10 +428,11 @@ def thm31_reports(
     K = u_n/eps_n.  Gamma does not enter the zero-event certificate, so it
     is decided once: an event certified empty serves the gamma = -1 report
     as it is, and otherwise that report runs only the search over alpha.
-    Gamma does not enter the margin either, so on the heavy tail both
-    searches read the margin on the alpha grid from one ``AlphaGrid``, which
-    dies with the call; a finite table's searches take alpha in closed form
-    on its margin's envelope, built once per pair, and never evaluate the grid.
+    Gamma does not enter the margin either, so both searches read the
+    margin's straight pieces, where alpha is taken in closed form, and the
+    margin on the grid's curved slice from one ``AlphaGrid``, which dies
+    with the call; a finite table is straight throughout, so its searches
+    never evaluate the grid.
     """
     if heavy_tail_policy(obs_spec, epsilon, u)[0]:
         norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
@@ -994,10 +995,14 @@ def canonicalize(obj):
     raise InputError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+def report_text(document: dict) -> str:
+    """Sorted-key JSON with canonical float text: a report's bytes, file or stdout."""
+    return json.dumps(canonicalize(document), sort_keys=True, indent=2) + "\n"
+
+
 def emit_report(document: dict, path: str) -> None:
-    """Sorted-key JSON with canonical float text; rerunning is byte-identical."""
-    text = json.dumps(canonicalize(document), sort_keys=True, indent=2) + "\n"
-    _write_file(path, text.encode())
+    """Write ``report_text``; rerunning is byte-identical."""
+    _write_file(path, report_text(document).encode())
 
 
 def _write_file(path: str, data: bytes) -> None:

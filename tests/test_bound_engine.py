@@ -12,6 +12,7 @@ from screened_mc._optim import grid_min
 from screened_mc.bound_engine import (
     REFERENCE_ALPHA_III,
     REFERENCE_ALPHA_IV,
+    AlphaGrid,
     thm31_ii_exponent_at,
 )
 from screened_mc.dist_models import FiniteMargin, Identity, Power
@@ -291,6 +292,78 @@ def test_thm31_ii_array_grid_matches_scalar_loop(normalized_heavy_tail):
             assert (rep.exponent, rep.alpha_star) == reference
 
 
+def test_heavy_tail_split_search_matches_the_full_grid(normalized_heavy_tail, monkeypatch):
+    # the grid runs on the slice where the margin takes its peak branch, as
+    # __call__ decides it on the full grid, widened by one point; the straight
+    # branch takes the closed form; on the benchmark's grid and on 200 seeded
+    # (eps, u) every optimum lies on the curve and keeps the full grid's bits
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import HEAVY_BOUND_GRID
+
+    _, norm = normalized_heavy_tail
+    (k, up), index = norm.margin.raw.straight[1], np.arange(len(_ALPHAS))
+    assert up
+    rng = np.random.default_rng(2028)
+    eps = rng.uniform(0.01, 1.0, 200)
+    seeded = list(zip(eps.tolist(), (eps * rng.uniform(0.001, 0.5, 200)).tolist()))
+    opened = []
+    for eps, u in [*HEAVY_BOUND_GRID, *seeded]:
+        eps_n, u_n = norm.map_thresholds(eps, u)
+        if bound_engine.zero_event_check(norm, eps_n, u_n):
+            continue
+        opened.append((eps, u))
+        grid = AlphaGrid(norm, eps_n, u_n)
+        on_peak = k / (_ALPHAS * eps_n / u_n * norm.margin.f_scale / norm.margin.u_scale) > 1.0
+        count = int(on_peak.sum())
+        assert np.array_equal(on_peak, index < count) and 0 < count < len(_ALPHAS)
+        assert np.array_equal(grid.pieces[1], _ALPHAS[: count + 1])
+        assert grid.pieces[0][3:] == (_ALPHAS[count], _ALPHAS[-1])
+        for pair in (norm, sm.with_gamma(norm, -1.0)):
+            rep = bound_engine.thm31_ii_search(pair, eps_n, u_n, grid)
+            reference = _thm31_ii_by_scalar_loop(pair, eps_n, u_n, array=True)
+            assert (rep.exponent, rep.alpha_star) == reference, (eps, u, pair.gamma)
+    assert len(set(opened) - set(seeded)) == 5 and len(opened) - 5 >= 100
+
+
+def test_thm31_ii_straight_branch_wins_below_the_grid():
+    # F = x^-1, U = x^-2 on pareto_like, as a config builds it: the margin
+    # takes its peak branch above an edge in beta and is straight below it;
+    # at gamma = -1 the optimum lies on the straight part, below the grid
+    doc = {
+        "model": {"kind": "pareto_like"},
+        "observables": {
+            "f": {"form": "power", "exponent": -1.0},
+            "u": {"form": "power", "exponent": -2.0},
+        },
+        "screen": {"epsilon": 0.02, "u": 0.01, "n": 200},
+        "trials": 1,
+        "seed": 1,
+    }
+    cfg = parse_config(doc)
+    pair = sm.normalize_observables(build_pair(build_model(cfg.model), cfg.observables))
+    eps_n, u_n = pair.map_thresholds(0.02, 0.01)
+    assert not bound_engine.zero_event_check(pair, eps_n, u_n)
+    (_, up), (lines, curved) = pair.margin.raw.straight[1], AlphaGrid(pair, eps_n, u_n).pieces
+    assert not up and lines[3] == 2.0**-40  # the straight part lies below the edge
+    assert curved[-1] == _ALPHAS[-1] and len(curved) < len(_ALPHAS)
+    worst = sm.with_gamma(pair, -1.0)
+    rep = sm.bound_thm31_ii(worst, eps_n, u_n)
+    reference = _thm31_ii_by_scalar_loop(worst, eps_n, u_n, array=True)
+    assert rep.exponent > reference[0] and rep.alpha_star < _ALPHAS[0]
+    assert rep.exponent == thm31_ii_exponent_at(worst, eps_n, u_n, rep.alpha_star)
+    # at the pair's own gamma the optimum lies on the curve: the full grid's bits
+    rep = sm.bound_thm31_ii(pair, eps_n, u_n)
+    assert (rep.exponent, rep.alpha_star) == _thm31_ii_by_scalar_loop(pair, eps_n, u_n, array=True)
+    # F = x^-1, U = x: no peak branch, so the margin is one line and no grid runs
+    line = sm.pair_from_callables(sm.pareto_like(), Power(-1.0), Identity())
+    line = sm.normalize_observables(line)
+    eps_n, u_n = line.map_thresholds(0.1, 0.01)
+    assert AlphaGrid(line, eps_n, u_n).pieces[1] is None
+    rep = sm.bound_thm31_ii(line, eps_n, u_n)
+    assert rep.method == "thm31_ii" and rep.alpha_star == 2.0**-40
+    assert rep.exponent >= _thm31_ii_by_scalar_loop(line, eps_n, u_n, array=True)[0]
+
+
 def _finite_normalized_cases(monkeypatch):
     """(name, normalized pair, eps_n, u_n) of every finite event that the
     zero-event certificate leaves open, on the pinned finite configs and on
@@ -315,22 +388,29 @@ def _finite_normalized_cases(monkeypatch):
 
 
 def test_thm31_ii_closed_form_is_tight_and_sound_on_finite_tables(monkeypatch):
-    # the grid-plus-golden reference never beats the closed form by more than
-    # 1e-13 (relative); an optimum at a span end keeps its bits; the exponent
-    # is the objective at the reported alpha, so it is a valid bound
-    span, ends = (_ALPHAS[0], _ALPHAS[-1]), 0
+    # neither the grid-plus-golden reference nor the objective below the grid,
+    # at alpha = 1e-8 and 1e-12, beats the closed form by more than 1e-13
+    # (relative); an optimum at the span's upper end keeps its bits; the
+    # exponent is the objective at the reported alpha, so it is a valid bound
+    top, ends, below = _ALPHAS[-1], 0, 0
     cases = list(_finite_normalized_cases(monkeypatch))
     assert len(cases) > 400
+    # F = U = +-1 (gamma = 1): m(beta) = 1 - beta up to beta = 1, at alpha =
+    # 1/1.00005, just past the span; the objective grows all the way there
+    model = sm.finite_support([-1.0, 1.0], [0.5, 0.5])
+    cases.append(("F = U", sm.tabulated_pair(model, [-1.0, 1.0], [-1.0, 1.0]), 1.0, 1.0 / 1.00005))
     for name, pair, eps_n, u_n in cases:
         rep = bound_engine.thm31_ii_search(pair, eps_n, u_n)
         exponent, alpha = _thm31_ii_by_scalar_loop(pair, eps_n, u_n, array=True)
-        assert rep.exponent >= (1.0 - 1e-13) * exponent, name
-        assert span[0] <= rep.alpha_star <= span[1], name
+        tiny = max(thm31_ii_exponent_at(pair, eps_n, u_n, a) for a in (1e-8, 1e-12))
+        assert rep.exponent >= (1.0 - 1e-13) * max(exponent, tiny), name
+        assert 0.0 < rep.alpha_star <= top, name
         assert rep.exponent == thm31_ii_exponent_at(pair, eps_n, u_n, rep.alpha_star), name
-        if alpha in span:
+        below += rep.alpha_star < _ALPHAS[0]
+        if alpha == top:
             ends += 1
             assert (rep.exponent, rep.alpha_star) == (exponent, alpha), name
-    assert ends > 0
+    assert ends > 0 and below > 400
 
 
 def test_thm31_ii_closed_form_on_an_empty_event_and_a_bogus_gamma():

@@ -351,12 +351,17 @@ def test_power_pair_margins_against_the_grid_search_they_replace(tmp_path, capsy
     cfg = write_config(tmp_path, power_doc(0.5, {"form": "identity"}, 0.02, 0.01))
     assert main(["bound", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["thm31_ii"]["exponent"] > 0.0
-    monkeypatch.undo()
-    betas = np.unique(np.concatenate(seen))
-    assert len(betas) > 10_000
     pair = dist_models.pair_from_callables(
         dist_models.pareto_like(), dist_models.Power(0.5), dist_models.Identity()
     )
+    # the bound evaluates its alpha grid only where the margin curves: add
+    # the whole 9,999-point grid, in the raw beta the bound maps it to
+    norm = bound_engine.normalize_observables(pair)
+    eps_n, u_n = norm.map_thresholds(0.02, 0.01)
+    norm.margin(np.arange(1e-4, 1.0, 1e-4) * eps_n / u_n)
+    monkeypatch.undo()
+    betas = np.unique(np.concatenate(seen))
+    assert len(betas) > 10_000
     for beta in betas[:: len(betas) // 300].tolist():
         new = pair.margin(beta)
         old = _grid_search_margin(pair.f, pair.u, beta)
@@ -630,11 +635,11 @@ _REPORT_DIGESTS = {
     ("rates", "readme"): "70c75c123d400862bdcdcadfa445e70befb9e8de2fa2d634b9cbe8e9270a9297",
     ("bound", "heavy_prop11"): "e65b3abc3d9619d466c26508f7525c7a1aa558de6c4b278016c692799425a143",
     ("rates", "heavy_prop11"): "7c768a03205c775e56534b4b02414de5497889a54457e0a4ed4d9ca62adc8cc5",
-    ("bound", "finite_four_atoms"): "cd90b2ab6c50cb6c6dbfff9d530c2fbfe0986b26867644ce26ca8f4f9ef96493",
+    ("bound", "finite_four_atoms"): "3d2aed451d0d0c5d476143ba5b0e14e10e42142d7f54ac84d965f0cf457a0a91",
     ("rates", "finite_four_atoms"): "aa3fe921e165586d6c11ebf1b06f15e8ab76e31f85cc7f5b1551f11e080554ad",
     ("bound", "finite_four_atoms_empty"): "8d9bf17930331753ed1cf9ca0b7cfba8e2a4e34ce0ce6e93a1aed1dc4454d1d0",
     ("rates", "finite_four_atoms_empty"): "2d6b14b8442e0838c9c281187c9dd548a3a5e27e3454e0cdcfc4861ce8eba204",
-    ("bound", "finite_three_atoms"): "115babab9ef06ad81bd4fab1fc3d14f42b4886e1e978925942b9c5a667a1a9bf",
+    ("bound", "finite_three_atoms"): "32fa49b0af08c5f526d4c909191b7477a1ebdf6fa733ed7fb48e63e33078450e",
     ("rates", "finite_three_atoms"): "e0b39ff55a8801626a8af8cf5404a722520ee016575f3eb802eae5a2f757a72e",
     ("prop11", ""): "fa01693d956ea96979dc2e33b701f79007f47f53d1da6581363cd26825cd4e9f",
     ("sanov", "finite_four_atoms"): "65e7e7d8f979477d4e6986c08dadff93c59b9a82e8eea0d9c69186331a6b7869",
@@ -682,7 +687,7 @@ _VALIDATE_DIGESTS = {
     ("heavy_prop11", "1"): "6bf37ee3646c8739d9e06c2acbd1d0b2c41f8b0c5340c51ea1d708f93e64b797",
     ("finite_four_atoms", "1"): "b814f7679806127877c034e0825d58d0c9f39f066965a11132d2bb85d8c84776",
     ("finite_four_atoms_empty", "1"): "2cf0d57ef37ea3367f6e79bb0265292bf81d5743604a82f8e59e54aee8a09f5a",
-    ("finite_three_atoms", "1"): "561c66cc9d5a1523d1101527e3a6f0548c9de366aa8339ff16fffa55b07e0435",
+    ("finite_three_atoms", "1"): "c3d42c5fdd42017ef745a31d42310a59f9ae12f589db3c1dfda465e494573003",
     ("power_half_identity", "1"): "ff7cec8bdca18341ce07ac16c296c6b947efe988fb42e1713f4241be9b544ff2",
     ("finite_constant_u", "1"): "c46830d1df4bc23f5a0a8bf5d638a9e5f5c96142965fd1da661bffa62f06f41b",
 }
@@ -818,6 +823,22 @@ def test_heavy_tail_bound_shares_the_alpha_grid_margin(tmp_path, monkeypatch, ca
     calls = _bound_margin_calls(tmp_path, monkeypatch, capsys, "heavy_prop11")
     assert calls.count((True, True)) == 1 and (True, False) not in calls
     assert calls.count((False, True)) == 1 and (False, False) in calls
+
+
+def test_heavy_tail_alpha_grid_call_holds_the_curved_slice(tmp_path, monkeypatch, capsys):
+    # past the certificate's 256-point grid, the one alpha-grid array call
+    # holds the 187 points where the margin curves and one more, not 9,999
+    sizes, real_margin = [], bound_engine.margin
+
+    def margin(pair, beta):
+        if isinstance(beta, np.ndarray):
+            sizes.append(beta.size)
+        return real_margin(pair, beta)
+
+    monkeypatch.setattr(bound_engine, "margin", margin)
+    assert main(["bound", "--config", write_config(tmp_path, _REPORT_CONFIGS["heavy_prop11"])]) == 0
+    assert json.loads(capsys.readouterr().out)["zero_event"] is False
+    assert sizes == [256, 188]
 
 
 def test_finite_bound_takes_alpha_in_closed_form(tmp_path, monkeypatch, capsys):
