@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -67,7 +67,7 @@ class BoundReport:
         return math.exp(-n * self.exponent)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # flat fields: a shallow copy is a full one
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +304,11 @@ class AlphaGrid:
 
     ``pieces``: the margin's straight pieces, where ``thm31_ii_search``
     takes alpha in closed form, and the grid's slice where it curves (none
-    of a finite table, all of a margin with no ``straight``).  Gamma enters
-    neither, so the searches of one request at two gammas share them and
-    one array margin call on the slice, made on first use: an event
-    certified empty makes none.  Build one per request.
+    of a finite table, all of a margin with no ``straight`` but for the
+    half-line where a ``ParetoMargin`` is +inf and the objective 0).  Gamma
+    enters neither, so the searches of one request at two gammas share
+    them and one array margin call on the slice, made on first use: an
+    event certified empty makes none.  Build one per request.
     """
 
     def __init__(self, pair: ObservablePair, epsilon: float, u: float):
@@ -321,25 +322,42 @@ class AlphaGrid:
         oracle = self.pair.margin
         raw = oracle.raw if isinstance(oracle, TransformedMargin) else oracle
         straight = raw.straight if isinstance(raw, (FiniteMargin, ParetoMargin)) else None
-        if straight is None:
-            return None, np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)
-        lines, (k, up) = _envelope_lines(oracle, straight[0]), straight[1] or (None, None)
-        if k is None:
-            return (*lines, _ALPHA_MIN, _ALPHA_HI), None
         alphas = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)
         c, s = (oracle.f_scale, oracle.u_scale) if raw is not oracle else (1.0, 1.0)
 
+        def raw_beta(j):  # the raw oracle's beta at grid point j, as the margin maps it
+            return float(alphas[j]) * self.epsilon / self.u * c / s
+
+        def first(test, edge):
+            """The first grid index where ``test`` (False, then True) holds: from
+            the alpha of the raw ``edge``, then checked exactly on its neighbours."""
+            n, t = len(alphas), int(np.searchsorted(alphas, edge * s / c * self.u / self.epsilon))
+            while t > 0 and test(t - 1):
+                t -= 1
+            while t < n and not test(t):
+                t += 1
+            return t
+
+        if straight is None:
+            infinite = raw.infinite if isinstance(raw, ParetoMargin) else None
+            if infinite is None:
+                return None, alphas
+            p, q = infinite  # the margin is +inf where p + beta q > 0: a half-line
+            if q == 0.0:
+                return None, (None if p > 0.0 else alphas)
+            t = first(lambda j: (p + raw_beta(j) * q > 0.0) == (q > 0.0), -p / q)
+            if q > 0.0:  # finite below the edge
+                return None, (alphas[: t + 1] if t else None)
+            return None, (alphas[max(t - 1, 0) :] if t < len(alphas) else None)
+        lines, (k, up) = _envelope_lines(oracle, straight[0]), straight[1] or (None, None)
+        if k is None:
+            return (*lines, _ALPHA_MIN, _ALPHA_HI), None
+
         def past(j):  # grid point j lies above the peak branch's edge, by __call__'s test
-            r = k / (float(alphas[j]) * self.epsilon / self.u * c / s)
+            r = k / raw_beta(j)
             return (r > 1.0 if up else r < 1.0) != up
 
-        # the first point above the edge: from the edge's alpha, then checked
-        # exactly on its neighbours (the test is monotone in j)
-        n, t = len(alphas), int(np.searchsorted(alphas, k * s / c * self.u / self.epsilon))
-        while t > 0 and past(t - 1):
-            t -= 1
-        while t < n and not past(t):
-            t += 1
+        n, t = len(alphas), first(past, k)
         if up:  # the peak branch below the edge, the straight pieces above it
             curved = alphas[: t + 1] if t else None
             span = (float(alphas[t]), _ALPHA_HI) if t < n else None
@@ -381,7 +399,8 @@ def thm31_ii_search(
     in one array call, plus golden-section refinement around its best
     point; the slice is one grid point wider on each side than the curve,
     so the refinement brackets as on the full grid.  The larger exponent
-    wins, the grid's on a tie.  Gamma enters the search but not the
+    wins, the grid's on a tie; a margin +inf at every alpha leaves neither,
+    and the exponent is 0 with no alpha.  Gamma enters the search but not the
     certificate, so a pair whose certificate failed needs only this at
     another gamma; ``grid``, an ``AlphaGrid`` of a pair with the same
     margin oracle at the same thresholds, lends it the pieces and the
@@ -395,6 +414,8 @@ def thm31_ii_search(
         raise PreconditionError("the alpha grid was evaluated for another margin or thresholds")
     gamma = pair.gamma
     lines, curved = grid.pieces
+    if lines is None and curved is None:  # the margin is +inf at every alpha: the objective is 0
+        return BoundReport(method="thm31_ii", exponent=0.0)
 
     def exponent_at(alpha):
         beta = alpha * epsilon / u
@@ -562,7 +583,7 @@ class Prop11Report:
     bound_iv: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # flat fields: a shallow copy is a full one
 
 
 REFERENCE_ALPHA_III = 0.0552083

@@ -43,13 +43,13 @@ from .exp_harness import (
     run_validation,
     thm31_reports,
 )
-from .rate_functions import _delta_point, rate_lambda_star, rate_plus_star_detail
+from .rate_functions import _delta_point, _lambda_star_detail, rate_plus_star_detail
 from .sanov_oracle import duality_suite, sanov_rate
 from .screen_core import run_trajectory
 
 # unused here: perfbench/layers.py traces these names as cli attributes
 from .bound_engine import bound_thm31_ii, bound_thm31_iii, normalize_observables, zero_event_check
-from .rate_functions import delta_exponent
+from .rate_functions import delta_exponent, rate_lambda_star
 
 # the worked example's golden table: (epsilon, n, quoted bound)
 _GOLDEN_ROWS = (
@@ -161,14 +161,15 @@ def _cmd_rates(args) -> int:
     cfg, model, pair = _load_pair(args)
     sc = cfg.screen
     doc: dict = {"kind": "rates", "epsilon": sc.epsilon, "u": sc.u}
-    lam_star = rate_lambda_star(model, pair, sc.epsilon)
-    doc["lambda_star"] = lam_star
-    lam_plus, theta = rate_plus_star_detail(model, pair, sc.epsilon, sc.u, "lambda_plus")
+    # the plain rate is solved once: a slack screen takes it as its screened rate
+    plain = _lambda_star_detail(model, pair, sc.epsilon)
+    lam_star = doc["lambda_star"] = plain[0]
+    lam_plus, theta = rate_plus_star_detail(model, pair, sc.epsilon, sc.u, "lambda_plus", plain)
     doc["lambda_plus_star"] = lam_plus
     doc["theta_star"] = list(theta)
     gamma_plus = delta = None
     try:
-        point = _delta_point(model, pair, sc.epsilon, sc.u, lam_star, lam_plus, theta)
+        point = _delta_point(model, pair, sc.epsilon, sc.u, plain, lam_plus, theta)
         gamma_plus, delta = point.gamma_plus_star, point.delta
     except CapabilityError as exc:
         doc["delta_note"] = str(exc)

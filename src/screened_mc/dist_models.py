@@ -216,6 +216,13 @@ class ParetoMargin:
         value = p + beta * q
         return s * (max(value, limit[0] + beta * limit[1]) if limit else value)
 
+    @property
+    def infinite(self) -> tuple[float, float] | None:
+        """(p, q) of a "max" oracle that is +inf where p + beta*q > 0, as
+        ``__call__`` tests, else None."""
+        s, infinite = self._cases[0], self._cases[5]
+        return infinite if s > 0.0 else None
+
     @functools.cached_property
     def straight(self) -> tuple[FiniteMargin, tuple | None] | None:
         """(lines, peak) of a "max" oracle with no +inf part, else None: off

@@ -17,12 +17,15 @@ Each variant needs its own domination assumption (a finite margin in the
 matching direction); missing margins raise CapabilityError rather than
 silently returning junk.
 
-Every supremum is one damped Newton ascent (``legendre_sup``) on the
+A supremum is one damped Newton ascent (``legendre_sup``) on the
 tilted mean and covariance of (F, U), the gradient and Hessian of the
 log-MGF, from ``dist_models.tilted_moments``; ``log_mgf_signed`` is the
 value oracle of its line search.  A margin certificate decides +inf
 first; an ascent still improving beyond THETA_MAX_CERTIFY = 2^60
-certifies +inf as well.
+certifies +inf as well.  On a finite model a screened variant handed
+the plain rate takes no ascent where the screen is slack at the plain
+tilt (``rate_plus_star_detail``): one ascent then serves lambda_star,
+lambda_plus and gamma_plus.
 
 The exponent gap delta(eps, u) = max(lambda_plus, gamma_plus) - plain
 Chernoff rate quantifies how much screening improves the error exponent
@@ -33,7 +36,7 @@ uncorrelated in the independent-factor sense.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,7 +77,7 @@ class RatePoint:
     theta_star: tuple[float, float] | None
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "theta_star": list(self.theta_star) if self.theta_star else None}
+        return {**vars(self), "theta_star": list(self.theta_star) if self.theta_star else None}
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +337,22 @@ def rate_plus_star_detail(
     epsilon: float,
     u: float,
     variant: str = "lambda_plus",
+    plain: tuple[float, float] | None = None,
 ) -> tuple[float, tuple[float, float]]:
-    """The rate together with its maximizing tilt (theta1, theta2)."""
+    """The rate together with its maximizing tilt (theta1, theta2).
+
+    The margin certificate decides +inf first.  ``plain`` = (lambda*,
+    theta1*), the plain Chernoff rate and tilt at the same epsilon (from
+    ``_lambda_star_detail``), lets a slack screen skip the 2-d ascent:
+    for lambda_plus and gamma_plus (s_f = +1, so c1 = mu + eps is the
+    plain problem's c) on a finite model, when the plain tilt's law
+    already meets the screen, d/dtheta2 = c2 - s_u E[U] <= 0 at
+    (theta1*, 0), the point is a KKT point of the concave problem on the
+    orthant, hence its maximum, and (lambda*, (theta1*, 0)) is returned
+    (Csiszar 1975: the screen does not bind).  On the heavy tail the
+    log-MGF is +inf for theta1 > 0 at theta2 = 0, so ``plain`` is
+    ignored there, as it is for the other variants.
+    """
     if variant not in _VARIANTS:
         raise CapabilityError(f"unknown variant {variant!r}")
     s_f, s_u, name = _VARIANTS[variant]
@@ -351,6 +368,11 @@ def rate_plus_star_detail(
     c2 = s_u * pair.nu - u
     if _event_is_empty(sup_oracle, c1, c2):
         return math.inf, (math.inf, math.inf)
+    if plain is not None and s_f > 0.0 and model.is_finite and math.isfinite(plain[0]):
+        lam_star, theta1 = plain
+        _, mean, _ = tilted_moments(model, pair, theta1, 0.0)
+        if c2 - s_u * float(mean[1]) <= 0.0:
+            return lam_star, (theta1, 0.0)
 
     value, arg = _tilt_sup(model, pair, (s_f, s_u), (c1, c2))
     return max(value, 0.0), (float(arg[0]), float(arg[1]))
@@ -380,14 +402,16 @@ def delta_exponent(
     """Gap between the best screened exponent and the plain Chernoff rate.
 
     Defined only for light-tailed models (both observables need finite
-    exponential moments).  The gap is clamped to 0 when within solver
-    tolerance, since both suprema come from the same optimizer and a
-    zero gap is exact at independence.
+    exponential moments).  The plain rate is solved once and handed to
+    both screened variants: where the screen is slack at the plain tilt
+    the variant is that rate, and the gap 0, with no 2-d ascent.  The
+    gap is clamped to 0 when within solver tolerance, since all suprema
+    come from the same optimizer and a zero gap is exact at independence.
     """
     _require_light_tail(model)
-    lam_star = rate_lambda_star(model, pair, epsilon)
-    lam_plus, arg_plus = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
-    return _delta_point(model, pair, epsilon, u, lam_star, lam_plus, arg_plus)
+    plain = _lambda_star_detail(model, pair, epsilon)
+    lam_plus, arg_plus = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus", plain)
+    return _delta_point(model, pair, epsilon, u, plain, lam_plus, arg_plus)
 
 
 def _require_light_tail(model: DistributionModel) -> None:
@@ -397,10 +421,11 @@ def _require_light_tail(model: DistributionModel) -> None:
         )
 
 
-def _delta_point(model, pair, epsilon, u, lam_star, lam_plus, arg_plus) -> RatePoint:
-    """``delta_exponent`` from lambda_star and (lambda_plus, theta) already solved."""
+def _delta_point(model, pair, epsilon, u, plain, lam_plus, arg_plus) -> RatePoint:
+    """``delta_exponent`` from (lambda_star, theta1) and (lambda_plus, theta) already solved."""
     _require_light_tail(model)
-    gam_plus, arg_gam = rate_plus_star_detail(model, pair, epsilon, u, "gamma_plus")
+    lam_star = plain[0]
+    gam_plus, arg_gam = rate_plus_star_detail(model, pair, epsilon, u, "gamma_plus", plain)
     best = max(lam_plus, gam_plus)
     raw = best - lam_star
     delta = 0.0 if abs(raw) <= DELTA_CLAMP_TOL else raw

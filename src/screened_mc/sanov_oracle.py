@@ -363,7 +363,9 @@ def sanov_rate(
     if math.isfinite(u):
         fenchel, theta = rate_plus_star_detail(model, pair, epsilon, u, "lambda_plus")
         if sidedness == "two_sided":
-            lower, (t1, t2) = rate_plus_star_detail(model, pair, epsilon, u, "gamma_plus")
+            # lambda+ at theta2 = 0 is the plain optimum, which may settle gamma+ as well
+            plain = (fenchel, theta[0]) if theta[1] == 0.0 else None
+            lower, (t1, t2) = rate_plus_star_detail(model, pair, epsilon, u, "gamma_plus", plain)
             if lower > fenchel:  # the tilt exp(t1 F + t2 U), in _tilted_dual's sign
                 fenchel, theta = lower, (t1, -t2)
     else:

@@ -325,6 +325,32 @@ def test_heavy_tail_split_search_matches_the_full_grid(normalized_heavy_tail, mo
     assert len(set(opened) - set(seeded)) == 5 and len(opened) - 5 >= 100
 
 
+def test_thm31_ii_grid_drops_the_margins_infinite_half_line():
+    # F = U = x^0.5: sup[F - beta U] = +inf for raw beta < 1, where the objective
+    # is 0; the grid keeps the rest, widened by one point, and the full grid's bits
+    pair = sm.normalize_observables(sm.pair_from_callables(sm.pareto_like(), Power(0.5), Power(0.5)))
+    assert pair.margin.raw.infinite == (1.0, -1.0)
+    for eps in (0.05, 0.2, 1.0):
+        eps_n, u_n = pair.map_thresholds(eps, 0.99 * eps)
+        assert not bound_engine.zero_event_check(pair, eps_n, u_n)
+        grid = AlphaGrid(pair, eps_n, u_n)
+        lines, curved = grid.pieces
+        assert lines is None and curved[-1] == _ALPHAS[-1] and 1 < len(curved) < len(_ALPHAS)
+        infinite = pair.margin(_ALPHAS * eps_n / u_n) == math.inf
+        assert np.array_equal(infinite, _ALPHAS < curved[1]) and infinite[-len(curved)]
+        for gamma in (-1.0, 0.5):  # the pair's own gamma, 1 + 2e-16, leaves sigma^2 < 0
+            other = sm.with_gamma(pair, gamma)
+            rep = bound_engine.thm31_ii_search(other, eps_n, u_n, grid)
+            reference = _thm31_ii_by_scalar_loop(other, eps_n, u_n, array=True)
+            assert (rep.exponent, rep.alpha_star) == reference and rep.exponent > 0.0
+    # at u = eps nothing is left: the exponent is 0 and no alpha is reported
+    eps_n, u_n = pair.map_thresholds(0.2, 0.2)
+    assert AlphaGrid(pair, eps_n, u_n).pieces == (None, None)
+    rep = bound_engine.thm31_ii_search(pair, eps_n, u_n)
+    assert (rep.exponent, rep.alpha_star) == (0.0, None)
+    assert _thm31_ii_by_scalar_loop(pair, eps_n, u_n, array=True)[0] == 0.0
+
+
 def test_thm31_ii_straight_branch_wins_below_the_grid():
     # F = x^-1, U = x^-2 on pareto_like, as a config builds it: the margin
     # takes its peak branch above an edge in beta and is straight below it;

@@ -739,19 +739,33 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+_ANTI_U = {"form": "table", "values": [1.0, 1.0, -1.0, -1.0]}
+
+
+# a finite screen that is slack at the plain tilt takes lambda_star's solve:
+# lambda_plus binds where E[U] > nu + u there, gamma_plus where E[U] < nu - u,
+# so at most one of the two runs its own 2-d ascent
 @pytest.mark.parametrize(
     "doc, solves",
     [
-        (finite_doc(outputs=[]), 3),  # lambda_star, lambda_plus, gamma_plus
+        (finite_doc(outputs=[]), 2),  # lambda_star, then lambda_plus binds
+        (finite_doc(screen={"epsilon": 0.1, "u": 2.0, "n": 100}, outputs=[]), 1),
+        (finite_doc(observables={**finite_doc()["observables"], "u": _ANTI_U}, outputs=[]), 2),
+        # lambda_star, lambda_plus: the plain tilt is no point of the heavy tail's domain
         (heavy_tail_doc(screen={"epsilon": 0.03, "u": 0.005, "n": 100}, outputs=[]), 2),
     ],
-    ids=["finite", "heavy_tail"],
+    ids=["finite", "finite_slack", "finite_gamma_binds", "heavy_tail"],
 )
 def test_rates_solves_each_rate_once(tmp_path, monkeypatch, capsys, doc, solves):
     calls = []
     _count_calls(monkeypatch, rate_functions, "legendre_sup", calls)
     assert main(["rates", "--config", write_config(tmp_path, doc)]) == 0
     assert len(calls) == solves
+    doc = json.loads(capsys.readouterr().out)
+    if doc["gamma_plus_star"] is not None:  # finite: each slack variant prints lambda_star's bits
+        rates = [doc["lambda_plus_star"], doc["gamma_plus_star"]]
+        assert rates.count(doc["lambda_star"]) == 3 - solves
+        assert (doc["delta"] == 0.0) is (solves == 1)
 
 
 @pytest.mark.parametrize(
@@ -825,9 +839,8 @@ def test_heavy_tail_bound_shares_the_alpha_grid_margin(tmp_path, monkeypatch, ca
     assert calls.count((False, True)) == 1 and (False, False) in calls
 
 
-def test_heavy_tail_alpha_grid_call_holds_the_curved_slice(tmp_path, monkeypatch, capsys):
-    # past the certificate's 256-point grid, the one alpha-grid array call
-    # holds the 187 points where the margin curves and one more, not 9,999
+def _array_margin_sizes(monkeypatch):
+    """The sizes of the array calls to ``bound_engine.margin``, as they come."""
     sizes, real_margin = [], bound_engine.margin
 
     def margin(pair, beta):
@@ -836,9 +849,28 @@ def test_heavy_tail_alpha_grid_call_holds_the_curved_slice(tmp_path, monkeypatch
         return real_margin(pair, beta)
 
     monkeypatch.setattr(bound_engine, "margin", margin)
+    return sizes
+
+
+def test_heavy_tail_alpha_grid_call_holds_the_curved_slice(tmp_path, monkeypatch, capsys):
+    # past the certificate's 256-point grid, the one alpha-grid array call
+    # holds the 187 points where the margin curves and one more, not 9,999
+    sizes = _array_margin_sizes(monkeypatch)
     assert main(["bound", "--config", write_config(tmp_path, _REPORT_CONFIGS["heavy_prop11"])]) == 0
     assert json.loads(capsys.readouterr().out)["zero_event"] is False
     assert sizes == [256, 188]
+
+
+def test_a_margin_infinite_at_every_alpha_makes_no_alpha_grid_call(tmp_path, monkeypatch, capsys):
+    # F = x^0.9, U = x^0.5: the margin is +inf at every beta, so both searches
+    # return exponent 0 with no alpha; only the certificate's 256-point grid runs
+    sizes = _array_margin_sizes(monkeypatch)
+    cfg = write_config(tmp_path, power_doc(0.9, {"form": "power", "exponent": 0.5}, 0.2, 0.01))
+    assert main(["bound", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sizes == [256]
+    for key in ("thm31_ii", "thm31_ii_worst_gamma"):
+        assert doc[key]["exponent"] == 0.0 and doc[key]["alpha_star"] is None
 
 
 def test_finite_bound_takes_alpha_in_closed_form(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate
 
 import screened_mc as sm
-from screened_mc import rate_functions
+from screened_mc import dist_models, rate_functions
 from screened_mc.exp_harness import build_model, build_pair, parse_config
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -548,3 +548,94 @@ def test_rate_point_contents():
         "epsilon", "u", "lambda_star", "lambda_plus_star",
         "gamma_plus_star", "delta", "theta_star",
     }
+
+
+# ---------------------------------------------------------------------------
+# the slack screen, decided at the plain tilt
+# ---------------------------------------------------------------------------
+
+
+def _pinned_finite_cases(monkeypatch):
+    """(name, model, pair, epsilon, u) of every pinned finite config, criterion 7's
+    two pairs, and finite_instance seeds 1-30 x 1-8."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from test_cli import _REPORT_CONFIGS, _VALIDATE_CONFIGS
+    from workloads import finite_instance
+
+    docs = {**_REPORT_CONFIGS, **_VALIDATE_CONFIGS}
+    docs = {name: doc for name, doc in docs.items() if doc["model"]["kind"] == "finite_support"}
+    docs.update({f"instance({s}, {k})": finite_instance(s, k) for s in range(1, 31) for k in range(1, 9)})
+    for name, doc in docs.items():
+        cfg = parse_config(doc)
+        model = build_model(cfg.model)
+        yield name, model, build_pair(model, cfg.observables), cfg.screen.epsilon, cfg.screen.u
+    model, pair = sm.counterexample_pair([1.0, 2.0], [0.5, 0.5])
+    for eps in (0.05, 0.1, 0.15, 0.2, 0.25):
+        for u in (0.02, 0.1):
+            yield f"independent({eps}, {u})", model, pair, eps, u
+    model, pair = four_atom_correlated()
+    for eps in (0.02, 0.05, 0.1):
+        yield f"correlated({eps})", model, pair, eps, abs(pair.gamma) * eps / 4.0
+
+
+def test_slack_screen_at_the_plain_tilt_matches_the_2d_ascent(monkeypatch):
+    # the reference is the 2-d ascent from theta = 0, run with no plain rate
+    solve = rate_functions.legendre_sup
+    paths = []  # the theta2 of every point where the running ascent took derivatives
+
+    def traced(value, derivatives, dim=2):
+        path = []
+        paths.append(path)
+
+        def seen(theta):
+            path.append(theta[-1] if dim == 2 else 0.0)
+            return derivatives(theta)
+
+        return solve(value, seen, dim)
+
+    monkeypatch.setattr(rate_functions, "legendre_sup", traced)
+    fired = kept = 0
+    for name, model, pair, eps, u in _pinned_finite_cases(monkeypatch):
+        plain = rate_functions._lambda_star_detail(model, pair, eps)
+        reference = {}
+        for variant in ("lambda_plus", "gamma_plus"):
+            paths.clear()
+            want, want_theta = sm.rate_plus_star_detail(model, pair, eps, u, variant)
+            reference[variant] = want
+            path = paths[0] if paths else None
+            paths.clear()
+            got, got_theta = sm.rate_plus_star_detail(model, pair, eps, u, variant, plain)
+            if path is None or paths:  # the certificate decided +inf, or the screen binds
+                assert (got, got_theta) == (want, want_theta), (name, variant)
+                continue
+            fired += 1
+            assert want_theta[1] == 0.0 and got_theta == (plain[1], 0.0), (name, variant)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (name, variant)
+            if not any(path):
+                kept += 1
+                assert got == want and got_theta == want_theta, (name, variant)
+        # two-sided sanov_rate hands lambda_plus's optimum to gamma_plus
+        result = sm.sanov_rate(model, pair, eps, u, "two_sided")
+        best = max(reference.values())
+        assert result.fenchel_value == pytest.approx(best, rel=1e-14, abs=0.0), name
+    assert fired > 240 and kept > 0.9 * fired
+
+
+def test_slack_screen_shortcut_never_fires_on_the_heavy_tail(monkeypatch):
+    calls = []
+    solve = rate_functions.legendre_sup
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(rate_functions, "legendre_sup", counted)
+    pareto = dist_models.pareto_like()
+    power = dist_models.pair_from_callables(pareto, dist_models.Power(0.5), dist_models.Identity())
+    for model, pair in (sm.heavy_tail_pair(), (pareto, power)):
+        plain = rate_functions._lambda_star_detail(model, pair, 0.03)
+        assert plain[0] == 0.0  # F has no positive exponential moment
+        want = sm.rate_plus_star_detail(model, pair, 0.03, 0.005)
+        calls.clear()
+        assert sm.rate_plus_star_detail(model, pair, 0.03, 0.005, "lambda_plus", plain) == want
+        assert len(calls) == 1
