@@ -1,13 +1,14 @@
 """Scalar search: a caller-evaluated grid refined by golden section.
 
-Every scalar search in the package (the thm31(ii) alpha where the
-heavy tail's margin curves, the worked example's alpha, a certifying
-beta, a margin's x, a tilt along one line) ends in ``golden_min``; on a
-straight piece of the margin (a finite table's envelope, the heavy
-tail's straight branch) the thm31(ii) alpha is taken in closed form
-instead (``bound_engine.thm31_ii_search``).  All but the line search
-start from a grid the caller evaluates, whose best point ``grid_min``
-brackets by its two neighbours.  Maximization negates the objective,
+Every scalar search in the package starts from a grid the caller
+evaluates, whose best point ``grid_min`` brackets by its two neighbours
+and refines by ``golden_min``: the thm31(ii) alpha where the heavy
+tail's margin curves, the beta of either emptiness certificate
+(``min_convex_gap``) and the beta of the Monte Carlo kernel's certified
+ceiling.  On a straight piece of the margin (a finite table's envelope,
+the heavy tail's straight branch, the worked example's line) the
+thm31(ii) alpha is taken in closed form instead
+(``bound_engine.thm31_ii_search``).  Maximization negates the objective,
 which is exact in floating point.
 """
 
@@ -20,14 +21,13 @@ import numpy as np
 
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITERS = 200
+_TOL = 1e-14
 
 
-def golden_min(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 1e-14
-) -> tuple[float, float]:
+def golden_min(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """(x, fn(x)) minimizing a unimodal ``fn`` on [lo, hi].
 
-    Stops once the bracket [a, b] has b - a <= tol * (1 + |b|).
+    Stops once the bracket [a, b] has b - a <= _TOL * (1 + |b|).
     Returns the midpoint of the final bracket unless one of the two
     interior points already evaluated is lower.
     """
@@ -43,7 +43,7 @@ def golden_min(
             a, c, fc = c, d, fd
             d = a + _PHI * (b - a)
             fd = fn(d)
-        if b - a <= tol * (1.0 + abs(b)):
+        if b - a <= _TOL * (1.0 + abs(b)):
             break
     x = 0.5 * (a + b)
     fx = fn(x)

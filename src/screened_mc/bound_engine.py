@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -75,31 +74,6 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransformedMargin:
-    """Margin of the normalized pair from the raw-pair margin.
-
-    sup[(F - mu)/c - beta (U - nu)/s] =
-        (sup[F - (beta c / s) U] - mu)/c + beta nu / s,
-    and replacing mu by any lower bound keeps it an upper bound.  With
-    ``u_sign`` = -1 the same map takes the raw inf[F + b U] to
-    inf[(F - mu)/c + beta (U - nu)/s].  Elementwise, so an array of beta
-    maps to an array.
-    """
-
-    raw: Callable
-    f_scale: float
-    u_scale: float
-    nu: float
-    mu_used: float
-    u_sign: float = 1.0
-
-    def __call__(self, beta):
-        b = beta * self.f_scale / self.u_scale
-        shift = self.u_sign * beta * self.nu / self.u_scale
-        return (self.raw(b) - self.mu_used) / self.f_scale + shift
-
-
 def _is_normalized(pair: ObservablePair, tol: float = 1e-9) -> bool:
     return (
         abs(pair.mu) <= tol
@@ -118,9 +92,10 @@ def normalize_observables(
     """Affine-rescale a raw pair to E U = 0, Var U = 1, E F = 0, Var F <= 1.
 
     The F scale comes from ``var_f_bound`` if given, else from the exact
-    variance.  ``mu_lower`` is the center the *margin oracle* may use
-    when the true mean is treated as unknown; the returned callables
-    always center at the exact mean (the simulator knows the model).
+    variance.  ``mu_lower`` is the center the upper margin oracle
+    ``margin`` may use when the true mean is treated as unknown; the
+    returned callables and ``sum_lower_margin`` always center at the exact
+    mean (the simulator knows the model).
 
     Raw (epsilon, u) thresholds map through ``pair.map_thresholds``.
     """
@@ -139,22 +114,37 @@ def normalize_observables(
     f_scale = math.sqrt(var_f_bound)
     mu_used = pair.mu if mu_lower is None else mu_lower
 
-    def wrap(raw: Callable | None, u_sign: float) -> TransformedMargin | None:
-        if raw is None:
+    def rescaled(oracle, mu):
+        """The oracle of (F - mu)/c and (U - nu)/s, of the raw oracle's own kind."""
+        if oracle is None:
             return None
-        return TransformedMargin(raw, f_scale, u_scale, pair.nu, mu_used, u_sign)
+        if isinstance(oracle, FiniteMargin):
+            f = tuple((x - mu) / f_scale for x in oracle.f_values)
+            u = tuple((x - pair.nu) / u_scale for x in oracle.u_values)
+        elif isinstance(oracle, ParetoMargin):
+            (alpha_f, a, delta_f), (alpha_u, b, delta_u) = oracle.f, oracle.u
+            f = (alpha_f / f_scale, a, (delta_f - mu) / f_scale)
+            u = (alpha_u / u_scale, b, (delta_u - pair.nu) / u_scale)
+        else:
+            raise CapabilityError(f"cannot normalize a margin oracle of type {type(oracle).__name__}")
+        return type(oracle)(f, u, oracle.u_sign, oracle.sense)
 
+    var_f = pair.var_f / var_f_bound
     return ObservablePair(
         f=Standardized(pair.f, pair.mu, f_scale),
         u=Standardized(pair.u, pair.nu, u_scale),
         mu=0.0,
         nu=0.0,
-        var_f=pair.var_f / var_f_bound,
+        var_f=var_f,
         var_u=1.0,
-        gamma=pair.gamma / (f_scale * u_scale),
+        # capped at the Cauchy-Schwarz limit that rounding can overshoot; a
+        # lower gamma only lowers the exponent
+        gamma=min(pair.gamma / (f_scale * u_scale), math.sqrt(var_f)),
         gamma_flag=pair.gamma_flag,
-        margin=wrap(pair.margin, 1.0),
-        sum_lower_margin=wrap(pair.sum_lower_margin, -1.0),
+        # a center below the mean keeps the supremum's bound an upper bound, but
+        # would lift the infimum's above the true one: that one takes the mean
+        margin=rescaled(pair.margin, mu_used),
+        sum_lower_margin=rescaled(pair.sum_lower_margin, pair.mu),
         f_unbounded_above=pair.f_unbounded_above,
         u_unbounded_above=pair.u_unbounded_above,
         normalized=True,
@@ -320,18 +310,16 @@ class AlphaGrid:
         pair's beta over alpha in [lo, hi], or None; the grid's curved slice,
         widened by one point on each side, or None)."""
         oracle = self.pair.margin
-        raw = oracle.raw if isinstance(oracle, TransformedMargin) else oracle
-        straight = raw.straight if isinstance(raw, (FiniteMargin, ParetoMargin)) else None
+        straight = oracle.straight if isinstance(oracle, (FiniteMargin, ParetoMargin)) else None
         alphas = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)
-        c, s = (oracle.f_scale, oracle.u_scale) if raw is not oracle else (1.0, 1.0)
 
-        def raw_beta(j):  # the raw oracle's beta at grid point j, as the margin maps it
-            return float(alphas[j]) * self.epsilon / self.u * c / s
+        def beta(j):  # the oracle's beta at grid point j, as ``values`` takes it
+            return float(alphas[j]) * self.epsilon / self.u
 
         def first(test, edge):
             """The first grid index where ``test`` (False, then True) holds: from
-            the alpha of the raw ``edge``, then checked exactly on its neighbours."""
-            n, t = len(alphas), int(np.searchsorted(alphas, edge * s / c * self.u / self.epsilon))
+            the alpha of the beta ``edge``, then checked exactly on its neighbours."""
+            n, t = len(alphas), int(np.searchsorted(alphas, edge * self.u / self.epsilon))
             while t > 0 and test(t - 1):
                 t -= 1
             while t < n and not test(t):
@@ -339,22 +327,28 @@ class AlphaGrid:
             return t
 
         if straight is None:
-            infinite = raw.infinite if isinstance(raw, ParetoMargin) else None
+            infinite = oracle.infinite if isinstance(oracle, ParetoMargin) else None
             if infinite is None:
                 return None, alphas
             p, q = infinite  # the margin is +inf where p + beta q > 0: a half-line
             if q == 0.0:
                 return None, (None if p > 0.0 else alphas)
-            t = first(lambda j: (p + raw_beta(j) * q > 0.0) == (q > 0.0), -p / q)
+            t = first(lambda j: (p + beta(j) * q > 0.0) == (q > 0.0), -p / q)
             if q > 0.0:  # finite below the edge
                 return None, (alphas[: t + 1] if t else None)
             return None, (alphas[max(t - 1, 0) :] if t < len(alphas) else None)
-        lines, (k, up) = _envelope_lines(oracle, straight[0]), straight[1] or (None, None)
+        table, (k, up) = straight[0], straight[1] or (None, None)
+        atoms, breaks = table.envelope
+        lines = (
+            [table.f_values[i] for i in atoms],
+            [table.u_sign * table.u_values[i] for i in atoms],
+            breaks,
+        )
         if k is None:
             return (*lines, _ALPHA_MIN, _ALPHA_HI), None
 
         def past(j):  # grid point j lies above the peak branch's edge, by __call__'s test
-            r = k / raw_beta(j)
+            r = k / beta(j)
             return (r > 1.0 if up else r < 1.0) != up
 
         n, t = len(alphas), first(past, k)
@@ -391,8 +385,7 @@ def thm31_ii_search(
     """``bound_thm31_ii`` past a failed certificate: the search over alpha.
 
     On the margin's straight pieces (a finite table's envelope, or a
-    ``ParetoMargin`` off its peak branch, raw or through
-    ``TransformedMargin``) alpha is taken in closed form
+    ``ParetoMargin`` off its peak branch) alpha is taken in closed form
     (``_thm31_ii_on_envelope``), down to alpha = 2^-40 where a straight
     piece reaches below the grid.  Where the margin curves, it takes the
     dense grid (step 1e-4) on the curved slice of ``AlphaGrid``, evaluated
@@ -433,27 +426,6 @@ def thm31_ii_search(
         if closed > exponent:
             exponent, a_star = closed, alpha
     return BoundReport(method="thm31_ii", exponent=exponent, alpha_star=a_star)
-
-
-def _envelope_lines(oracle, table: FiniteMargin) -> tuple[list, list, list]:
-    """(intercepts, slopes, breaks) of the "max" table that ``oracle`` maps.
-
-    The margin is a + d*beta on the envelope's piece j, between breaks
-    j-1 and j, in the pair's own beta.  ``TransformedMargin`` maps each
-    raw line f + k*b, at b = beta c/s, to (f - mu)/c + beta (k + nu)/s
-    (nu with its sign), and each raw break b to b s/c.
-    """
-    atoms, breaks = table.envelope
-    f = [table.f_values[i] for i in atoms]
-    k = [table.u_sign * table.u_values[i] for i in atoms]
-    if not isinstance(oracle, TransformedMargin):
-        return f, k, list(breaks)
-    c, s, nu = oracle.f_scale, oracle.u_scale, oracle.u_sign * oracle.nu
-    return (
-        [(x - oracle.mu_used) / c for x in f],
-        [(x + nu) / s for x in k],
-        [b * s / c for b in breaks],
-    )
 
 
 def _quadratic_roots(c2: float, c1: float, c0: float) -> tuple[float, ...]:
@@ -534,27 +506,21 @@ def _restricted_objective_cov(alpha: float | np.ndarray) -> float | np.ndarray:
     return 0.5 * (num / den) ** 2
 
 
-# the worked example's alpha grid is evaluated in blocks: whole-grid temporaries
-# (0.8 MB each) were paged in afresh on every call, ~1000 page faults
-_BLOCK = 8192
-
-
-def _maximize_restricted(fn: Callable[[float], float]) -> tuple[float, float]:
-    # the 96,250-point grid is built per call, not at import: only the cached
-    # _optimized_constants calls this, once per objective and process
-    alphas = np.arange(3.0 / 80.0, 1.0, 1e-5)
-    values = np.empty_like(alphas)
-    for i in range(0, len(values), _BLOCK):
-        values[i : i + _BLOCK] = -fn(alphas[i : i + _BLOCK])
-    a_star, neg = grid_min(lambda a: -fn(a), alphas, values)
-    return a_star, -neg
-
-
 @functools.cache
 def _optimized_constants() -> tuple[tuple[float, float], tuple[float, float]]:
-    """(alpha, c) maximizing each restricted objective; fixed, so computed once."""
-    objectives = (_restricted_objective_worst, _restricted_objective_cov)
-    return tuple(map(_maximize_restricted, objectives))
+    """(alpha, c) maximizing each restricted objective; fixed, so computed once.
+
+    For alpha >= 3/80 the normalized margin is the line beta/sqrt5 at
+    beta = k alpha, k = eps_n/u_n = 20 sqrt5/3: one straight piece, whose
+    alpha the closed form of ``thm31_ii_search`` gives.
+    """
+
+    def solve(gamma, objective):
+        k = 20.0 * SQRT5 / 3.0
+        alpha = _thm31_ii_on_envelope(gamma, k, [0.0], [1.0 / SQRT5], [], 3.0 / 80.0, _ALPHA_HI)
+        return alpha, objective(alpha)
+
+    return solve(-1.0, _restricted_objective_worst), solve(SQRT5 / 7.0, _restricted_objective_cov)
 
 
 @dataclass(frozen=True)

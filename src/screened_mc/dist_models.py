@@ -398,7 +398,8 @@ class ObservablePair:
     var_u: float
     gamma: float
     gamma_flag: str = "exact"
-    # margin oracles: beta > 0 (float or array) -> bound of the same shape
+    # margin oracles: beta > 0 (float or array) -> bound of the same shape;
+    # ``normalize_observables`` rescales a FiniteMargin or a ParetoMargin
     margin: Callable | None = None  # upper bound on sup[F - beta U]
     sum_lower_margin: Callable | None = None  # lower bound on inf[F + beta U]
     sum_margin: Callable | None = None  # upper bound on sup[F + beta U]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 from fractions import Fraction
@@ -15,7 +16,7 @@ from screened_mc.bound_engine import (
     AlphaGrid,
     thm31_ii_exponent_at,
 )
-from screened_mc.dist_models import FiniteMargin, Identity, Power
+from screened_mc.dist_models import FiniteMargin, Identity, ParetoMargin, Power
 from screened_mc.exp_harness import build_model, build_pair, parse_config, thm31_reports
 
 SQRT5 = math.sqrt(5.0)
@@ -81,6 +82,14 @@ def test_normalize_finite_pair_margins_exact():
     u_n = np.asarray(norm.u(model.atoms))
     for beta in (0.1, 0.7, 2.0, 9.0):
         assert sm.margin(norm, beta) == pytest.approx(float((f_n - beta * u_n).max()), rel=1e-12)
+        assert norm.sum_lower_margin(beta) == pytest.approx(float((f_n + beta * u_n).min()), rel=1e-12)
+
+
+def test_normalize_rejects_a_margin_oracle_of_another_kind():
+    model = sm.finite_support([1.0, 2.0], [0.5, 0.5])
+    pair = dataclasses.replace(sm.tabulated_pair(model, [0.0, 1.0], [1.0, 3.0]), margin=lambda beta: 0.0)
+    with pytest.raises(sm.CapabilityError, match="margin oracle of type function"):
+        sm.normalize_observables(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -104,21 +113,26 @@ def test_margin_closed_form_values(normalized_heavy_tail):
 def test_margin_matches_brute_force_maximization(normalized_heavy_tail):
     _, norm = normalized_heavy_tail
     x = np.geomspace(1.0, 1e8, 4_000_001)
+    f_n, u_n = norm.f(x), norm.u(x)
     for beta in (0.05, 0.2, SQRT5 / 4.0, 1.0, 10.0):
-        brute = float((norm.f(x) - beta * norm.u(x)).max())
+        brute = float((f_n - beta * u_n).max())
         # the oracle replaces the unknown mean by its lower bound, so it
         # sits above the true supremum by at most (mu - 1)/2
         assert sm.margin(norm, beta) >= brute - 1e-9
         assert sm.margin(norm, beta) <= brute + (10.0 / 7.0 - 1.0) / 2.0 + 1e-9
+        # a lower bound on the mean would lift the infimum's oracle by as much,
+        # above the true infimum (at x = 1 here); it centers at the mean itself
+        assert norm.sum_lower_margin(beta) == pytest.approx(float((f_n + beta * u_n).min()), rel=1e-12)
 
 
 def test_margin_on_arrays_matches_scalar_calls(normalized_heavy_tail):
-    # the normalized margins are TransformedMargin over the raw oracles
+    # the normalized margins are oracles of the raw ones' own kinds
     _, norm = normalized_heavy_tail
     finite = _finite_normalized_pair()
     betas = np.concatenate([np.geomspace(1e-4, 20.0, 2001), [SQRT5 / 4.0]])
-    for oracle in (norm.margin, norm.sum_lower_margin, finite.margin, finite.sum_lower_margin):
-        assert isinstance(oracle, bound_engine.TransformedMargin)
+    kinds = (ParetoMargin, ParetoMargin, FiniteMargin, FiniteMargin)
+    for oracle, kind in zip((norm.margin, norm.sum_lower_margin, finite.margin, finite.sum_lower_margin), kinds):
+        assert type(oracle) is kind
         got = oracle(betas)
         assert np.array_equal(got, np.array([oracle(b) for b in betas.tolist()]))
     assert np.array_equal(sm.margin(norm, betas), norm.margin(betas))
@@ -286,7 +300,7 @@ def test_thm31_ii_array_grid_matches_scalar_loop(normalized_heavy_tail):
         assert rep.method == "thm31_ii" and 0.0 < rep.exponent < math.inf
         reference = _thm31_ii_by_scalar_loop(pair, eps_n, u_n)
         assert reference == _thm31_ii_by_scalar_loop(pair, eps_n, u_n, array=True)
-        if isinstance(pair.margin.raw, FiniteMargin):
+        if isinstance(pair.margin, FiniteMargin):
             assert rep.exponent >= (1.0 - 1e-13) * reference[0]
         else:
             assert (rep.exponent, rep.alpha_star) == reference
@@ -301,7 +315,7 @@ def test_heavy_tail_split_search_matches_the_full_grid(normalized_heavy_tail, mo
     from workloads import HEAVY_BOUND_GRID
 
     _, norm = normalized_heavy_tail
-    (k, up), index = norm.margin.raw.straight[1], np.arange(len(_ALPHAS))
+    (k, up), index = norm.margin.straight[1], np.arange(len(_ALPHAS))
     assert up
     rng = np.random.default_rng(2028)
     eps = rng.uniform(0.01, 1.0, 200)
@@ -313,7 +327,7 @@ def test_heavy_tail_split_search_matches_the_full_grid(normalized_heavy_tail, mo
             continue
         opened.append((eps, u))
         grid = AlphaGrid(norm, eps_n, u_n)
-        on_peak = k / (_ALPHAS * eps_n / u_n * norm.margin.f_scale / norm.margin.u_scale) > 1.0
+        on_peak = k / (_ALPHAS * eps_n / u_n) > 1.0
         count = int(on_peak.sum())
         assert np.array_equal(on_peak, index < count) and 0 < count < len(_ALPHAS)
         assert np.array_equal(grid.pieces[1], _ALPHAS[: count + 1])
@@ -329,7 +343,8 @@ def test_thm31_ii_grid_drops_the_margins_infinite_half_line():
     # F = U = x^0.5: sup[F - beta U] = +inf for raw beta < 1, where the objective
     # is 0; the grid keeps the rest, widened by one point, and the full grid's bits
     pair = sm.normalize_observables(sm.pair_from_callables(sm.pareto_like(), Power(0.5), Power(0.5)))
-    assert pair.margin.raw.infinite == (1.0, -1.0)
+    assert pair.margin.infinite == (1.0 / pair.f_scale, -1.0 / pair.u_scale)
+    assert pair.gamma == 1.0  # capped at the Cauchy-Schwarz limit: rounding gives 1 + 2e-16
     for eps in (0.05, 0.2, 1.0):
         eps_n, u_n = pair.map_thresholds(eps, 0.99 * eps)
         assert not bound_engine.zero_event_check(pair, eps_n, u_n)
@@ -338,8 +353,7 @@ def test_thm31_ii_grid_drops_the_margins_infinite_half_line():
         assert lines is None and curved[-1] == _ALPHAS[-1] and 1 < len(curved) < len(_ALPHAS)
         infinite = pair.margin(_ALPHAS * eps_n / u_n) == math.inf
         assert np.array_equal(infinite, _ALPHAS < curved[1]) and infinite[-len(curved)]
-        for gamma in (-1.0, 0.5):  # the pair's own gamma, 1 + 2e-16, leaves sigma^2 < 0
-            other = sm.with_gamma(pair, gamma)
+        for other in (sm.with_gamma(pair, -1.0), sm.with_gamma(pair, 0.5), pair):
             rep = bound_engine.thm31_ii_search(other, eps_n, u_n, grid)
             reference = _thm31_ii_by_scalar_loop(other, eps_n, u_n, array=True)
             assert (rep.exponent, rep.alpha_star) == reference and rep.exponent > 0.0
@@ -369,7 +383,7 @@ def test_thm31_ii_straight_branch_wins_below_the_grid():
     pair = sm.normalize_observables(build_pair(build_model(cfg.model), cfg.observables))
     eps_n, u_n = pair.map_thresholds(0.02, 0.01)
     assert not bound_engine.zero_event_check(pair, eps_n, u_n)
-    (_, up), (lines, curved) = pair.margin.raw.straight[1], AlphaGrid(pair, eps_n, u_n).pieces
+    (_, up), (lines, curved) = pair.margin.straight[1], AlphaGrid(pair, eps_n, u_n).pieces
     assert not up and lines[3] == 2.0**-40  # the straight part lies below the edge
     assert curved[-1] == _ALPHAS[-1] and len(curved) < len(_ALPHAS)
     worst = sm.with_gamma(pair, -1.0)
@@ -629,11 +643,16 @@ def test_prop11_constants_and_alphas():
     "objective",
     [bound_engine._restricted_objective_worst, bound_engine._restricted_objective_cov],
 )
-def test_restricted_maximum_in_blocks_matches_the_whole_grid(objective):
-    # reference: the whole grid as one numpy expression
+def test_restricted_maximum_in_closed_form_matches_the_whole_grid(objective):
+    # reference: the whole grid of step 1e-5 as one numpy expression, refined by
+    # golden section; the closed form's alpha is within 7.9e-10 of it, and its
+    # constant within 6.9e-16 (relative), the rounding of a flat top
     alphas = np.arange(3.0 / 80.0, 1.0, 1e-5)
     a_ref, neg = grid_min(lambda a: -objective(a), alphas, -objective(alphas))
-    assert bound_engine._maximize_restricted(objective) == (a_ref, -neg)
+    worst, cov = bound_engine._optimized_constants()
+    alpha, constant = worst if objective is bound_engine._restricted_objective_worst else cov
+    assert alpha == pytest.approx(a_ref, rel=0.0, abs=1e-9)
+    assert constant == pytest.approx(-neg, rel=1e-15, abs=0.0) and constant == objective(alpha)
 
 
 def test_prop11_quoted_bounds():

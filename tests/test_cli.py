@@ -302,6 +302,17 @@ def power_doc(f_exponent, u_form, epsilon, u, **overrides):
     )
 
 
+def test_bound_on_a_perfectly_correlated_pair_exits_0(tmp_path, capsys):
+    # F = U = x^0.5: the normalized gamma rounds to 1 + 2e-16, above the
+    # Cauchy-Schwarz limit, so sigma^2 = 1 + beta^2 - 2 beta gamma went
+    # negative near beta = 1 and `bound` exited 2; normalization caps it at 1
+    doc = power_doc(0.5, {"form": "power", "exponent": 0.5}, 0.8228616787857973, 0.8064091156960165)
+    assert main(["bound", "--config", write_config(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key in ("thm31_ii", "thm31_ii_worst_gamma", "thm31_iii"):
+        assert report[key]["exponent"] >= 0.0
+
+
 def test_validate_checks_the_bounds_of_a_power_pair(tmp_path, capsys):
     doc = power_doc(0.5, {"form": "identity"}, 0.02, 0.01, trials=4000, seed=11)
     doc["screen"]["n"] = 50
@@ -631,9 +642,9 @@ _REPORT_CONFIGS = {
     "finite_three_atoms": _FINITE_THREE_ATOMS,
 }
 _REPORT_DIGESTS = {
-    ("bound", "readme"): "a0dd13d380c5446d00b46ba0938efe83b9b0c152aabb4554f6a2350008b21bd9",
+    ("bound", "readme"): "faba03725faa579ebf11902c09b1b72c0eb52d6156c95be8185dcee33ec39e3d",
     ("rates", "readme"): "70c75c123d400862bdcdcadfa445e70befb9e8de2fa2d634b9cbe8e9270a9297",
-    ("bound", "heavy_prop11"): "e65b3abc3d9619d466c26508f7525c7a1aa558de6c4b278016c692799425a143",
+    ("bound", "heavy_prop11"): "5480b5c9f71d527b3600ff02a5121a5cfc35cb2c824afae8fdcf58d7e807a2a5",
     ("rates", "heavy_prop11"): "7c768a03205c775e56534b4b02414de5497889a54457e0a4ed4d9ca62adc8cc5",
     ("bound", "finite_four_atoms"): "3d2aed451d0d0c5d476143ba5b0e14e10e42142d7f54ac84d965f0cf457a0a91",
     ("rates", "finite_four_atoms"): "aa3fe921e165586d6c11ebf1b06f15e8ab76e31f85cc7f5b1551f11e080554ad",
@@ -641,7 +652,7 @@ _REPORT_DIGESTS = {
     ("rates", "finite_four_atoms_empty"): "2d6b14b8442e0838c9c281187c9dd548a3a5e27e3454e0cdcfc4861ce8eba204",
     ("bound", "finite_three_atoms"): "32fa49b0af08c5f526d4c909191b7477a1ebdf6fa733ed7fb48e63e33078450e",
     ("rates", "finite_three_atoms"): "e0b39ff55a8801626a8af8cf5404a722520ee016575f3eb802eae5a2f757a72e",
-    ("prop11", ""): "fa01693d956ea96979dc2e33b701f79007f47f53d1da6581363cd26825cd4e9f",
+    ("prop11", ""): "447b3f368eb7dd5ef58c1d7bd53525a395b357fce4be5f30dae8f4fe97e1f921",
     ("sanov", "finite_four_atoms"): "65e7e7d8f979477d4e6986c08dadff93c59b9a82e8eea0d9c69186331a6b7869",
 }
 
@@ -682,13 +693,13 @@ _VALIDATE_CONFIGS = {
     "finite_constant_u": _constant_u_doc(),
 }
 _VALIDATE_DIGESTS = {
-    ("readme", "1"): "c3430bc933c7fe77684ceeb54339598632a4480e8ccd41b5d62821f3921885ef",
-    ("readme", "2"): "c3430bc933c7fe77684ceeb54339598632a4480e8ccd41b5d62821f3921885ef",
-    ("heavy_prop11", "1"): "6bf37ee3646c8739d9e06c2acbd1d0b2c41f8b0c5340c51ea1d708f93e64b797",
+    ("readme", "1"): "a19b5054810407540fae16657fdde47514d2d0bca88c5f34e66fec564c24100e",
+    ("readme", "2"): "a19b5054810407540fae16657fdde47514d2d0bca88c5f34e66fec564c24100e",
+    ("heavy_prop11", "1"): "6e3e749b5cb6215234e7db3ed976ecbbf28cc06c30b30730aabbf80cbe0499b3",
     ("finite_four_atoms", "1"): "b814f7679806127877c034e0825d58d0c9f39f066965a11132d2bb85d8c84776",
     ("finite_four_atoms_empty", "1"): "2cf0d57ef37ea3367f6e79bb0265292bf81d5743604a82f8e59e54aee8a09f5a",
     ("finite_three_atoms", "1"): "c3d42c5fdd42017ef745a31d42310a59f9ae12f589db3c1dfda465e494573003",
-    ("power_half_identity", "1"): "ff7cec8bdca18341ce07ac16c296c6b947efe988fb42e1713f4241be9b544ff2",
+    ("power_half_identity", "1"): "a6b603cd070f8037da9cc71b2f6185328cacd43f41901998350d923144c147d0",
     ("finite_constant_u", "1"): "c46830d1df4bc23f5a0a8bf5d638a9e5f5c96142965fd1da661bffa62f06f41b",
 }
 
@@ -698,6 +709,63 @@ def test_validate_output_matches_golden_digest(tmp_path, capsys, name, jobs):
     cfg = write_config(tmp_path, _VALIDATE_CONFIGS[name])
     argv = ["validate", "--config", cfg, "--trials", "20000", "--jobs", jobs]
     assert _printed_digest(capsys, argv) == _VALIDATE_DIGESTS[name, jobs]
+
+
+# The fields that moved, at the rounding level, when normalization began to
+# rescale each margin oracle in its own kind (the digests above were re-pinned
+# then), at their values before; `validate` readme prints the same bytes at
+# --jobs 2 as at --jobs 1.  Exponents, bound values and constants moved by at
+# most 6.9e-16 (relative), alpha_star by 6.1e-9 (golden refinement lands
+# anywhere on a flat top), and the worked example's alphas by 7.8e-10, the
+# closed form's maximum against the old grid search's.
+_PROP11_BEFORE = {
+    "alpha_iii": 0.054801622050140206,
+    "alpha_iv": 0.058593206527819415,
+    "constant_iii_optimized": 0.0050540072191416355,
+    "constant_iv_optimized": 0.03669187519631882,
+}
+_REPINNED_BEFORE = {
+    ("bound", "readme"): {
+        **{("prop11", key): value for key, value in _PROP11_BEFORE.items()},
+        ("thm31_iii", "exponent"): 5.0924070648846395e-05,
+    },
+    ("bound", "heavy_prop11"): {
+        **{("prop11", key): value for key, value in _PROP11_BEFORE.items()},
+        ("thm31_ii_worst_gamma", "alpha_star"): 0.008108876354976001,
+        ("thm31_iii", "exponent"): 2.511130564649078e-06,
+    },
+    ("prop11", ""): {("requested", key): value for key, value in _PROP11_BEFORE.items()},
+    ("validate", "readme"): {("bounds", 2, "exponent"): 5.0924070648846395e-05},
+    ("validate", "heavy_prop11"): {
+        ("bounds", 1, "alpha_star"): 0.008108876354976001,
+        ("bounds", 2, "exponent"): 2.511130564649078e-06,
+    },
+    ("validate", "power_half_identity"): {
+        ("bounds", 0, "alpha_star"): 0.11546761918766446,
+        ("bounds", 0, "bound_value"): 0.3734218582717247,
+        ("bounds", 0, "exponent"): 0.004925232555495035,
+        ("bounds", 1, "exponent"): 2.8966135092174326e-06,
+    },
+}
+# (relative, absolute) tolerance by field name; 1e-15 relative for the others
+_REPINNED_TOLERANCE = {"alpha_star": (1e-8, 0.0), "alpha_iii": (0.0, 1e-9), "alpha_iv": (0.0, 1e-9)}
+
+
+@pytest.mark.parametrize("command, name", sorted(_REPINNED_BEFORE))
+def test_repinned_digest_fields_stay_within_tolerance_of_their_values_before(tmp_path, capsys, command, name):
+    argv = [command]
+    if name:
+        argv += ["--config", write_config(tmp_path, _VALIDATE_CONFIGS[name])]
+    if command == "validate":
+        argv += ["--trials", "20000", "--jobs", "1"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for path, before in _REPINNED_BEFORE[command, name].items():
+        value = doc
+        for key in path:
+            value = value[key]
+        rel, tol = _REPINNED_TOLERANCE.get(path[-1], (1e-15, 0.0))
+        assert value == pytest.approx(before, rel=rel, abs=tol), path
 
 
 def _bound_key(entry):
@@ -884,7 +952,7 @@ def test_finite_bound_takes_alpha_in_closed_form(tmp_path, monkeypatch, capsys):
 
 def test_prop11_constants_are_optimized_once_per_process(monkeypatch):
     calls = []
-    _count_calls(monkeypatch, bound_engine, "_maximize_restricted", calls)
+    _count_calls(monkeypatch, bound_engine, "_thm31_ii_on_envelope", calls)
     bound_engine._optimized_constants.cache_clear()
     first = bound_engine.prop11_report(0.2, 0.005, 5000)
     second = bound_engine.prop11_report(0.1, 0.005, 10_000)

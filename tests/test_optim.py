@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from screened_mc import _optim
 from screened_mc._optim import golden_min, grid_min, min_convex_gap
 from screened_mc.bound_engine import _restricted_objective_worst
 from screened_mc.rate_functions import _event_is_empty
@@ -39,10 +40,11 @@ def test_golden_min_never_returns_worse_than_an_evaluated_point():
     assert (x, fx) in calls
 
 
-def test_golden_min_stops_at_the_iteration_cap():
+def test_golden_min_stops_at_the_iteration_cap(monkeypatch):
     # the bracket shrinks toward 0, where doubles never run out
+    monkeypatch.setattr(_optim, "_TOL", 0.0)
     fn, calls = _recording(lambda t: t * t)
-    golden_min(fn, 0.0, 1.0, tol=0.0)
+    golden_min(fn, 0.0, 1.0)
     assert len(calls) == 200 + 3  # two starting points, one per step, the midpoint
 
 
