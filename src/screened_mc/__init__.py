@@ -23,16 +23,13 @@ from .bound_engine import (
     normalize_observables,
     pinsker_lower,
     prop11_report,
-    thm31_ii_exponent_at,
     zero_event_check,
 )
 from .dist_models import (
     DistributionModel,
     ObservablePair,
     counterexample_pair,
-    exact_moments,
     finite_support,
-    log_mgf_joint,
     pair_from_callables,
     heavy_tail_pair,
     pareto_like,
@@ -47,7 +44,6 @@ from .errors import (
     DegenerateScreenError,
     DivergenceError,
     DomainError,
-    EmptyStreamError,
     InputError,
     InsufficientTrialsError,
     NumericError,
@@ -75,15 +71,7 @@ from .rate_functions import (
     two_sided_bound,
 )
 from .sanov_oracle import SanovResult, duality_suite, relative_entropy, sanov_rate
-from .screen_core import (
-    ScreenConfig,
-    StreamState,
-    Trajectory,
-    control_variate_estimate,
-    run_trajectory,
-    screen_decision,
-    update_stream,
-)
+from .screen_core import ScreenConfig, Trajectory, run_trajectory
 from .streams import RandomStream
 
 __all__ = [
@@ -92,7 +80,6 @@ __all__ = [
     "ScreenedMcError",
     "ConfigError",
     "InputError",
-    "EmptyStreamError",
     "DomainError",
     "PreconditionError",
     "DegenerateScreenError",
@@ -112,15 +99,9 @@ __all__ = [
     "counterexample_pair",
     "with_gamma",
     "sample",
-    "exact_moments",
-    "log_mgf_joint",
     # streaming estimator
     "ScreenConfig",
-    "StreamState",
     "Trajectory",
-    "update_stream",
-    "screen_decision",
-    "control_variate_estimate",
     "run_trajectory",
     # bounds
     "BoundReport",
@@ -131,7 +112,6 @@ __all__ = [
     "bennett_log_mgf_bound",
     "binary_kl",
     "pinsker_lower",
-    "thm31_ii_exponent_at",
     "bound_thm31_ii",
     "bound_thm31_iii",
     "prop11_report",

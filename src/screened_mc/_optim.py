@@ -129,8 +129,9 @@ def min_convex_gap(
     def gap(beta):
         return sup_oracle(beta) - (c1 + beta * c2)
 
-    sup = sup_oracle(grid)
-    values = sup - (c1 + grid * c2)
+    with np.errstate(over="ignore"):  # a gap past the double range is +-inf, of its sign
+        sup = sup_oracle(grid)
+        values = sup - (c1 + grid * c2)
     j = int(np.argmin(values))
     if values[j] < 0.0:
         return float(values[j])

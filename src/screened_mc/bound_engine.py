@@ -45,6 +45,11 @@ from .errors import (
 SQRT5 = math.sqrt(5.0)
 
 
+def square(x: float) -> float:
+    """x**2, +inf where that overflows (where ``**`` raises OverflowError)."""
+    return x**2 if abs(x) <= 1.3407807929942596e154 else math.inf  # sqrt(sys.float_info.max)
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -180,7 +185,9 @@ def zero_event_check(pair: ObservablePair, epsilon: float, u: float) -> bool:
     """
     if not (0.0 < epsilon < math.inf and 0.0 < u < math.inf):
         raise DomainError("zero_event_check requires finite epsilon > 0 and u > 0")
-    hi = epsilon / u
+    hi = min(epsilon / u, 1.7976931348623157e308)  # fewer betas than (0, eps/u): still sound
+    if hi * 1e-9 == 0.0:
+        raise DomainError(f"eps/u = {hi!r} is too small for a zero-event grid of doubles")
     grid = np.geomspace(hi * 1e-9, hi * (1.0 - 1e-12), 256)
     return min_convex_gap(lambda beta: margin(pair, beta), epsilon, -u, grid) <= 0.0
 
@@ -247,23 +254,9 @@ def _require_normalized(pair: ObservablePair) -> None:
         raise PreconditionError("normalized pairs must have Var(F) <= 1")
 
 
-def thm31_ii_exponent_at(pair: ObservablePair, epsilon: float, u: float, alpha):
-    """The covariance-aware objective at alpha in (0, 1), or at an array of them.
-
-    Where m <= 0 the averaged variable is nonpositive, the event is
-    already empty, and the objective is +inf.  Where m = +inf it is 0,
-    its limit as m grows.
-    """
-    _require_normalized(pair)
-    inside = (0.0 < alpha) & (alpha < 1.0)
-    if not (inside.all() if isinstance(alpha, np.ndarray) else inside):
-        raise DomainError("alpha must lie in (0, 1)")
-    beta = alpha * epsilon / u
-    return _thm31_ii_objective(pair.gamma, epsilon, alpha, beta, margin(pair, beta))
-
-
 def _thm31_ii_objective(gamma: float, epsilon: float, alpha, beta, m):
-    """``thm31_ii_exponent_at`` from the margin m at beta = alpha eps/u, unchecked."""
+    """thm31_ii's objective at alpha (or an array) from the margin m at beta = alpha eps/u,
+    unchecked (``tests/reference.py`` checks it): +inf where m <= 0, 0 where m = +inf."""
     grid = isinstance(alpha, np.ndarray)
     empty, unbounded = m <= 0.0, m == math.inf
     if not grid and (empty or unbounded):
@@ -462,7 +455,8 @@ def _thm31_ii_on_envelope(gamma: float, k: float, intercepts, slopes, breaks, lo
         D = -slope * k
         n0, n1, n2 = A, -(A + D), D
         q0, q1, q2 = A * A + 1.0, -2.0 * (A * D + k * gamma), D * D + k * k
-        low = min(max(-q1 / (2.0 * q2), left), right)
+        # Q's minimum on the span; Q is linear where q2 underflows (eps/u below 1e-154)
+        low = min(max(-q1 / (2.0 * q2), left), right) if q2 else (left if q1 >= 0.0 else right)
         if q0 + low * (q1 + low * q2) <= 0.0 and A - D * low > 0.0:
             raise NumericError(f"nonpositive Bennett denominator at alpha={low}: check gamma")
         roots = _quadratic_roots(n2 * q1 - n1 * q2, 2.0 * (n2 * q0 - n0 * q2), n1 * q0 - n0 * q1)
@@ -480,8 +474,9 @@ def bound_thm31_iii(pair: ObservablePair, epsilon: float, K: float) -> BoundRepo
     _require_normalized(pair)
     if K <= 0.0:
         raise DomainError("K must be > 0")
-    m_big = margin(pair, 1.0 / (2.0 * K))
-    denom = m_big * m_big + (1.0 + 1.0 / (2.0 * K)) ** 2
+    beta = max(1.0 / (2.0 * K), 5e-324)  # past K = 9e307 a larger K, valid for u <= K eps
+    m_big = margin(pair, beta)
+    denom = m_big * m_big + square(1.0 + beta)  # +inf below K = 4e-155: exponent 0, a sound floor
     # M = +inf gives 0, the exponent's limit as M grows
     exponent = 0.0 if m_big == math.inf else 0.5 * (m_big / denom) ** 2 * epsilon * epsilon
     return BoundReport(method="thm31_iii", exponent=float(exponent), alpha_star=0.5)
@@ -581,6 +576,6 @@ def prop11_report(epsilon: float, u: float, n: int) -> Prop11Report:
         alpha_iv=a4,
         value_iii_at_reference_alpha=_restricted_objective_worst(REFERENCE_ALPHA_III),
         value_iv_at_reference_alpha=_restricted_objective_cov(REFERENCE_ALPHA_IV),
-        bound_iii=math.exp(-CONSTANT_III_QUOTED * n * epsilon**2),
-        bound_iv=math.exp(-CONSTANT_IV_QUOTED * n * epsilon**2),
+        bound_iii=math.exp(-CONSTANT_III_QUOTED * n * square(epsilon)),
+        bound_iv=math.exp(-CONSTANT_IV_QUOTED * n * square(epsilon)),
     )

@@ -1,8 +1,7 @@
 """Distribution models and observable pairs.
 
 A :class:`DistributionModel` is a law P on the reals that supports exact
-sampling, an exact moment oracle, and a joint log-MGF oracle.  Two
-kinds are provided:
+sampling and a joint log-MGF oracle.  Two kinds are provided:
 
 ``pareto_like``
     The fixed heavy-tailed density f(x) = 5 / (2 x^{7/2}) on [1, inf),
@@ -34,14 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    DivergenceError,
-    DomainError,
-    InputError,
-    NumericError,
-)
+from .errors import CapabilityError, ConfigError, DivergenceError, InputError, NumericError
 from .streams import RandomStream
 
 KIND_PARETO = "pareto_like"
@@ -135,9 +127,6 @@ def canonical_power(form) -> tuple[float, float, float]:
         return (1.0, 1.0, -form.center)
     if isinstance(form, SignOf):
         return (1.0, 0.0, 0.0)
-    if isinstance(form, Standardized):
-        alpha, a, delta = canonical_power(form.inner)
-        return (alpha / form.scale, a, (delta - form.shift) / form.scale)
     raise CapabilityError(f"{form!r} is not alpha*x**a + delta, the one form pareto_like takes")
 
 
@@ -576,17 +565,6 @@ def _pareto_moments(cf: tuple, cu: tuple) -> tuple[float, float, float, float, f
     )
 
 
-def exact_moments(
-    model: DistributionModel, pair: ObservablePair
-) -> tuple[float, float, float, float, float]:
-    """(mu, nu, var_F, var_U, gamma) computed from the model itself."""
-    if model.is_finite:
-        f = np.asarray(pair.f(model.atoms), dtype=float)
-        u = np.asarray(pair.u(model.atoms), dtype=float)
-        return _finite_moments(model.probs, f, u)
-    return _pareto_moments(canonical_power(pair.f), canonical_power(pair.u))
-
-
 # ---------------------------------------------------------------------------
 # joint log-MGF
 # ---------------------------------------------------------------------------
@@ -745,15 +723,6 @@ def tilted_moments(model: DistributionModel, pair: ObservablePair, a: float, b: 
     return lam, mean, (dev * w) @ dev.T
 
 
-def log_mgf_joint(
-    model: DistributionModel, pair: ObservablePair, theta1: float, theta2: float
-) -> float:
-    """log E[exp(theta1 F(X) - theta2 U(X))] on theta1, theta2 >= 0."""
-    if theta1 < 0.0 or theta2 < 0.0:
-        raise DomainError("log_mgf_joint requires theta1 >= 0 and theta2 >= 0")
-    return log_mgf_signed(model, pair, theta1, -theta2)
-
-
-def with_gamma(pair: ObservablePair, gamma: float, flag: str = "upper_bound") -> ObservablePair:
-    """Copy of the pair with a substituted covariance surrogate."""
-    return replace(pair, gamma=gamma, gamma_flag=flag)
+def with_gamma(pair: ObservablePair, gamma: float) -> ObservablePair:
+    """Copy of the pair with gamma replaced by a conservative surrogate ("upper_bound")."""
+    return replace(pair, gamma=gamma, gamma_flag="upper_bound")

@@ -17,10 +17,6 @@ class InputError(ScreenedMcError, ValueError):
     """Malformed call inputs: empty or mismatched sequences, bad counts."""
 
 
-class EmptyStreamError(InputError):
-    """A streaming decision was requested before any sample was consumed."""
-
-
 class DomainError(ScreenedMcError, ValueError):
     """Arguments outside a function's mathematical domain."""
 

@@ -55,6 +55,7 @@ from .bound_engine import (
     bound_thm31_ii,
     bound_thm31_iii,
     normalize_observables,
+    square,
     thm31_ii_search,
 )
 from .dist_models import (
@@ -73,13 +74,7 @@ from .dist_models import (
     transform_uniforms,
     with_gamma,
 )
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    InputError,
-    InsufficientTrialsError,
-    ScreenedMcError,
-)
+from .errors import ConfigError, InputError, InsufficientTrialsError, ScreenedMcError
 from .rate_functions import rate_plus_star
 from .screen_core import SIDEDNESS, ScreenConfig, Trajectory, screened_mask
 from .streams import STREAM_CONTRACT, SubstreamSampler
@@ -416,15 +411,20 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def normalized_for(pair: ObservablePair, preset: bool) -> ObservablePair:
+    """Normalized for Theorem 3.1: the preset with Var F <= 4 and mu >= 1, else exact moments."""
+    bounds = {"var_f_bound": 4.0, "mu_lower": 1.0} if preset else {}
+    return normalize_observables(pair, **bounds)
+
+
 def thm31_reports(
     pair: ObservablePair, obs_spec: dict, epsilon: float, u: float, worst_gamma: bool = True
 ) -> tuple[tuple[float, float], dict[str, BoundReport]]:
     """Theorem 3.1's reports for a config: the one path of ``bound`` and ``validate``.
 
-    The heavy-tail preset normalizes with Var F <= 4 and mu >= 1, any other
-    pair with its exact moments.  Returns the normalized thresholds and the
-    reports keyed as ``bound`` prints them: thm31_ii at the pair's gamma,
-    with ``worst_gamma`` thm31_ii at gamma = -1, and thm31_iii at
+    Returns the thresholds of the pair ``normalized_for`` the config and
+    the reports keyed as ``bound`` prints them: thm31_ii at the pair's
+    gamma, with ``worst_gamma`` thm31_ii at gamma = -1, and thm31_iii at
     K = u_n/eps_n.  Gamma does not enter the zero-event certificate, so it
     is decided once: an event certified empty serves the gamma = -1 report
     as it is, and otherwise that report runs only the search over alpha.
@@ -434,10 +434,7 @@ def thm31_reports(
     with the call; a finite table is straight throughout, so its searches
     never evaluate the grid.
     """
-    if heavy_tail_policy(obs_spec, epsilon, u)[0]:
-        norm = normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0)
-    else:
-        norm = normalize_observables(pair)
+    norm = normalized_for(pair, heavy_tail_policy(obs_spec, epsilon, u)[0])
     eps_n, u_n = norm.map_thresholds(epsilon, u)
     grid = AlphaGrid(norm, eps_n, u_n)
     exact = bound_thm31_ii(norm, eps_n, u_n, grid)
@@ -448,7 +445,8 @@ def thm31_reports(
             if exact.zero_event
             else thm31_ii_search(with_gamma(norm, -1.0), eps_n, u_n, grid)
         )
-    reports["thm31_iii"] = bound_thm31_iii(norm, eps_n, u_n / eps_n)
+    # a K of 0 (u_n/eps_n below the doubles) takes the least positive one: larger, still valid
+    reports["thm31_iii"] = bound_thm31_iii(norm, eps_n, max(u_n / eps_n, 5e-324))
     return (eps_n, u_n), reports
 
 
@@ -477,10 +475,13 @@ def compute_bounds(
         )
 
     preset, quoted = heavy_tail_policy(obs_spec, epsilon, u)
+    reason = "normalization unavailable: "  # the preset pair is fixed, and always normalizes
     try:
-        (eps_n, u_n), reports = thm31_reports(pair, obs_spec, epsilon, u, worst_gamma=preset)
-    except ScreenedMcError as exc:  # the preset pair is fixed, and always normalizes
-        skip("thm31_ii", f"normalization unavailable: {exc}")
+        norm = normalized_for(pair, preset)
+        reason = ""  # past normalization, an error names its own cause
+        (eps_n, u_n), reports = thm31_reports(norm, obs_spec, epsilon, u, worst_gamma=preset)
+    except ScreenedMcError as exc:
+        skip("thm31_ii", reason + str(exc))
     else:
         notes = {
             "thm31_ii": "gamma=exact",
@@ -491,14 +492,14 @@ def compute_bounds(
             add(replace(report, note=notes[key]))
     if quoted:
         for constant, name in ((CONSTANT_III_QUOTED, "iii"), (CONSTANT_IV_QUOTED, "iv")):
-            add(BoundReport("thm31_ii", constant * epsilon**2, note=f"quoted_constant_{name}"))
+            add(BoundReport("thm31_ii", constant * square(epsilon), note=f"quoted_constant_{name}"))
     elif preset:
         skip("thm31_ii", "quoted constants require u <= epsilon/20")
 
     try:
         lam_plus = rate_plus_star(model, pair, epsilon, u, "lambda_plus")
         add(BoundReport("chernoff_rate", lam_plus, None, math.isinf(lam_plus), "lambda_plus"))
-    except CapabilityError as exc:
+    except ScreenedMcError as exc:  # one unconverged rate skips its entry, not the run
         skip("chernoff_rate", str(exc))
     return entries
 
@@ -567,7 +568,7 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
         return np.where(in_range, rounding * scale / beta - t, math.inf)
 
     grid = np.geomspace(2.0**-40, 2.0**40, 161)
-    with np.errstate(over="ignore"):  # a table's f - beta u may pass the double range
+    with np.errstate(over="ignore", invalid="ignore"):  # in_range drops betas past the doubles
         values = neg_ceiling(grid)
         if not np.isfinite(values).any():
             return -math.inf

@@ -10,14 +10,11 @@ from hypothesis import given, settings, strategies as st
 import screened_mc as sm
 from screened_mc import bound_engine
 from screened_mc._optim import grid_min
-from screened_mc.bound_engine import (
-    REFERENCE_ALPHA_III,
-    REFERENCE_ALPHA_IV,
-    AlphaGrid,
-    thm31_ii_exponent_at,
-)
+from screened_mc.bound_engine import REFERENCE_ALPHA_III, REFERENCE_ALPHA_IV, AlphaGrid
 from screened_mc.dist_models import FiniteMargin, Identity, ParetoMargin, Power
 from screened_mc.exp_harness import build_model, build_pair, parse_config, thm31_reports
+
+from reference import thm31_ii_exponent_at
 
 SQRT5 = math.sqrt(5.0)
 
@@ -579,6 +576,27 @@ def test_thm31_iii_closed_form_and_u_invariance(normalized_heavy_tail):
     # u never enters the formula
     assert sm.bound_thm31_iii(norm, 1.0, 1.0 / 20.0).exponent == rep.exponent
     assert rep.alpha_star == 0.5
+
+
+def test_zero_event_grid_stays_inside_the_doubles(normalized_heavy_tail):
+    # eps/u past the largest double searches below it; eps/u below 5e-315
+    # leaves no grid of positive doubles, and names itself
+    _, norm = normalized_heavy_tail
+    assert sm.zero_event_check(norm, 1e308, 1e-300)
+    with pytest.raises(sm.DomainError, match="too small for a zero-event grid"):
+        sm.zero_event_check(norm, 1e-300, 1e20)
+
+
+def test_thm31_iii_past_the_double_range_of_k():
+    # past K = 9e307, 1/(2K) is 0, where the margin is undefined: the least
+    # positive beta stands for a larger K, still valid for every u <= K eps
+    norm = _finite_normalized_pair()
+    exponent = sm.bound_thm31_iii(norm, 0.1, 1e300).exponent
+    assert 0.0 < exponent < math.inf
+    for K in (1e308, math.inf):
+        assert sm.bound_thm31_iii(norm, 0.1, K).exponent == exponent
+    # below K = 4e-155, (1 + 1/(2K))^2 is past the doubles, and the exponent 0
+    assert sm.bound_thm31_iii(norm, 0.1, 1e-300).exponent == 0.0
 
 
 def test_thm31_iii_below_thm31_ii_exact_gamma(normalized_heavy_tail):

@@ -182,6 +182,39 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, doc, field)
     assert f"{field} must be a finite number" in err and "Traceback" not in err
 
 
+# valid configs with extreme but finite thresholds, one field changed on the
+# README heavy-tail or four-atom config; each once exited 3 with a traceback.
+# Each exits 0, and a `validate` run skips none of its bound entries
+_EXTREME_THRESHOLD_RUNS = [
+    # (1 + 1/(2K))**2 overflowed in bound_thm31_iii, K = u_n/eps_n
+    ("bound", "heavy", "u", 1e-300),
+    ("validate", "heavy", "u", 1e-300),
+    ("bound", "finite", "u", 1e-300),
+    ("validate", "finite", "u", 1e-300),
+    # q2 = D^2 + k^2 underflowed to 0 in _thm31_ii_on_envelope, k = eps/u;
+    # at u = 1e308, K = inf then made bound_thm31_iii's beta = 1/(2K) zero
+    ("bound", "finite", "epsilon", 1e-300),
+    ("validate", "finite", "epsilon", 1e-300),
+    ("bound", "finite", "u", 1e308),
+    ("validate", "finite", "u", 1e308),
+    # the quoted constants' c eps^2 overflowed in compute_bounds, after
+    # np.geomspace warned on the zero-event grid at eps/u = inf
+    ("validate", "heavy", "epsilon", 1e308),
+]
+
+
+@pytest.mark.parametrize("command, config, field, value", _EXTREME_THRESHOLD_RUNS)
+def test_extreme_thresholds_exit_without_a_traceback(tmp_path, capsys, command, config, field, value):
+    doc = (heavy_tail_doc if config == "heavy" else finite_doc)(trials=1000, outputs=[])
+    doc["screen"] = {**doc["screen"], "n": 200 if config == "heavy" else 100, field: value}
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--jobs", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if command == "validate":
+        assert not [entry for entry in json.loads(out)["bounds"] if entry["skipped"]]
+
+
 @pytest.mark.parametrize("seed, code", [("-1", 2), (str(1 << 64), 2), (str((1 << 64) - 1), 0)])
 def test_seed_override_must_fit_a_key_word(tmp_path, capsys, seed, code):
     cfg = write_config(tmp_path, heavy_tail_doc(trials=100))

@@ -253,6 +253,48 @@ def test_validation_bounds_pass(small_validation):
     assert "chernoff_rate" in methods
 
 
+def test_an_unconverged_chernoff_rate_skips_its_entry_not_the_run(monkeypatch):
+    # the rate engine's Newton ascent can stall just below the event's edge
+    # (finite_instance(101, 6)); the thm31 entries already skip on any named error
+    def stalled(*args):
+        raise sm.NumericError("Newton ascent stalled at (0.5, -0.5)")
+
+    monkeypatch.setattr(exp_harness, "rate_plus_star", stalled)
+    rep = sm.run_validation(parse_config(heavy_tail_config(trials=1000)), jobs=1)
+    (chernoff,) = [e for e in rep.bounds if e.report.method == "chernoff_rate"]
+    assert chernoff.skipped and chernoff.bound_value == 1.0
+    assert chernoff.skip_reason == "Newton ascent stalled at (0.5, -0.5)"
+    assert any(not e.skipped for e in rep.bounds if e.report.method == "thm31_ii")
+    assert rep.all_sound
+
+
+@pytest.mark.parametrize(
+    "where, error, reason",
+    [
+        (
+            "normalize_observables",
+            sm.DegenerateScreenError("U is constant"),
+            "normalization unavailable: U is constant",
+        ),
+        ("bound_thm31_ii", sm.NumericError("search stalled"), "search stalled"),
+    ],
+    ids=["normalization", "search"],
+)
+def test_a_skipped_thm31_entry_names_its_own_cause(monkeypatch, where, error, reason):
+    # only a failed normalization is labelled as one; an error past it keeps its text
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(exp_harness, where, failing)
+    cfg = heavy_tail_config(trials=1000)
+    model = exp_harness.build_model(cfg["model"])
+    pair = exp_harness.build_pair(model, cfg["observables"])
+    eps, u, n = (cfg["screen"][key] for key in ("epsilon", "u", "n"))
+    entries = exp_harness.compute_bounds(model, pair, cfg["observables"], eps, u, n)
+    (skipped,) = [e for e in entries if e.report.method == "thm31_ii" and e.skipped]
+    assert skipped.skip_reason == reason
+
+
 def test_validation_document_is_canonical(small_validation):
     _, rep = small_validation
     doc = canonicalize(rep.to_document())

@@ -6,8 +6,10 @@ missing.  Each check runs in a fresh interpreter, since the test process
 has loaded scipy already.
 """
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -134,3 +136,52 @@ def test_no_module_holds_a_large_array_after_import():
         "            print(f'{info.name}.{name}: {value.nbytes} bytes')\n"
     )
     assert _fresh(script) == ""
+
+
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+# public names no production path, demo or benchmark uses, each with its reason
+_TEST_ONLY_NAMES = {
+    "bennett_log_mgf_bound": "a proof lemma of thm31(ii); acceptance criterion 8 checks it",
+    "binary_kl": "a proof lemma of thm31(ii); acceptance criterion 8 checks it",
+    "pinsker_lower": "a proof lemma of thm31(ii); acceptance criterion 8 checks it",
+}
+# reference paths that moved to tests/reference.py, and a wrapper and an error class deleted
+_REMOVED_NAMES = [
+    "StreamState",
+    "update_stream",
+    "screen_decision",
+    "control_variate_estimate",
+    "exact_moments",
+    "thm31_ii_exponent_at",
+    "log_mgf_joint",
+    "EmptyStreamError",
+]
+
+
+def _names_used_outside_tests():
+    """Every name, attribute and string constant read in src/ (but for
+    __init__.py), demos/ and perfbench/; a name only imported is not read."""
+    paths = [p for p in (_ROOT / "src" / "screened_mc").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(_ROOT / "demos").glob("*.py"), *(_ROOT / "perfbench").glob("*.py")]
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)  # the benchmark's tracer hooks attributes by name
+    return used
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    # a reference path only tests call belongs in tests/reference.py, not in the API
+    unused = set(sm.__all__) - _names_used_outside_tests()
+    assert unused == set(_TEST_ONLY_NAMES)
+
+
+def test_the_removed_names_no_longer_resolve():
+    for name in _REMOVED_NAMES:
+        assert name not in sm.__all__
+        assert not hasattr(sm, name), name

