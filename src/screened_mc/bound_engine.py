@@ -97,10 +97,10 @@ def normalize_observables(
     """Affine-rescale a raw pair to E U = 0, Var U = 1, E F = 0, Var F <= 1.
 
     The F scale comes from ``var_f_bound`` if given, else from the exact
-    variance.  ``mu_lower`` is the center the upper margin oracle
-    ``margin`` may use when the true mean is treated as unknown; the
-    returned callables and ``sum_lower_margin`` always center at the exact
-    mean (the simulator knows the model).
+    variance.  Each margin pattern is rescaled in its own kind.  A +F
+    pattern centers at ``mu_lower`` if given, a lower bound on the mean
+    (the true mean treated as unknown); under it a -F pattern would fall
+    below its supremum, so it, and the callables, center at the exact mean.
 
     Raw (epsilon, u) thresholds map through ``pair.map_thresholds``.
     """
@@ -119,20 +119,19 @@ def normalize_observables(
     f_scale = math.sqrt(var_f_bound)
     mu_used = pair.mu if mu_lower is None else mu_lower
 
-    def rescaled(oracle, mu):
-        """The oracle of (F - mu)/c and (U - nu)/s, of the raw oracle's own kind."""
-        if oracle is None:
-            return None
+    def rescaled(s_f, s_u, oracle):
+        """The oracle of s_f (F - mu)/c and s_u (U - nu)/s, of the raw oracle's own kind."""
+        mu, nu = s_f * (mu_used if s_f > 0 else pair.mu), s_u * pair.nu
         if isinstance(oracle, FiniteMargin):
-            f = tuple((x - mu) / f_scale for x in oracle.f_values)
-            u = tuple((x - pair.nu) / u_scale for x in oracle.u_values)
+            f = tuple([(x - mu) / f_scale for x in oracle.f_values])
+            u = tuple([(x - nu) / u_scale for x in oracle.u_values])
         elif isinstance(oracle, ParetoMargin):
             (alpha_f, a, delta_f), (alpha_u, b, delta_u) = oracle.f, oracle.u
             f = (alpha_f / f_scale, a, (delta_f - mu) / f_scale)
-            u = (alpha_u / u_scale, b, (delta_u - pair.nu) / u_scale)
+            u = (alpha_u / u_scale, b, (delta_u - nu) / u_scale)
         else:
             raise CapabilityError(f"cannot normalize a margin oracle of type {type(oracle).__name__}")
-        return type(oracle)(f, u, oracle.u_sign, oracle.sense)
+        return type(oracle)(f, u)
 
     var_f = pair.var_f / var_f_bound
     return ObservablePair(
@@ -146,12 +145,7 @@ def normalize_observables(
         # lower gamma only lowers the exponent
         gamma=min(pair.gamma / (f_scale * u_scale), math.sqrt(var_f)),
         gamma_flag=pair.gamma_flag,
-        # a center below the mean keeps the supremum's bound an upper bound, but
-        # would lift the infimum's above the true one: that one takes the mean
-        margin=rescaled(pair.margin, mu_used),
-        sum_lower_margin=rescaled(pair.sum_lower_margin, pair.mu),
-        f_unbounded_above=pair.f_unbounded_above,
-        u_unbounded_above=pair.u_unbounded_above,
+        margins={pattern: rescaled(*pattern, oracle) for pattern, oracle in pair.margins.items()},
         normalized=True,
         f_scale=f_scale,
         u_scale=u_scale,
@@ -334,7 +328,7 @@ class AlphaGrid:
         atoms, breaks = table.envelope
         lines = (
             [table.f_values[i] for i in atoms],
-            [table.u_sign * table.u_values[i] for i in atoms],
+            [table.u_values[i] for i in atoms],
             breaks,
         )
         if k is None:

@@ -18,17 +18,20 @@ independent fair +/-1 sign, on the signed atoms.
 
 An :class:`ObservablePair` bundles the two observables F (the quantity
 whose mean is estimated) and U (the screening function with known mean)
-together with their known statistics and margin oracles.  The margin
-``m(beta)`` is an upper bound on ess sup[F(X) - beta U(X)], +inf where
-U does not dominate F; its finiteness for every beta > 0 is what makes
-screened errors exponentially rare even when F(X) is heavy-tailed.
+together with their known statistics and margin oracles, keyed by sign
+pattern: ``margins[(s_f, s_u)](beta)`` is an upper bound on
+ess sup[s_f F(X) + beta s_u U(X)], +inf where the support does not bound
+it, and an infimum is a negated supremum.  The margin m(beta), pattern
+(+1, -1), bounds ess sup[F(X) - beta U(X)]; its finiteness for every
+beta > 0, U dominating F, is what makes screened errors exponentially
+rare even when F(X) is heavy-tailed.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -131,9 +134,11 @@ def canonical_power(form) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# margin oracles: plain callables taking beta > 0, a float or an array, to a
-# bound on an essential extremum of F -/+ beta*U of the same shape (a float
-# for a float); an extremum the support does not bound is +inf or -inf.
+# margin oracles: plain callables taking beta > 0, a float or an array, to an
+# upper bound on an essential supremum of G + beta*H of the same shape (a float
+# for a float), +inf where the support does not bound it.  A pair keys each by
+# its sign pattern (s_f, s_u), G = s_f F and H = s_u U, the signs folded into
+# the oracle's tables or coefficients; an infimum is a negated supremum.
 # Grids take one call; the golden refinement calls with floats, a path kept
 # free of numpy overhead.  Callers check the domain.
 # ---------------------------------------------------------------------------
@@ -141,29 +146,23 @@ def canonical_power(form) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class ParetoMargin:
-    """Exact extremum over x >= 1 of F + u_sign*beta*U for power forms.
+    """Exact sup over x >= 1 of A x**a + C + beta (B x**b + D).
 
-    With F = alpha_f x**a + delta_f and U = alpha_u x**b + delta_u (alphas
-    nonzero, as ``canonical_power`` gives them) and s = +1 for "max", -1
-    for "min", the oracle is s * sup g, where g = s*(F + u_sign*beta*U) =
-    A x**a + beta B x**b + C + beta D.  The sup is +inf where a positive
-    power with a positive coefficient leads; else g at its one stationary
-    point x* = r**(1/(b-a)), r = -A a / (beta B b), when x* > 1 and g
-    peaks there; else the larger of g(1) and the limit at x = inf.  Signs
-    decide once, at construction, which of these cases can arise.  Off the
-    peak branch the oracle is straight in beta (``straight``).
+    The forms f = (A, a, C) and u = (B, b, D) have A, B nonzero, as
+    ``canonical_power`` gives them.  The sup is +inf where a positive
+    power with a positive coefficient leads; else g = A x**a + beta B x**b
+    + C + beta D at its one stationary point x* = r**(1/(b-a)), r = -A a /
+    (beta B b), when x* > 1 and g peaks there; else the larger of g(1) and
+    the limit at x = inf.  Signs decide once, at construction, which of
+    these cases can arise.  Off the peak branch the oracle is straight in
+    beta (``straight``).
     """
 
-    f: tuple  # (alpha_f, a, delta_f)
-    u: tuple  # (alpha_u, b, delta_u)
-    u_sign: float  # +1 for F + beta*U, -1 for F - beta*U
-    sense: str  # "max" | "min"
+    f: tuple  # (A, a, C)
+    u: tuple  # (B, b, D)
 
     def __post_init__(self):
-        s = 1.0 if self.sense == "max" else -1.0
-        (alpha_f, a, delta_f), (alpha_u, b, delta_u) = self.f, self.u
-        A, C = s * alpha_f, s * delta_f
-        B, D = s * self.u_sign * alpha_u, s * self.u_sign * delta_u
+        (A, a, C), (B, b, D) = self.f, self.u
         # the leading power and its coefficient, lead[0] + beta*lead[1]
         top, lead = (a, (A, B)) if a == b else max((a, (A, 0.0)), (b, (0.0, B)))
         peaks = a != b and (A * a > 0.0 > B * b if a < b else B * b > 0.0 > A * a)
@@ -172,116 +171,110 @@ class ParetoMargin:
         peak = (-A * a / (B * b), A * (1.0 - a / b), a / (b - a), b > a) if peaks else None
         # with no positive power, x**0 = 1 and x**-e -> 0 as x -> inf
         limit = None if top > 0.0 else (C + (a == 0.0) * A, D + (b == 0.0) * B)
-        object.__setattr__(self, "_cases", (s, A + C, B + D, C, D, infinite, peak, limit))
+        object.__setattr__(self, "_cases", (A + C, B + D, C, D, infinite, peak, limit))
 
     def __call__(self, beta):
-        s, p, q, c, d, infinite, peak, limit = self._cases
+        p, q, c, d, infinite, peak, limit = self._cases
         if isinstance(beta, np.ndarray):
             value = p + beta * q
             if limit:
                 value = np.maximum(value, limit[0] + beta * limit[1])
             if peak:
                 k, coef, power, up = peak
-                r = k / beta
                 # float_power runs C pow per element, as Python's ** does; the
-                # SIMD loop of np.power can differ from it in the last bit
+                # SIMD loop of np.power can differ from it in the last bit.  An
+                # r past the doubles is +inf, the peak's limit, as on floats
                 with np.errstate(over="ignore"):
+                    r = k / beta
                     at_peak = coef * np.float_power(r, power) + (c + beta * d)
                 value = np.where(r > 1.0 if up else r < 1.0, at_peak, value)
             if infinite:
                 value = np.where(infinite[0] + beta * infinite[1] > 0.0, math.inf, value)
-            return value if s > 0.0 else -value
+            return value
         beta = float(beta)
         if infinite and infinite[0] + beta * infinite[1] > 0.0:
-            return s * math.inf
+            return math.inf
         if peak:
             k, coef, power, up = peak
             r = k / beta
             if r > 1.0 if up else r < 1.0:
                 try:
-                    return s * (coef * r**power + (c + beta * d))
+                    return coef * r**power + (c + beta * d)
                 except OverflowError:  # a peak beyond the doubles
-                    return s * math.inf
+                    return math.inf
         value = p + beta * q
-        return s * (max(value, limit[0] + beta * limit[1]) if limit else value)
+        return max(value, limit[0] + beta * limit[1]) if limit else value
 
     @property
     def infinite(self) -> tuple[float, float] | None:
-        """(p, q) of a "max" oracle that is +inf where p + beta*q > 0, as
-        ``__call__`` tests, else None."""
-        s, infinite = self._cases[0], self._cases[5]
-        return infinite if s > 0.0 else None
+        """(p, q) with the oracle +inf where p + beta*q > 0, as ``__call__``
+        tests, or None where it is finite for every beta."""
+        return self._cases[4]
 
     @functools.cached_property
     def straight(self) -> tuple[FiniteMargin, tuple | None] | None:
-        """(lines, peak) of a "max" oracle with no +inf part, else None: off
-        its peak branch the oracle is the table ``lines``, g(1) and the limit
-        at x = inf as lines in beta; it takes that branch where k/beta > 1
-        (up) or k/beta < 1 for ``peak`` = (k, up), as ``__call__`` tests, and
+        """(lines, peak) of an oracle with no +inf part, else None: off its
+        peak branch the oracle is the table ``lines``, g(1) and the limit at
+        x = inf as lines in beta; it takes that branch where k/beta > 1 (up)
+        or k/beta < 1 for ``peak`` = (k, up), as ``__call__`` tests, and
         nowhere for ``peak`` None."""
-        s, p, q, _, _, infinite, peak, limit = self._cases
-        if s < 0.0 or infinite:
+        p, q, _, _, infinite, peak, limit = self._cases
+        if infinite:
             return None
         f, k = zip(*([(p, q), limit] if limit else [(p, q)]))
-        return FiniteMargin(f, k, 1.0, "max"), peak and (peak[0], peak[3])
+        return FiniteMargin(f, k), peak and (peak[0], peak[3])
 
 
 @dataclass(frozen=True)
 class FiniteMargin:
-    """Exact extremum of f +/- beta*u over a finite support.
+    """Exact max over a finite support of f_j + beta*u_j.
 
     The tables hold finite Python floats, so a float beta takes Python's
-    max or min of f + (u_sign*beta)*u over the atoms: the IEEE operations
-    of the array expression, in its order, without building an array.
-    On finite values the two agree but for a tie of +0.0 with -0.0,
-    where Python keeps the first and numpy the last.
+    max of f + beta*u over the atoms: the IEEE operations of the array
+    expression, in its order, without building an array.  On finite
+    values the two agree but for a tie of +0.0 with -0.0, where Python
+    keeps the first and numpy the last.
     """
 
     f_values: tuple
     u_values: tuple
-    u_sign: float  # +1 for f + beta*u, -1 for f - beta*u
-    sense: str  # "max" | "min"
 
     def __call__(self, beta):
         if not isinstance(beta, np.ndarray):
-            scaled = self.u_sign * float(beta)
-            pick = max if self.sense == "max" else min
-            return float(pick(f + scaled * u for f, u in zip(self.f_values, self.u_values)))
+            beta = float(beta)
+            return float(max(f + beta * u for f, u in zip(self.f_values, self.u_values)))
         # atom by atom: a (beta, atom) table is paged in afresh every call
-        pick = np.maximum if self.sense == "max" else np.minimum
-        scaled = self.u_sign * beta
-        ext = self.f_values[0] + scaled * self.u_values[0]
+        ext = self.f_values[0] + beta * self.u_values[0]
         for f, u in zip(self.f_values[1:], self.u_values[1:]):
-            pick(ext, f + scaled * u, out=ext)
+            np.maximum(ext, f + beta * u, out=ext)
         return ext
 
     @property
-    def straight(self) -> tuple[FiniteMargin, None] | None:
-        """(self, None) for "max": straight pieces throughout (``ParetoMargin.straight``)."""
-        return (self, None) if self.sense == "max" else None
+    def straight(self) -> tuple[FiniteMargin, None]:
+        """(self, None): straight pieces throughout (``ParetoMargin.straight``)."""
+        return self, None
 
     @functools.cached_property
     def envelope(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """(atoms, breaks): the lines that attain the extremum, in beta order.
+        """(atoms, breaks): the lines that attain the maximum, in beta order.
 
         Atom ``atoms[j]`` attains it over all real beta in
         [breaks[j-1], breaks[j]], unbounded at both ends.  Built on first
-        use by Andrew's monotone chain on the points (u_sign*u, f), both
-        negated for "min", with orientation tests on Python integers:
-        every double is an integer over a power of two, so one common
-        power makes every test exact.  Each break is the exact crossing
-        of its two lines, correctly rounded.  Of atoms with one slope only
-        the extreme f can win (the first of equal ones is kept), and a
-        line that touches the envelope at one point only is dropped.
+        use by Andrew's monotone chain on the points (u, f), with
+        orientation tests on Python integers: every double is an integer
+        over a power of two, so one common power makes every test exact.
+        Each break is the exact crossing of its two lines, correctly
+        rounded.  Of atoms with one slope only the largest f can win (the
+        first of equal ones is kept), and a line that touches the envelope
+        at one point only is dropped.
         """
-        sign = 1 if self.sense == "max" else -1
         ratios = [x.as_integer_ratio() for x in (*self.f_values, *self.u_values)]
         scale = max(d for _, d in ratios)  # a power of two
         ints = [n * (scale // d) for n, d in ratios]
         size = len(self.f_values)
-        best = {}  # slope -> (intercept, atom) of the extreme intercept
+        best = {}  # slope -> (intercept, atom) of the largest intercept
         for i in range(size):
-            k, c = sign * int(self.u_sign) * ints[size + i], sign * ints[i]
+            k, c = ints[size + i], ints[i]
             if k not in best or c > best[k][0]:
                 best[k] = (c, i)
         hull = []
@@ -377,6 +370,9 @@ class ObservablePair:
     plugged into bound formulas as-is.  The explicit-bound exponent is
     increasing in gamma, so a sound surrogate must not exceed the true
     covariance; when only |gamma| <= g is known, pass -g.
+
+    ``margins`` maps a sign pattern (s_f, s_u) to its oracle, an upper bound
+    on sup[s_f F + beta s_u U]; ``margin``, derived, is (+1, -1)'s or None.
     """
 
     f: Callable
@@ -387,19 +383,16 @@ class ObservablePair:
     var_u: float
     gamma: float
     gamma_flag: str = "exact"
-    # margin oracles: beta > 0 (float or array) -> bound of the same shape;
     # ``normalize_observables`` rescales a FiniteMargin or a ParetoMargin
-    margin: Callable | None = None  # upper bound on sup[F - beta U]
-    sum_lower_margin: Callable | None = None  # lower bound on inf[F + beta U]
-    sum_margin: Callable | None = None  # upper bound on sup[F + beta U]
-    lower_margin: Callable | None = None  # lower bound on inf[F - beta U]
-    f_unbounded_above: bool = False
-    u_unbounded_above: bool = False
+    margins: dict = field(default_factory=dict)
     normalized: bool = False
     f_scale: float | None = None
     u_scale: float | None = None
+    # an attribute, not a property: the searches read it on every call
+    margin: Callable | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "margin", self.margins.get((1, -1)))
         if self.gamma_flag not in ("exact", "upper_bound"):
             raise ConfigError(f"bad gamma_flag: {self.gamma_flag!r}")
         if self.gamma_flag == "exact":
@@ -437,6 +430,9 @@ def heavy_tail_pair() -> tuple[DistributionModel, ObservablePair]:
     return model, pair
 
 
+_PATTERNS = ((1, -1), (-1, 1), (-1, -1), (1, 1))  # (s_f, s_u) of sup[s_f F + beta s_u U]
+
+
 def tabulated_pair(
     model: DistributionModel, f_values, u_values
 ) -> ObservablePair:
@@ -451,6 +447,7 @@ def tabulated_pair(
         raise InputError("value tables must hold finite numbers")
     mu, nu, var_f, var_u, gamma = _finite_moments(model.probs, f_values, u_values)
     fv, uv = tuple(f_values.tolist()), tuple(u_values.tolist())
+    signed = {1: (fv, uv), -1: (tuple([-x for x in fv]), tuple([-x for x in uv]))}
     return ObservablePair(
         f=Table(tuple(model.atoms), fv),
         u=Table(tuple(model.atoms), uv),
@@ -459,10 +456,7 @@ def tabulated_pair(
         var_f=var_f,
         var_u=var_u,
         gamma=gamma,
-        margin=FiniteMargin(fv, uv, -1.0, "max"),
-        lower_margin=FiniteMargin(fv, uv, -1.0, "min"),
-        sum_margin=FiniteMargin(fv, uv, +1.0, "max"),
-        sum_lower_margin=FiniteMargin(fv, uv, +1.0, "min"),
+        margins={(sf, su): FiniteMargin(signed[sf][0], signed[su][1]) for sf, su in _PATTERNS},
     )
 
 
@@ -480,11 +474,11 @@ def pair_from_callables(model: DistributionModel, f, u) -> ObservablePair:
         var_f=var_f,
         var_u=var_u,
         gamma=gamma,
-        margin=ParetoMargin(cf, cu, -1.0, "max"),
-        lower_margin=ParetoMargin(cf, cu, -1.0, "min"),
-        sum_lower_margin=ParetoMargin(cf, cu, +1.0, "min"),
-        f_unbounded_above=cf[1] > 0 and cf[0] > 0,
-        u_unbounded_above=cu[1] > 0 and cu[0] > 0,
+        # no (+1, +1): gamma_plus, a light-tail variant, raises CapabilityError here
+        margins={
+            (sf, su): ParetoMargin((sf * cf[0], cf[1], sf * cf[2]), (su * cu[0], cu[1], su * cu[2]))
+            for sf, su in _PATTERNS[:3]
+        },
     )
 
 
@@ -574,9 +568,10 @@ _LOG_REL_CUTOFF = math.log(1e-15)
 
 def _logsumexp(values: np.ndarray) -> float:
     m = float(values.max())
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.exp(values - m).sum()))
+    if math.isinf(m):
+        return m
+    with np.errstate(over="ignore"):  # a term past the doubles below m is -inf: exp gives 0
+        return m + math.log(float(np.exp(values - m).sum()))
 
 
 _PANEL_BLOCK = 16
@@ -677,16 +672,16 @@ def _log_mgf_eval(model: DistributionModel, pair: ObservablePair, a: float, b: f
         terms = model._log_probs + a * fu[0] + b * fu[1]
         return _logsumexp(terms), model.atoms, terms
 
-    # divergence is decided by metadata, not by numeric overflow
-    if b > 0.0 and pair.u_unbounded_above and not (
-        # a F + b U = a (F - beta U) at beta = b/-a, bounded above where F - beta U is below
-        a < 0.0 and pair.lower_margin is not None and pair.lower_margin(b / -a) > -math.inf
-    ):
-        return math.inf, None, None
-    if b == 0.0 and a > 0.0 and pair.f_unbounded_above:
-        return math.inf, None, None
-    # a F + b U = a (F - beta U) at beta = -b/a, unbounded above with its margin
-    if b < 0.0 < a and pair.f_unbounded_above and pair.margin(-b / a) == math.inf:
+    # E e^{aF + bU} = +inf exactly where aF + bU is unbounded above: where its
+    # leading power (the largest with a nonzero coefficient) is positive with a
+    # positive coefficient.  The margin sup[F - beta U] holds F's form and -U's
+    if not isinstance(pair.margin, ParetoMargin):
+        raise CapabilityError("a pareto_like log-MGF needs the pair's power forms (a ParetoMargin)")
+    (alpha_f, e, _), (alpha_u, g, _) = pair.margin.f, pair.margin.u
+    terms = {e: a * alpha_f}
+    terms[g] = terms.get(g, 0.0) - b * alpha_u
+    top = max((power for power, coef in terms.items() if coef), default=0.0)
+    if top > 0.0 and terms[top] > 0.0:
         return math.inf, None, None
     return _pareto_log_exp_integral(lambda x: a * pair.f(x) + b * pair.u(x))
 

@@ -521,8 +521,8 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
     any beta gives a sound ceiling, and tau/beta, large at small beta on
     values far from zero, must not lose the search to the rounding noise of
     T there.  The ceiling is -inf when no beta of the grid gives a finite
-    one, when the pair declares no margin or no ``sum_lower_margin``, or at
-    eps = -inf.
+    one, when the pair declares no margin for the sign pattern (+1, -1) or
+    (-1, -1), or at eps = -inf.
 
     The slack.  Take a row's samples x_i, points of the support (a finite
     model's atoms; on pareto_like, (1 - p)**-0.4 of a double 1 - p <= 1 is
@@ -534,7 +534,8 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
     (a) |f_i - F_i| <= rho |F_i| and |u_i - U_i| <= rho |U_i|: a pow is
         within one ulp, every other form is exact or one rounding;
     (b) the oracles' values M^ and S^ at beta are within rho Sigma of
-        M = sup[F - beta U] and S = inf[F + beta U], with the scale Sigma =
+        M = sup[F - beta U] and S = inf[F + beta U] = -sup[-F - beta U]
+        (``margins[(1, -1)]`` and ``-margins[(-1, -1)]``), with the scale Sigma =
         |mu| + |eps| + |M^| + |S^| + beta |T^|: a closed form or a table
         extremum of a few roundings, whose operands Sigma bounds.
 
@@ -554,14 +555,14 @@ def _certified_ceiling(pair: ObservablePair, epsilon: float, n: int) -> float:
     The search skips a beta at which n Sigma max(1, 1/beta) would let a row
     sum near the double range, where (a) and the sum bound no longer hold.
     """
-    margin, lower = pair.margin, pair.sum_lower_margin
+    margin, lower = pair.margin, pair.margins.get((-1, -1))
     if margin is None or lower is None:
         return -math.inf
     target = pair.mu + epsilon
     rounding = 16.0 * (CEILING_RHO + n * 2.0**-53 / (1.0 - n * 2.0**-53))
 
     def neg_ceiling(beta):
-        m, s = margin(beta), lower(beta)
+        m, s = margin(beta), -lower(beta)
         t = (target - m) / beta
         scale = abs(pair.mu) + abs(epsilon) + np.abs(m) + np.abs(s) + beta * np.abs(t)
         in_range = n * scale * np.maximum(1.0, 1.0 / beta) < 2.0**1000

@@ -4,18 +4,19 @@ All exponents are suprema of (linear tilt reward) - (joint log-MGF) over
 nonnegative tilt parameters.  Four sign variants cover the one-sided
 screened events and their left-tail mirrors:
 
-=============  =====================  ==========================================
-variant        sign pattern (F, U)    exponent
-=============  =====================  ==========================================
-lambda_plus    (+F, -U)               sup th1*(mu+eps) - th2*(nu+u) - log-MGF
-gamma_plus     (+F, +U)               sup th1*(mu+eps) + th2*(nu-u) - log-MGF
-lambda_minus   (-F, -U)               sup th1*(eps-mu) - th2*(nu+u) - log-MGF
-gamma_minus    (-F, +U)               sup th1*(eps-mu) + th2*(nu-u) - log-MGF
-=============  =====================  ==========================================
+=============  ==================  ==========================================
+variant        (s_f, s_u)          exponent
+=============  ==================  ==========================================
+lambda_plus    (+1, -1)            sup th1*(mu+eps) - th2*(nu+u) - log-MGF
+gamma_plus     (+1, +1)            sup th1*(mu+eps) + th2*(nu-u) - log-MGF
+lambda_minus   (-1, -1)            sup th1*(eps-mu) - th2*(nu+u) - log-MGF
+gamma_minus    (-1, +1)            sup th1*(eps-mu) + th2*(nu-u) - log-MGF
+=============  ==================  ==========================================
 
-Each variant needs its own domination assumption (a finite margin in the
-matching direction); missing margins raise CapabilityError rather than
-silently returning junk.
+Each variant needs its own domination assumption: the pair's margin
+``margins[(s_f, s_u)]``, a bound on sup[s_f F + beta s_u U].  A pattern
+the pair does not declare raises CapabilityError rather than silently
+returning junk.
 
 A supremum is one damped Newton ascent (``legendre_sup``) on the
 tilted mean and covariance of (F, U), the gradient and Hessian of the
@@ -30,7 +31,7 @@ lambda_plus and gamma_plus.
 The exponent gap delta(eps, u) = max(lambda_plus, gamma_plus) - plain
 Chernoff rate quantifies how much screening improves the error exponent
 in the light-tailed case; it vanishes exactly when F(X) and U(X) are
-uncorrelated in the independent-factor sense.
+uncorrelated in the way independent factors are.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ _DECREMENT_NOISE = 1e-9  # a failed search below this decrement is rounding
 _KKT_TOL = 1e-8  # projected gradient times (1 + |theta|), relative to 1 + |value|
 _FLAT_CURVATURE = 1e-13  # eigenvalues below this fraction of the largest count as 0
 
-# variant -> (sign of F, sign of U, the margin oracle bounding its extremum)
+# variant -> its sign pattern (s_f, s_u), the key of its margin
 _VARIANTS = {
-    "lambda_plus": (+1.0, -1.0, "margin"),
-    "gamma_plus": (+1.0, +1.0, "sum_margin"),
-    "lambda_minus": (-1.0, -1.0, "sum_lower_margin"),
-    "gamma_minus": (-1.0, +1.0, "lower_margin"),
+    "lambda_plus": (+1, -1),
+    "gamma_plus": (+1, +1),
+    "lambda_minus": (-1, -1),
+    "gamma_minus": (-1, +1),
 }
 
 
@@ -355,18 +356,15 @@ def rate_plus_star_detail(
     """
     if variant not in _VARIANTS:
         raise CapabilityError(f"unknown variant {variant!r}")
-    s_f, s_u, name = _VARIANTS[variant]
-    oracle = getattr(pair, name)
-    if oracle is None:
+    s_f, s_u = pattern = _VARIANTS[variant]
+    if pattern not in pair.margins:
         raise CapabilityError(
-            f"variant {variant} needs the {name} domination oracle, "
+            f"variant {variant} needs a margin for the sign pattern {pattern}, "
             "which this pair does not declare"
         )
-    # a lower margin bounds an infimum; negated, it bounds sup[s_f F + beta s_u U]
-    sup_oracle = (lambda b: -oracle(b)) if "lower" in name else oracle
     c1 = s_f * pair.mu + epsilon
     c2 = s_u * pair.nu - u
-    if _event_is_empty(sup_oracle, c1, c2):
+    if _event_is_empty(pair.margins[pattern], c1, c2):
         return math.inf, (math.inf, math.inf)
     if plain is not None and s_f > 0.0 and model.is_finite and math.isfinite(plain[0]):
         lam_star, theta1 = plain
@@ -402,7 +400,8 @@ def delta_exponent(
     """Gap between the best screened exponent and the plain Chernoff rate.
 
     Defined only for light-tailed models (both observables need finite
-    exponential moments).  The plain rate is solved once and handed to
+    exponential moments) and a finite plain rate: CapabilityError
+    otherwise.  The plain rate is solved once and handed to
     both screened variants: where the screen is slack at the plain tilt
     the variant is that rate, and the gap 0, with no 2-d ascent.  The
     gap is clamped to 0 when within solver tolerance, since all suprema
@@ -425,6 +424,11 @@ def _delta_point(model, pair, epsilon, u, plain, lam_plus, arg_plus) -> RatePoin
     """``delta_exponent`` from (lambda_star, theta1) and (lambda_plus, theta) already solved."""
     _require_light_tail(model)
     lam_star = plain[0]
+    if lam_star == math.inf:  # best - lam_star would be inf - inf
+        raise CapabilityError(
+            "the exponent gap is undefined where the plain rate is +inf: "
+            "the plain error event, and every screened one in it, is empty"
+        )
     gam_plus, arg_gam = rate_plus_star_detail(model, pair, epsilon, u, "gamma_plus", plain)
     best = max(lam_plus, gam_plus)
     raw = best - lam_star

@@ -79,12 +79,23 @@ def test_normalize_finite_pair_margins_exact():
     u_n = np.asarray(norm.u(model.atoms))
     for beta in (0.1, 0.7, 2.0, 9.0):
         assert sm.margin(norm, beta) == pytest.approx(float((f_n - beta * u_n).max()), rel=1e-12)
-        assert norm.sum_lower_margin(beta) == pytest.approx(float((f_n + beta * u_n).min()), rel=1e-12)
+        assert sorted(norm.margins) == sorted(pair.margins) and len(norm.margins) == 4
+        for (s_f, s_u), oracle in norm.margins.items():
+            brute = float((s_f * f_n + beta * s_u * u_n).max())
+            assert oracle(beta) == pytest.approx(brute, rel=1e-12)
+    # under mu_lower a +F pattern centres there, a -F pattern at the mean
+    low = sm.normalize_observables(pair, mu_lower=pair.mu - 0.5)
+    shift = 0.5 / low.f_scale
+    for beta in (0.1, 0.7, 2.0, 9.0):
+        for (s_f, s_u), oracle in low.margins.items():
+            brute = float((s_f * f_n + beta * s_u * u_n).max()) + (shift if s_f > 0 else 0.0)
+            assert oracle(beta) == pytest.approx(brute, rel=1e-12)
 
 
 def test_normalize_rejects_a_margin_oracle_of_another_kind():
     model = sm.finite_support([1.0, 2.0], [0.5, 0.5])
-    pair = dataclasses.replace(sm.tabulated_pair(model, [0.0, 1.0], [1.0, 3.0]), margin=lambda beta: 0.0)
+    pair = sm.tabulated_pair(model, [0.0, 1.0], [1.0, 3.0])
+    pair = dataclasses.replace(pair, margins={**pair.margins, (1, -1): lambda beta: 0.0})
     with pytest.raises(sm.CapabilityError, match="margin oracle of type function"):
         sm.normalize_observables(pair)
 
@@ -118,8 +129,11 @@ def test_margin_matches_brute_force_maximization(normalized_heavy_tail):
         assert sm.margin(norm, beta) >= brute - 1e-9
         assert sm.margin(norm, beta) <= brute + (10.0 / 7.0 - 1.0) / 2.0 + 1e-9
         # a lower bound on the mean would lift the infimum's oracle by as much,
-        # above the true infimum (at x = 1 here); it centers at the mean itself
-        assert norm.sum_lower_margin(beta) == pytest.approx(float((f_n + beta * u_n).min()), rel=1e-12)
+        # above the true infimum (at x = 1 here); a -F pattern centers at the mean itself
+        lower = -norm.margins[(-1, -1)](beta)  # inf[F + beta U]
+        assert lower == pytest.approx(float((f_n + beta * u_n).min()), rel=1e-12)
+        # -x^0.75 + beta x grows without bound; the heavy tail declares no (1, 1)
+        assert norm.margins[(-1, 1)](beta) == math.inf and (1, 1) not in norm.margins
 
 
 def test_margin_on_arrays_matches_scalar_calls(normalized_heavy_tail):
@@ -127,8 +141,10 @@ def test_margin_on_arrays_matches_scalar_calls(normalized_heavy_tail):
     _, norm = normalized_heavy_tail
     finite = _finite_normalized_pair()
     betas = np.concatenate([np.geomspace(1e-4, 20.0, 2001), [SQRT5 / 4.0]])
-    kinds = (ParetoMargin, ParetoMargin, FiniteMargin, FiniteMargin)
-    for oracle, kind in zip((norm.margin, norm.sum_lower_margin, finite.margin, finite.sum_lower_margin), kinds):
+    oracles = [*norm.margins.values(), *finite.margins.values()]
+    kinds = [ParetoMargin] * 3 + [FiniteMargin] * 4
+    assert len(oracles) == len(kinds)
+    for oracle, kind in zip(oracles, kinds):
         assert type(oracle) is kind
         got = oracle(betas)
         assert np.array_equal(got, np.array([oracle(b) for b in betas.tolist()]))
@@ -477,7 +493,7 @@ def test_zero_event_check_rejects_a_gap_of_1e_10_at_an_envelope_vertex():
     assert atoms == (3, 0) and breaks == (0.625,)
     vertex = Fraction(breaks[0])
     exact_gap = max(
-        Fraction(f) - vertex * Fraction(x) for f, x in zip(pair.margin.f_values, pair.margin.u_values)
+        Fraction(f) + vertex * Fraction(x) for f, x in zip(pair.margin.f_values, pair.margin.u_values)
     ) - (Fraction(eps) - vertex * Fraction(u))
     assert 0.5e-10 < exact_gap < 2e-10
     assert bound_engine.zero_event_check(norm, eps, u) is False

@@ -200,6 +200,12 @@ _EXTREME_THRESHOLD_RUNS = [
     # the quoted constants' c eps^2 overflowed in compute_bounds, after
     # np.geomspace warned on the zero-event grid at eps/u = inf
     ("validate", "heavy", "epsilon", 1e308),
+    # k/beta overflowed in ParetoMargin's array call at eps/u = 5e-310
+    ("bound", "heavy", "u", 1e308),
+    ("validate", "heavy", "u", 1e308),
+    # a log-MGF term past the doubles overflowed in _logsumexp, and the gap
+    # between two +inf rates printed "nan"
+    ("rates", "finite", "epsilon", 1e308),
 ]
 
 
@@ -210,9 +216,16 @@ def test_extreme_thresholds_exit_without_a_traceback(tmp_path, capsys, command, 
     cfg = write_config(tmp_path, doc)
     assert main([command, "--config", cfg, "--jobs", "1"]) == 0
     out, err = capsys.readouterr()
-    assert "Traceback" not in err
+    assert "Traceback" not in err and '"nan"' not in out
     if command == "validate":
-        assert not [entry for entry in json.loads(out)["bounds"] if entry["skipped"]]
+        skipped = [entry["skip_reason"] for entry in json.loads(out)["bounds"] if entry["skipped"]]
+        # the heavy tail's quoted constants hold only for u <= epsilon/20
+        quoted = (config, field, value) == ("heavy", "u", 1e308)
+        assert skipped == (["quoted constants require u <= epsilon/20"] if quoted else [])
+    if command == "rates":
+        doc = json.loads(out)
+        assert doc["lambda_star"] == "inf" and doc["delta"] is None
+        assert doc["delta_note"].startswith("the exponent gap is undefined")
 
 
 @pytest.mark.parametrize("seed, code", [("-1", 2), (str(1 << 64), 2), (str((1 << 64) - 1), 0)])
@@ -387,7 +400,7 @@ def test_power_pair_margins_against_the_grid_search_they_replace(tmp_path, capsy
     real = dist_models.ParetoMargin.__call__
 
     def spy(self, beta):
-        if self.sense == "max":
+        if self.f[0] > 0.0 > self.u[0]:  # sup[F - beta U] of F = x^0.5, U = x
             seen.append(np.ravel(beta))
         return real(self, beta)
 

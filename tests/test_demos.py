@@ -2,7 +2,8 @@
 
 Each demo runs in a fresh interpreter with ``PYTHONPATH`` set to this
 checkout's ``src``, so a public-API change that a demo still uses the
-old way fails here instead of in a reader's terminal.  The trajectory
+old way fails here instead of in a reader's terminal.  A RuntimeWarning
+is an error there, as it is in the test suite.  The trajectory
 demo writes its CSVs under ``demos/out/``, which git ignores.
 """
 
@@ -28,6 +29,10 @@ def test_demo_exits_zero(demo):
     path = os.pathsep.join([str(_SRC), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

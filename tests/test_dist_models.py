@@ -1,5 +1,6 @@
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -239,8 +240,23 @@ def test_log_mgf_signed_divergence_rules():
     assert log_mgf_signed(model, pair, -0.5, -0.5) < 0.0
 
 
+def test_log_mgf_diverges_where_a_bounded_u_leaves_f_unbounded():
+    # F = x^0.75 grows, U = x^-0.5 is bounded: aF + bU is unbounded above for
+    # a > 0 at any b, so the log-MGF is +inf with no quadrature and no warning
+    model = sm.pareto_like()
+    pair = sm.pair_from_callables(model, Power(0.75), Power(-0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((1.0, 1.0), (0.5, 0.1)):
+            assert log_mgf_signed(model, pair, a, b) == math.inf
+            with pytest.raises(sm.DivergenceError):
+                tilted_moments(model, pair, a, b)
+        # bounded above, it is finite: -x^0.75 + x^-0.5 <= 0
+        assert log_mgf_signed(model, pair, -1.0, 1.0) < 0.0
+
+
 # ---------------------------------------------------------------------------
-# the pareto_like margin oracle: F + u_sign*beta*U with F, U = alpha x**e + delta
+# the pareto_like margin oracle: sup[s_f F + beta s_u U] with F, U = alpha x**e + delta
 # ---------------------------------------------------------------------------
 
 # (F, U) coefficient triples, one per sign and exponent case
@@ -256,8 +272,20 @@ _POWER_CASES = {
     "reciprocal_over_sign": ((-1.0, -1.0, 0.0), (1.0, 0.0, 0.0)),
     "abs_centered_over_sign": ((1.0, 1.0, -1.7), (1.0, 0.0, 0.0)),
 }
-_ORIENTATIONS = [(-1.0, "max"), (+1.0, "max"), (-1.0, "min"), (+1.0, "min")]
+_PATTERNS = [(1, -1), (1, 1), (-1, 1), (-1, -1)]  # (s_f, s_u)
 _XS = np.geomspace(1.0, 1e15, 400_001)
+
+
+def _signed(coefficients, sign):
+    alpha, exponent, delta = coefficients
+    return (sign * alpha, exponent, sign * delta)
+
+
+def _pareto_margin(cf, cu, pattern):
+    """The ParetoMargin of sup[s_f F + beta s_u U], the signs folded into the forms."""
+    from screened_mc.dist_models import ParetoMargin
+
+    return ParetoMargin(_signed(cf, pattern[0]), _signed(cu, pattern[1]))
 
 
 def _power_values(coefficients, x):
@@ -267,27 +295,24 @@ def _power_values(coefficients, x):
 
 @pytest.mark.parametrize("case", sorted(_POWER_CASES))
 def test_pareto_margin_matches_a_dense_reference(case):
-    from screened_mc.dist_models import ParetoMargin
-
     cf, cu = _POWER_CASES[case]
     fx, ux = _power_values(cf, _XS), _power_values(cu, _XS)
     seen_infinite = False  # the reference grows without bound somewhere
-    for u_sign, sense in _ORIENTATIONS:
-        oracle = ParetoMargin(cf, cu, u_sign, sense)
-        s = 1.0 if sense == "max" else -1.0
+    for s_f, s_u in _PATTERNS:
+        oracle = _pareto_margin(cf, cu, (s_f, s_u))
         for beta in np.geomspace(1e-2, 1e2, 25).tolist():
-            g = s * (fx + u_sign * beta * ux)  # the oracle is s * sup g
+            g = s_f * fx + beta * (s_u * ux)  # the oracle is sup g
             ref = float(g.max())
-            got = s * oracle(beta)
+            got = oracle(beta)
             if got == math.inf:
                 # the reference grows without bound: still rising at 1e15, and huge
                 seen_infinite = True
                 assert int(np.argmax(g)) == len(_XS) - 1 and g[-1] > g[-1000] and ref > 1e5
                 continue
             scale = 1.0 + abs(ref)
-            assert got >= ref - 1e-12 * scale, (case, u_sign, sense, beta)
-            assert got <= ref + 1e-7 * scale, (case, u_sign, sense, beta)
-    # every case has a positive power in some orientation but these three
+            assert got >= ref - 1e-12 * scale, (case, s_f, s_u, beta)
+            assert got <= ref + 1e-7 * scale, (case, s_f, s_u, beta)
+    # every case has a positive power in some sign pattern but these three
     bounded = ("both_negative", "sign_over_reciprocal", "reciprocal_over_sign")
     assert seen_infinite == (case not in bounded)
 
@@ -296,12 +321,12 @@ def test_pareto_margin_peaks_in_closed_form():
     from screened_mc.dist_models import ParetoMargin
 
     # -x**-2 + beta/x peaks at x* = 2/beta with beta**2/4, inside x >= 1 for beta < 2
-    oracle = ParetoMargin(*_POWER_CASES["both_negative"], -1.0, "max")
+    oracle = _pareto_margin(*_POWER_CASES["both_negative"], (1, -1))
     for beta in (0.01, 0.5, 1.9):
         assert oracle(beta) == pytest.approx(beta * beta / 4.0, rel=1e-14)
     assert oracle(3.0) == -1.0 + 3.0
     # x**0.5 - beta x peaks at x* = 1/(4 beta**2) with 1/(4 beta)
-    oracle = ParetoMargin((1.0, 0.5, 0.0), (1.0, 1.0, 0.0), -1.0, "max")
+    oracle = ParetoMargin((1.0, 0.5, 0.0), (-1.0, 1.0, 0.0))
     assert oracle(1e-3) == pytest.approx(250.0, rel=1e-14)
 
 
@@ -317,10 +342,11 @@ def test_preset_margins_are_bit_for_bit_the_old_closed_forms():
     edge = [np.nextafter(0.75, 0.0), 0.75, np.nextafter(0.75, 1.0)]
     betas = np.concatenate([np.geomspace(1e-9, 1e9, 100_001), np.linspace(0.7, 0.8, 10_001), edge])
     assert np.any(betas == 0.75)
+    lower = pair.margins[(-1, -1)]  # inf[F + beta U] = -sup[-F - beta U]
     assert np.array_equal(pair.margin(betas), old_margin_array(betas))
-    assert np.array_equal(pair.sum_lower_margin(betas), 1.0 + betas)
+    assert np.array_equal(-lower(betas), 1.0 + betas)
     for b in betas.tolist():
-        assert pair.margin(b) == old_margin(b) and pair.sum_lower_margin(b) == 1.0 + b
+        assert pair.margin(b) == old_margin(b) and -lower(b) == 1.0 + b
 
 
 def test_non_power_observable_on_pareto_is_a_capability_error():
@@ -341,7 +367,9 @@ def test_abs_centered_and_sign_on_pareto_are_power_forms():
     assert pair.var_f == pytest.approx(20.0 / 9.0, rel=1e-14)
     assert pair.gamma == pytest.approx(5.0 / 2.0 - 5.0 / 3.0 * 5.0 / 4.0, rel=1e-14)
     sign = sm.pair_from_callables(sm.pareto_like(), Power(0.5), SignOf())
-    assert (sign.nu, sign.var_u, sign.u_unbounded_above) == (1.0, 0.0, False)
+    assert (sign.nu, sign.var_u) == (1.0, 0.0)
+    # U = 1 is bounded above: E e^U = e
+    assert log_mgf_signed(sm.pareto_like(), sign, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_log_mgf_is_infinite_where_the_margin_is():
@@ -369,9 +397,9 @@ def test_log_mgf_with_b_positive_is_finite_where_f_outgrows_u():
     assert lam == got and np.all(np.isfinite(mean))
     # the pair now declares inf[F - beta U], so the gamma_minus rate reaches these tilts
     assert sm.rate_plus_star(model, pair, 0.3, 0.1, "gamma_minus") > 0.0
-    # -x**0.5 + x / 2 grows without bound: inf[x**0.5 - 2 x] = -inf
+    # -x**0.5 + x / 2 grows without bound: inf[x**0.5 - 2 x] = -sup[-x**0.5 + 2 x] = -inf
     swapped = sm.pair_from_callables(model, Power(0.5), Identity())
-    assert swapped.lower_margin(2.0) == -math.inf
+    assert swapped.margins[(-1, 1)](2.0) == math.inf
     assert log_mgf_signed(model, swapped, -1.0, 0.5) == math.inf
 
 
@@ -389,38 +417,33 @@ def _assert_array_matches_scalar_calls(oracle, betas):
 
 
 def test_pareto_margins_on_arrays_match_scalar_calls():
-    from screened_mc.dist_models import ParetoMargin
-
     _, pair = sm.heavy_tail_pair()
     edge = [np.nextafter(0.75, 0.0), 0.75, np.nextafter(0.75, 1.0)]
     betas = np.concatenate([np.geomspace(1e-6, 0.75, 20_001), edge, np.geomspace(0.75, 50.0, 999)])
     assert np.any(betas < 0.75) and np.any(betas == 0.75) and np.any(betas > 0.75)
-    for oracle in (pair.margin, pair.sum_lower_margin):
+    assert len(pair.margins) == 3  # no (1, 1): sup[F + beta U] is +inf
+    for oracle in pair.margins.values():
         _assert_array_matches_scalar_calls(oracle, betas)
         _assert_array_matches_scalar_calls(oracle, betas[:1000].reshape(20, 50))
     wide = np.geomspace(1e-4, 1e4, 2001)
     for cf, cu in _POWER_CASES.values():
-        for u_sign, sense in _ORIENTATIONS:
-            oracle = ParetoMargin(cf, cu, u_sign, sense)
+        for pattern in _PATTERNS:
+            oracle = _pareto_margin(cf, cu, pattern)
             _assert_array_matches_scalar_calls(oracle, wide)
             _assert_array_matches_scalar_calls(oracle, wide[:2000].reshape(40, 50))
     # a peak beyond the doubles is +inf on both paths, with no warning
-    steep = ParetoMargin((1.0, 0.99, 0.0), (1.0, 1.0, 0.0), -1.0, "max")
+    steep = _pareto_margin((1.0, 0.99, 0.0), (1.0, 1.0, 0.0), (1, -1))
     _assert_array_matches_scalar_calls(steep, np.array([1e-9, 1e-3, 0.5]))
     assert steep(1e-9) == math.inf
 
 
 def test_finite_margins_on_arrays_match_scalar_calls():
-    from screened_mc.dist_models import FiniteMargin
-
     rng = np.random.default_rng(11)
     fv, uv = tuple(rng.normal(size=7)), tuple(rng.normal(size=7))
     betas = np.geomspace(1e-4, 1e4, 301)
-    for u_sign in (-1.0, +1.0):
-        for sense in ("max", "min"):
-            oracle = FiniteMargin(fv, uv, u_sign, sense)
-            _assert_array_matches_scalar_calls(oracle, betas)
-            _assert_array_matches_scalar_calls(oracle, betas[:300].reshape(3, 100))
+    for oracle in _finite_margins(fv, uv):
+        _assert_array_matches_scalar_calls(oracle, betas)
+        _assert_array_matches_scalar_calls(oracle, betas[:300].reshape(3, 100))
 
 
 def test_finite_margin_scalar_calls_match_the_array_expression():
@@ -430,16 +453,10 @@ def test_finite_margin_scalar_calls_match_the_array_expression():
         model = sm.finite_support(np.arange(m, dtype=float), np.full(m, 1.0 / m))
         f, u = rng.normal(size=m) * 3.0, rng.normal(size=m)
         pair = sm.tabulated_pair(model, f, u)
-        oracles = {
-            (-1.0, "max"): pair.margin,
-            (-1.0, "min"): pair.lower_margin,
-            (+1.0, "max"): pair.sum_margin,
-            (+1.0, "min"): pair.sum_lower_margin,
-        }
-        for (u_sign, sense), oracle in oracles.items():
+        assert sorted(pair.margins) == sorted(_PATTERNS) and pair.margin is pair.margins[(1, -1)]
+        for (s_f, s_u), oracle in pair.margins.items():
             for beta in np.concatenate([rng.uniform(0.0, 5.0, 40), np.geomspace(1e-9, 1e9, 40)]):
-                vals = f + u_sign * float(beta) * u
-                want = float(np.max(vals) if sense == "max" else np.min(vals))
+                want = float(np.max(s_f * f + float(beta) * (s_u * u)))
                 for b in (float(beta), beta):  # a float and an np.float64
                     got = oracle(b)
                     assert type(got) is float and got == want
@@ -487,18 +504,21 @@ def test_finite_log_mgf_evaluates_each_table_once_per_pair(monkeypatch):
 
 
 def _envelope_values(oracle, betas):
-    """The extremum from the envelope alone: each beta evaluates only its winning line."""
+    """The supremum from the envelope alone: each beta evaluates only its winning line."""
     atoms, breaks = oracle.envelope
     idx = np.asarray(atoms, dtype=int)[np.searchsorted(np.asarray(breaks), betas, side="right")]
     f, u = np.asarray(oracle.f_values)[idx], np.asarray(oracle.u_values)[idx]
-    return f + (oracle.u_sign * betas) * u
+    return f + betas * u
 
 
 def _finite_margins(f_values, u_values):
+    """The FiniteMargin of each sign pattern, (1, -1) first."""
     from screened_mc.dist_models import FiniteMargin
 
-    fv, uv = tuple(map(float, f_values)), tuple(map(float, u_values))
-    return [FiniteMargin(fv, uv, s, sense) for s in (-1.0, 1.0) for sense in ("max", "min")]
+    return [
+        FiniteMargin(tuple(s_f * float(x) for x in f_values), tuple(s_u * float(x) for x in u_values))
+        for s_f, s_u in _PATTERNS
+    ]
 
 
 def _envelope_tables(monkeypatch):
@@ -531,8 +551,8 @@ def test_finite_margin_envelope_of_degenerate_tables():
 
 
 def test_finite_margin_envelope_gives_the_same_bits(monkeypatch):
-    # 10^4 seeded betas per table, on every sign and sense: the winning line
-    # found by the breaks computes the very bits of the full max or min
+    # 10^4 seeded betas per table, on every sign pattern: the winning line
+    # found by the breaks computes the very bits of the full max
     tables = list(_envelope_tables(monkeypatch))
     tables += [(name, f, u) for name, (f, u, _) in _DEGENERATE_TABLES.items()]
     rng = np.random.default_rng(18)

@@ -85,6 +85,28 @@ def test_rates_on_a_finite_config_leaves_scipy_out(tmp_path):
     assert not _scipy_loaded_after(script)
 
 
+def test_every_command_in_one_interpreter_leaves_scipy_out(tmp_path):
+    readme, finite = tmp_path / "readme.json", tmp_path / "finite.json"
+    readme.write_text(json.dumps(_README))
+    finite.write_text(json.dumps(_FINITE))
+    out = ["--out", str(tmp_path), "--jobs", "1"]
+    runs = [
+        ["bound", "--config", str(readme), *out],
+        ["rates", "--config", str(finite), *out],
+        ["sanov", "--config", str(finite), *out],
+        ["validate", "--config", str(readme), "--trials", "200", *out],
+        ["simulate", "--config", str(finite), "--trials", "3", *out],
+        ["prop11"],
+    ]
+    script = (
+        "import contextlib, io\n"
+        "from screened_mc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert [main(args) for args in {runs!r}] == [0] * {len(runs)}\n"
+    )
+    assert not _scipy_loaded_after(script)
+
+
 def test_the_oracle_runs_where_scipy_is_missing(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_FINITE))

@@ -462,7 +462,7 @@ def test_margin_oracles_are_within_rho_sigma_of_the_exact_extremum(
     assert ceiling > -math.inf
     grid = np.geomspace(2.0**-40, 2.0**40, 161)
     for beta in [chosen, *grid[np.isfinite(pair.margin(grid))].tolist()]:
-        m, s = pair.margin(beta), pair.sum_lower_margin(beta)
+        m, s = pair.margin(beta), -pair.margins[(-1, -1)](beta)
         t = (pair.mu + epsilon - m) / beta
         sigma = abs(pair.mu) + abs(epsilon) + abs(m) + abs(s) + beta * abs(t)
         exact_m, exact_s = exact_margins(model, pair, beta)

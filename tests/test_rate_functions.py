@@ -453,7 +453,7 @@ def test_heavy_tail_pair_rate_infinite_beyond_concavity_threshold():
 
 def test_variant_capability_errors():
     model, pair = sm.heavy_tail_pair()
-    with pytest.raises(sm.CapabilityError, match="sum_margin"):
+    with pytest.raises(sm.CapabilityError, match=r"sign pattern \(1, 1\)"):
         sm.rate_plus_star(model, pair, 0.05, 0.01, "gamma_plus")
     with pytest.raises(sm.CapabilityError):
         sm.rate_plus_star(model, pair, 0.05, 0.01, "no_such_variant")
