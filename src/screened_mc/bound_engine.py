@@ -102,11 +102,13 @@ def normalize_observables(
     (the true mean treated as unknown); under it a -F pattern would fall
     below its supremum, so it, and the callables, center at the exact mean.
 
-    Raw (epsilon, u) thresholds map through ``pair.map_thresholds``.
+    A normalized pair comes back as it is; with neither bound given, a
+    pair of normalized moments is marked so with unit scales.  Raw
+    (epsilon, u) thresholds map through ``pair.map_thresholds``.
     """
-    if pair.normalized or _is_normalized(pair):
-        if pair.normalized:
-            return pair
+    if pair.normalized:
+        return pair
+    if var_f_bound is None and mu_lower is None and _is_normalized(pair):
         return replace(pair, normalized=True, f_scale=1.0, u_scale=1.0)
     if pair.var_u <= 0.0:
         raise DegenerateScreenError("Var(U) = 0: the screening observable is constant")

@@ -591,31 +591,30 @@ def _panel_block_nodes(k0: int) -> tuple[np.ndarray, np.ndarray]:
     return q.ravel() ** (-0.4), logw.ravel()
 
 
-def _pareto_log_exp_integral(h: Callable) -> tuple[float, np.ndarray, np.ndarray]:
-    """log of int_0^1 exp(h(x(q))) dq with x(q) = q**(-2/5), and its nodes.
+def _pareto_log_exp_integral(pair: ObservablePair, a: float, b: float):
+    """log of int_0^1 exp(a F(x) + b U(x)) dq at x = q**(-2/5), with its nodes.
 
-    Dyadic panels [2^-k-1, 2^-k] with fixed Gauss-Legendre nodes,
-    evaluated a block at a time; the panel walk continues past any
-    pre-peak dip (the integrand maximum is still rising) and stops only
-    once both the panel contribution is below 1e-15 of the running
-    total and the integrand is decaying.  All accumulation is in the
-    log domain: for small theta2/theta1 the integrand peaks at
-    astronomically large x and exp(h) overflows any linear-scale
-    representation long before the result does.
+    Dyadic panels [2^-k-1, 2^-k] with fixed Gauss-Legendre nodes, F and U
+    evaluated once per block of 512; the panel walk continues past any
+    pre-peak dip (the integrand maximum is still rising) and stops only once
+    both the panel contribution is below 1e-15 of the running total and the
+    integrand is decaying.  All accumulation is in the log domain: for small
+    theta2/theta1 the integrand peaks at astronomically large x, where its
+    exponential overflows long before the result does.
 
-    Returns the log-integral, the nodes x the walk used, and the
-    log-terms h(x) + log-weight whose log-sum it is.
+    Returns the log-integral, the 2 x N array FU of F and U at the N nodes
+    the walk used, and the log-terms a F + b U + log-weight it log-sums.
     """
-    total = -math.inf
-    last_max = math.inf
-    xs, logterms = [], []
+    total, last_max = -math.inf, math.inf
+    fus, logterms = [], []
     for k0 in range(0, _PANEL_CAP, _PANEL_BLOCK):
         x, logw = _panel_block_nodes(k0)
-        vals = np.asarray(h(x), dtype=float)
+        fu = np.array([pair.f(x), pair.u(x)], dtype=float)
+        vals = a * fu[0] + b * fu[1]
         if np.any(np.isnan(vals)):
             raise NumericError(f"log-MGF integrand produced NaN near panel k={k0}")
         terms = vals + logw
-        xs.append(x)
+        fus.append(fu)
         logterms.append(terms)
         panels = terms.reshape(_PANEL_BLOCK, -1)
         vmaxes = vals.reshape(_PANEL_BLOCK, -1).max(axis=1)
@@ -627,50 +626,42 @@ def _pareto_log_exp_integral(h: Callable) -> tuple[float, np.ndarray, np.ndarray
             last_max = vmax
             if decaying and panel < total + _LOG_REL_CUTOFF:
                 used = (i + 1) * panels.shape[1]
-                xs[-1], logterms[-1] = x[:used], terms[:used]
-                return total, np.concatenate(xs), np.concatenate(logterms)
+                fus[-1], logterms[-1] = fu[:, :used], terms[:used]
+                return total, np.concatenate(fus, axis=1), np.concatenate(logterms)
     raise NumericError("log-MGF quadrature did not converge within the panel cap")
-
-
-_NODE_VALUES: tuple = (None, None, None)  # the last (pair, nodes, values) evaluated
-
-
-def _node_values(pair: ObservablePair, x: np.ndarray) -> np.ndarray:
-    """(F, U) at the nodes x, kept for the last (pair, x): a finite model's atoms are one array."""
-    global _NODE_VALUES
-    last_pair, last_x, fu = _NODE_VALUES
-    if last_pair is not pair or last_x is not x:
-        fu = np.vstack([pair.f(x), pair.u(x)]).astype(float)
-        _NODE_VALUES = (pair, x, fu)
-    return fu
 
 
 _LAST_LOG_MGF: tuple = (None, None, None, None)  # the last (model, pair, key, result)
 
 
 def _log_mgf_nodes(model: DistributionModel, pair: ObservablePair, a: float, b: float):
-    """log E[exp(a F(X) + b U(X))], its nodes (atoms or quadrature nodes) and
-    log-terms; the nodes and terms are None when the integral diverges.
+    """(Lambda, FU, log-terms): Lambda = log E[exp(a F(X) + b U(X))], the
+    log-sum of the terms, and FU the 2 x N array of F and U at their nodes
+    (atoms or quadrature nodes); None and None where Lambda is +inf.
 
     The last result is kept for the same (model, pair) objects and the same
     (a, b), signs of zeros included: a Newton step's derivatives come at the
-    point its line search has just evaluated.  Callers do not write to it.
+    point its line search has just evaluated.  A new tilt of the same pair
+    hands its FU on, so a finite table is evaluated once per switch of
+    pair.  Callers do not write to it.
     """
     global _LAST_LOG_MGF
     key = (a, b, math.copysign(1.0, a), math.copysign(1.0, b))
     last_model, last_pair, last_key, result = _LAST_LOG_MGF
     if last_model is not model or last_pair is not pair or last_key != key:
-        result = _log_mgf_eval(model, pair, a, b)
+        known = result[1] if last_model is model and last_pair is pair else None
+        result = _log_mgf_eval(model, pair, a, b, known)
         _LAST_LOG_MGF = (model, pair, key, result)
     return result
 
 
-def _log_mgf_eval(model: DistributionModel, pair: ObservablePair, a: float, b: float):
-    """``_log_mgf_nodes`` evaluated afresh."""
+def _log_mgf_eval(model: DistributionModel, pair: ObservablePair, a: float, b: float, fu=None):
+    """``_log_mgf_nodes`` evaluated afresh; a finite model takes FU as ``fu`` if given."""
     if model.is_finite:
-        fu = _node_values(pair, model.atoms)
+        if fu is None:
+            fu = np.array([pair.f(model.atoms), pair.u(model.atoms)], dtype=float)
         terms = model._log_probs + a * fu[0] + b * fu[1]
-        return _logsumexp(terms), model.atoms, terms
+        return _logsumexp(terms), fu, terms
 
     # E e^{aF + bU} = +inf exactly where aF + bU is unbounded above: where its
     # leading power (the largest with a nonzero coefficient) is positive with a
@@ -683,7 +674,7 @@ def _log_mgf_eval(model: DistributionModel, pair: ObservablePair, a: float, b: f
     top = max((power for power, coef in terms.items() if coef), default=0.0)
     if top > 0.0 and terms[top] > 0.0:
         return math.inf, None, None
-    return _pareto_log_exp_integral(lambda x: a * pair.f(x) + b * pair.u(x))
+    return _pareto_log_exp_integral(pair, a, b)
 
 
 def log_mgf_signed(model: DistributionModel, pair: ObservablePair, a: float, b: float) -> float:
@@ -700,17 +691,16 @@ def tilted_moments(model: DistributionModel, pair: ObservablePair, a: float, b: 
     """(log-MGF, mean, covariance) of (F, U) under the law tilted by exp(aF + bU).
 
     The mean and covariance are the gradient and Hessian of the log-MGF
-    in (a, b), reduced from the nodes of the same log-sum that
-    ``log_mgf_signed`` evaluates: no extra quadrature, and the exact
-    derivatives of the computed value.  Raises DivergenceError where
-    the log-MGF is +inf.
+    in (a, b), reduced from the F and U values of the log-sum that
+    ``log_mgf_signed`` evaluates: no observable is called, and they are
+    the exact derivatives of the computed value.  Raises DivergenceError
+    where the log-MGF is +inf.
     """
-    lam, x, terms = _log_mgf_nodes(model, pair, a, b)
-    if x is None:
+    lam, fu, terms = _log_mgf_nodes(model, pair, a, b)
+    if fu is None:
         raise DivergenceError(f"the log-MGF diverges at ({a}, {b}): no tilted law")
     w = np.exp(terms - lam)
     w /= w.sum()
-    fu = _node_values(pair, x)
     mean = fu @ w
     dev = fu - mean[:, None]
     if a == 0.0 and b == 0.0:

@@ -18,15 +18,15 @@ Each variant needs its own domination assumption: the pair's margin
 the pair does not declare raises CapabilityError rather than silently
 returning junk.
 
-A supremum is one damped Newton ascent (``legendre_sup``) on the
-tilted mean and covariance of (F, U), the gradient and Hessian of the
-log-MGF, from ``dist_models.tilted_moments``; ``log_mgf_signed`` is the
-value oracle of its line search.  A margin certificate decides +inf
-first; an ascent still improving beyond THETA_MAX_CERTIFY = 2^60
-certifies +inf as well.  On a finite model a screened variant handed
-the plain rate takes no ascent where the screen is slack at the plain
-tilt (``rate_plus_star_detail``): one ascent then serves lambda_star,
-lambda_plus and gamma_plus.
+A supremum is one damped Newton ascent (``legendre_sup``) on the tilted
+mean and covariance of (F, U), the log-MGF's gradient and Hessian, from
+``dist_models.tilted_moments``; ``log_mgf_signed``, from the same values
+of F and U, is the value oracle of its line search.  A certificate decides
++inf first (a margin; max F < mu + eps for the plain rate on a finite
+model); an ascent still improving beyond THETA_MAX_CERTIFY = 2^60
+certifies +inf as well.  On a finite model a screened variant handed the
+plain rate takes no ascent where the screen is slack at the plain tilt
+(``rate_plus_star_detail``): one ascent serves all three rates.
 
 The exponent gap delta(eps, u) = max(lambda_plus, gamma_plus) - plain
 Chernoff rate quantifies how much screening improves the error exponent
@@ -297,7 +297,14 @@ def rate_lambda_star(
 def _lambda_star_detail(
     model: DistributionModel, pair: ObservablePair, epsilon: float
 ) -> tuple[float, float]:
-    """``rate_lambda_star`` together with its maximizing tilt theta."""
+    """``rate_lambda_star`` together with its maximizing tilt theta.
+
+    On a finite model max F < mu + epsilon certifies (+inf, +inf) with no
+    ascent; at equality the closed event holds the law on F's top atoms.
+    A pareto_like F bounded above keeps the THETA_MAX_CERTIFY backstop.
+    """
+    if model.is_finite and pair.f(model.atoms).max() < pair.mu + epsilon:
+        return math.inf, math.inf
     value, arg = _tilt_sup(model, pair, (1.0,), (pair.mu + epsilon,))
     return max(value, 0.0), float(arg[0])
 
@@ -328,8 +335,7 @@ def rate_plus_star(
     moment constraints are jointly impossible, or the tilt supremum
     grows without bound.
     """
-    value, _ = rate_plus_star_detail(model, pair, epsilon, u, variant)
-    return value
+    return rate_plus_star_detail(model, pair, epsilon, u, variant)[0]
 
 
 def rate_plus_star_detail(
@@ -344,15 +350,15 @@ def rate_plus_star_detail(
 
     The margin certificate decides +inf first.  ``plain`` = (lambda*,
     theta1*), the plain Chernoff rate and tilt at the same epsilon (from
-    ``_lambda_star_detail``), lets a slack screen skip the 2-d ascent:
-    for lambda_plus and gamma_plus (s_f = +1, so c1 = mu + eps is the
-    plain problem's c) on a finite model, when the plain tilt's law
-    already meets the screen, d/dtheta2 = c2 - s_u E[U] <= 0 at
-    (theta1*, 0), the point is a KKT point of the concave problem on the
-    orthant, hence its maximum, and (lambda*, (theta1*, 0)) is returned
-    (Csiszar 1975: the screen does not bind).  On the heavy tail the
-    log-MGF is +inf for theta1 > 0 at theta2 = 0, so ``plain`` is
-    ignored there, as it is for the other variants.
+    ``_lambda_star_detail``), serves lambda_plus and gamma_plus: s_f = +1,
+    so c1 = mu + eps is the plain problem's c and their event lies in the
+    plain one, empty where lambda* = +inf.  On a finite model, when the
+    plain tilt's law already meets the screen, d/dtheta2 = c2 - s_u E[U]
+    <= 0 at (theta1*, 0), the point is a KKT point of the concave problem
+    on the orthant, hence its maximum, and (lambda*, (theta1*, 0)) is
+    returned with no 2-d ascent (Csiszar 1975: the screen does not bind).
+    On the heavy tail the log-MGF is +inf for theta1 > 0 at theta2 = 0,
+    so that test is not made there.  The other variants ignore ``plain``.
     """
     if variant not in _VARIANTS:
         raise CapabilityError(f"unknown variant {variant!r}")
@@ -364,9 +370,10 @@ def rate_plus_star_detail(
         )
     c1 = s_f * pair.mu + epsilon
     c2 = s_u * pair.nu - u
-    if _event_is_empty(pair.margins[pattern], c1, c2):
+    inside_plain = plain is not None and s_f > 0.0
+    if inside_plain and plain[0] == math.inf or _event_is_empty(pair.margins[pattern], c1, c2):
         return math.inf, (math.inf, math.inf)
-    if plain is not None and s_f > 0.0 and model.is_finite and math.isfinite(plain[0]):
+    if inside_plain and model.is_finite:
         lam_star, theta1 = plain
         _, mean, _ = tilted_moments(model, pair, theta1, 0.0)
         if c2 - s_u * float(mean[1]) <= 0.0:

@@ -64,6 +64,17 @@ def test_already_normalized_is_identity():
     assert again is norm
 
 
+def test_bounds_rescale_a_pair_whose_moments_are_already_normalized():
+    # the shortcut for normalized moments took neither bound into account
+    model = sm.finite_support([-1.0, 1.0], [0.5, 0.5])
+    pair = sm.tabulated_pair(model, [-1.0, 1.0], [-1.0, 1.0])
+    norm = sm.normalize_observables(pair, var_f_bound=4.0, mu_lower=-0.5)
+    assert (norm.f_scale, norm.u_scale) == (2.0, 1.0)
+    # sup[(F + 0.5)/2 - 0.5 U] over the two atoms
+    assert sm.margin(norm, 0.5) == 0.25
+    assert sm.normalize_observables(norm, var_f_bound=4.0, mu_lower=-0.5) is norm
+
+
 def test_degenerate_screen_rejected():
     model = sm.finite_support([1.0, 2.0], [0.5, 0.5])
     pair = sm.tabulated_pair(model, [0.0, 1.0], [3.0, 3.0])

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,56 @@ def test_extreme_thresholds_exit_without_a_traceback(tmp_path, capsys, command, 
         doc = json.loads(out)
         assert doc["lambda_star"] == "inf" and doc["delta"] is None
         assert doc["delta_note"].startswith("the exponent gap is undefined")
+
+
+def _four_atom_doc_past_max_f():
+    # max F = 2 < mu + eps at eps = 1e308: the plain event is empty
+    return finite_doc(
+        model={"kind": "finite_support", "atoms": [0.0, 1.0, 2.0, 3.0], "probs": [0.1, 0.2, 0.3, 0.4]},
+        observables={
+            "f": {"form": "table", "values": [0.3, -1.0, 2.0, 0.5]},
+            "u": {"form": "table", "values": [1.0, 0.2, 1.5, -0.3]},
+        },
+        screen={"epsilon": 1e308, "u": 0.1, "n": 100},
+        outputs=[],
+    )
+
+
+def _instance_doc_past_max_f():
+    from workloads import finite_instance
+
+    doc = finite_instance(2001, 8)
+    doc["screen"] = {**doc["screen"], "epsilon": 1e308}
+    return doc
+
+
+def _instance_doc_just_past_max_f():
+    # the margin grid does not certify lambda+ empty here; the empty plain event does
+    from workloads import finite_instance
+
+    doc = finite_instance(2001, 6)
+    f, p = np.array(doc["observables"]["f"]["values"]), np.array(doc["model"]["probs"])
+    doc["screen"] = {**doc["screen"], "epsilon": float(f.max() - p @ f + 1e-9)}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make_doc", [_four_atom_doc_past_max_f, _instance_doc_past_max_f, _instance_doc_just_past_max_f]
+)
+def test_rates_past_max_f_certifies_the_plain_rate_without_a_log_mgf(tmp_path, capsys, monkeypatch, make_doc):
+    # the plain solve ran Newton past theta = 2^60 here (at eps = 1e308 overflowing
+    # in a * F), and so did lambda+ where its margin certificate misses
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    calls = []
+    evaluate = dist_models._log_mgf_eval
+    monkeypatch.setattr(dist_models, "_log_mgf_eval", lambda *args: calls.append(args) or evaluate(*args))
+    cfg = write_config(tmp_path, make_doc())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["rates", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda_star"] == "inf" and doc["lambda_plus_star"] == "inf"
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed, code", [("-1", 2), (str(1 << 64), 2), (str((1 << 64) - 1), 0)])

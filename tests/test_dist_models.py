@@ -503,6 +503,29 @@ def test_finite_log_mgf_evaluates_each_table_once_per_pair(monkeypatch):
     assert len(calls) == 2 * 3  # F and U once per switch of pair
 
 
+def test_heavy_tail_moments_reduce_the_values_the_log_mgf_summed(monkeypatch):
+    from screened_mc import dist_models
+
+    calls = []
+
+    def spied(call):
+        return lambda self, x: calls.append(self) or call(self, x)
+
+    for form in (Power, Identity):
+        monkeypatch.setattr(form, "__call__", spied(form.__call__))
+    model, pair = sm.heavy_tail_pair()
+    monkeypatch.setattr(dist_models, "_LAST_LOG_MGF", (None, None, None, None))
+    lam = log_mgf_signed(model, pair, 0.5, -1.0)
+    # a fresh tilt: F and U once per 512-node block the panel walk used
+    blocks = -(-len(dist_models._log_mgf_nodes(model, pair, 0.5, -1.0)[2]) // 512)
+    assert blocks >= 1 and calls == [pair.f, pair.u] * blocks
+    # the derivatives at the tilt just evaluated call no form
+    calls.clear()
+    got, mean, cov = tilted_moments(model, pair, 0.5, -1.0)
+    assert calls == [] and got == lam
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
+
+
 def _envelope_values(oracle, betas):
     """The supremum from the envelope alone: each beta evaluates only its winning line."""
     atoms, breaks = oracle.envelope

@@ -207,3 +207,13 @@ def test_the_removed_names_no_longer_resolve():
     for name in _REMOVED_NAMES:
         assert name not in sm.__all__
         assert not hasattr(sm, name), name
+
+
+def test_the_module_level_caches_are_the_known_two():
+    # a module-level cache rebinds its name under `global`
+    rebound = set()
+    for path in (_ROOT / "src" / "screened_mc").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Global):
+                rebound.update(f"{path.stem}.{name}" for name in node.names)
+    assert rebound == {"dist_models._LAST_LOG_MGF", "exp_harness._POOL"}

@@ -355,6 +355,15 @@ def test_lambda_star_two_point():
     assert sm.rate_lambda_star(model, pair, 1.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+def test_lambda_star_at_max_f_stays_finite():
+    # the closed event {mean F >= 2} holds the law on the top atom: log 1/p(2) = log 4
+    model = sm.finite_support([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
+    pair = sm.tabulated_pair(model, [0.0, 1.0, 2.0], [1.0, -1.0, 0.5])
+    assert pair.mu == 1.0
+    assert sm.rate_lambda_star(model, pair, 1.0) == pytest.approx(math.log(4.0), rel=1e-12)
+    assert rate_functions._lambda_star_detail(model, pair, 1.0 + 1e-9) == (math.inf, math.inf)
+
+
 def test_lambda_star_heavy_tail_is_zero():
     model, pair = sm.heavy_tail_pair()
     assert sm.rate_lambda_star(model, pair, 0.5) == 0.0
