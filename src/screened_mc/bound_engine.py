@@ -278,13 +278,22 @@ _ALPHA_HI = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)[-1].item()
 _ALPHA_MIN = 2.0**-40
 
 
+def _widened(alphas: np.ndarray, marked: np.ndarray) -> np.ndarray | None:
+    """``alphas`` from one point before the first marked one to one after
+    the last, or None where none is marked."""
+    index = np.flatnonzero(marked)
+    return alphas[max(index[0] - 1, 0) : index[-1] + 2] if index.size else None
+
+
 class AlphaGrid:
     """thm31_ii's alpha grid (step 1e-4) at (epsilon, u), split where the margin curves.
 
     ``pieces``: the margin's straight pieces, where ``thm31_ii_search``
     takes alpha in closed form, and the grid's slice where it curves (none
     of a finite table, all of a margin with no ``straight`` but for the
-    half-line where a ``ParetoMargin`` is +inf and the objective 0).  Gamma
+    half-line where a ``ParetoMargin`` is +inf and the objective 0): the
+    grid points that ``ParetoMargin.__call__``'s own branch test marks at
+    beta = alpha epsilon/u, widened by one point on each side.  Gamma
     enters neither, so the searches of one request at two gammas share
     them and one array margin call on the slice, made on first use: an
     event certified empty makes none.  Build one per request.
@@ -300,54 +309,28 @@ class AlphaGrid:
         widened by one point on each side, or None)."""
         oracle = self.pair.margin
         straight = oracle.straight if isinstance(oracle, (FiniteMargin, ParetoMargin)) else None
+        infinite = oracle.infinite if isinstance(oracle, ParetoMargin) else None
+        if straight is not None:
+            table, peak = straight
+            atoms, breaks = table.envelope
+            lines = ([table.f_values[i] for i in atoms], [table.u_values[i] for i in atoms], breaks)
+            if peak is None:
+                return (*lines, _ALPHA_MIN, _ALPHA_HI), None
         alphas = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)
-
-        def beta(j):  # the oracle's beta at grid point j, as ``values`` takes it
-            return float(alphas[j]) * self.epsilon / self.u
-
-        def first(test, edge):
-            """The first grid index where ``test`` (False, then True) holds: from
-            the alpha of the beta ``edge``, then checked exactly on its neighbours."""
-            n, t = len(alphas), int(np.searchsorted(alphas, edge * self.u / self.epsilon))
-            while t > 0 and test(t - 1):
-                t -= 1
-            while t < n and not test(t):
-                t += 1
-            return t
-
-        if straight is None:
-            infinite = oracle.infinite if isinstance(oracle, ParetoMargin) else None
-            if infinite is None:
-                return None, alphas
-            p, q = infinite  # the margin is +inf where p + beta q > 0: a half-line
-            if q == 0.0:
-                return None, (None if p > 0.0 else alphas)
-            t = first(lambda j: (p + beta(j) * q > 0.0) == (q > 0.0), -p / q)
-            if q > 0.0:  # finite below the edge
-                return None, (alphas[: t + 1] if t else None)
-            return None, (alphas[max(t - 1, 0) :] if t < len(alphas) else None)
-        table, (k, up) = straight[0], straight[1] or (None, None)
-        atoms, breaks = table.envelope
-        lines = (
-            [table.f_values[i] for i in atoms],
-            [table.u_values[i] for i in atoms],
-            breaks,
-        )
-        if k is None:
-            return (*lines, _ALPHA_MIN, _ALPHA_HI), None
-
-        def past(j):  # grid point j lies above the peak branch's edge, by __call__'s test
-            r = k / beta(j)
-            return (r > 1.0 if up else r < 1.0) != up
-
-        n, t = len(alphas), first(past, k)
-        if up:  # the peak branch below the edge, the straight pieces above it
-            curved = alphas[: t + 1] if t else None
-            span = (float(alphas[t]), _ALPHA_HI) if t < n else None
-        else:
-            curved = alphas[max(t - 1, 0) :] if t < n else None
-            span = (_ALPHA_MIN, float(alphas[t - 1])) if t else None
-        return span and (*lines, *span), curved
+        if straight is None and infinite is None:
+            return None, alphas
+        # __call__'s tests on __call__'s beta; k/beta is +inf past the doubles and at beta = 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            betas = alphas * self.epsilon / self.u
+            if straight is None:  # finite where p + beta q <= 0; the nan of inf*0 is not
+                return None, _widened(alphas, infinite[0] + betas * infinite[1] <= 0.0)
+            k, up = peak
+            curved = k / betas > 1.0 if up else k / betas < 1.0
+        rest = alphas[~curved]  # the straight span, out to the grid's end away from the peak branch
+        if not rest.size:
+            return None, alphas
+        span = (rest[0].item(), _ALPHA_HI) if up else (_ALPHA_MIN, rest[-1].item())
+        return (*lines, *span), _widened(alphas, curved)
 
     @functools.cached_property
     def values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

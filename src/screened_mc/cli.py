@@ -224,10 +224,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_prop11(args) -> int:
-    epsilon = args.epsilon if args.epsilon is not None else 0.2
-    u = args.u if args.u is not None else 0.005
-    n = args.n if args.n is not None else 5000
-    rep = prop11_report(epsilon, u, n)
+    rep = prop11_report(0.2, 0.005, 5000)
     rows = []
     ok = True
     for eps_row, n_row, quoted in _GOLDEN_ROWS:
@@ -283,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
             "reused by later calls with the same value, whose workers see module state as "
             "of their fork (default: available parallelism, read when the command runs)",
         )
-        if name == "prop11":
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--u", type=float, default=None)
-            p.add_argument("--n", type=int, default=None)
         p.set_defaults(fn=fn)
     return parser
 

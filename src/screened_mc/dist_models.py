@@ -328,7 +328,7 @@ class DistributionModel:
                 raise ConfigError("all atom probabilities must be strictly positive")
             if abs(float(probs.sum()) - 1.0) > _PMF_TOL:
                 raise ConfigError(
-                    f"atom probabilities sum to {probs.sum()!r}, not 1 within {_PMF_TOL}"
+                    f"atom probabilities sum to {float(probs.sum())!r}, not 1 within {_PMF_TOL}"
                 )
 
     @property

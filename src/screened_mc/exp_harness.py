@@ -445,9 +445,14 @@ def thm31_reports(
             if exact.zero_event
             else thm31_ii_search(with_gamma(norm, -1.0), eps_n, u_n, grid)
         )
-    # a K of 0 (u_n/eps_n below the doubles) takes the least positive one: larger, still valid
-    reports["thm31_iii"] = bound_thm31_iii(norm, eps_n, max(u_n / eps_n, 5e-324))
+    reports["thm31_iii"] = bound_thm31_iii(norm, eps_n, _thm31_iii_k(eps_n, u_n))
     return (eps_n, u_n), reports
+
+
+def _thm31_iii_k(eps_n: float, u_n: float) -> float:
+    """thm31_iii's K = u_n/eps_n; a K of 0 (below the doubles) takes the
+    least positive one: larger, still valid."""
+    return max(u_n / eps_n, 5e-324)
 
 
 def compute_bounds(
@@ -486,7 +491,7 @@ def compute_bounds(
         notes = {
             "thm31_ii": "gamma=exact",
             "thm31_ii_worst_gamma": "gamma=worst_case",
-            "thm31_iii": f"K={u_n / eps_n!r}" if preset else "",
+            "thm31_iii": f"K={_thm31_iii_k(eps_n, u_n)!r}" if preset else "",
         }
         for key, report in reports.items():
             add(replace(report, note=notes[key]))
@@ -907,11 +912,13 @@ def _positional_g17(values: np.ndarray) -> np.ndarray | None:
     positionally (decimal exponent X of x rounded to 17 digits in -4..16).
 
     The exponent X is the k = 16 - X with 10^16 <= |x| 10^k < 10^17, and
-    the 17-digit significand is N = round(|x| 10^k), half to even; a
-    significand rounded up to 10^17 carries into X.  Both are exact:
-    Dekker's TwoProduct gives |x| 10^k = p + err with no rounding, which
-    decides the bounds, and p lies at or above 2^53 so is an even integer,
-    so p + rint(err) is the half-even rounding of p + err.  The guess
+    the 17-digit significand is N = round(|x| 10^k), half to even.  Both
+    are exact: Dekker's TwoProduct gives |x| 10^k = p + err with no
+    rounding, which decides the bounds, and p lies at or above 2^53 so is
+    an even integer, so p + rint(err) is the half-even rounding of p + err.
+    N never rounds up to 10^17, which would carry into X: only a double
+    within half a 17th-digit unit below 10^(X+1) could, and for X in -4..16
+    none lies there (an exact check in the tests).  The guess
     X = floor(log10|x|) is corrected until the bounds hold, so no bit of
     ``log10`` reaches the output.  The layout works on columns of bytes,
     one column per value, with products of masks in place of ``np.where``.
@@ -937,12 +944,6 @@ def _positional_g17(values: np.ndarray) -> np.ndarray | None:
     else:
         return None
     sig = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    carry = sig == 10**17
-    if carry.any():
-        sig[carry] = 10**16
-        x += carry
-        if x.max() > 16:
-            return None
     # digits: the first, then four words of four from the table
     m = a.size
     top, upper = sig // 10**16, sig // 10**8

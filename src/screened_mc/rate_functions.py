@@ -43,7 +43,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._optim import min_convex_gap
-from .dist_models import DistributionModel, ObservablePair, log_mgf_signed, tilted_moments
+from .dist_models import DistributionModel, FiniteMargin, ObservablePair
+from .dist_models import log_mgf_signed, tilted_moments
 from .errors import CapabilityError, InputError, NumericError
 
 THETA_MAX_CERTIFY = 2.0**60
@@ -299,26 +300,36 @@ def _lambda_star_detail(
 ) -> tuple[float, float]:
     """``rate_lambda_star`` together with its maximizing tilt theta.
 
-    On a finite model max F < mu + epsilon certifies (+inf, +inf) with no
-    ascent; at equality the closed event holds the law on F's top atoms.
-    A pareto_like F bounded above keeps the THETA_MAX_CERTIFY backstop.
+    A finite table with max F < mu + epsilon (``_empty_at_zero``) certifies
+    (+inf, +inf) with no ascent; at equality the closed event holds the law
+    on F's top atoms.  A pareto_like F bounded above keeps the
+    THETA_MAX_CERTIFY backstop.
     """
-    if model.is_finite and pair.f(model.atoms).max() < pair.mu + epsilon:
+    if _empty_at_zero(pair.margin, pair.mu + epsilon):
         return math.inf, math.inf
     value, arg = _tilt_sup(model, pair, (1.0,), (pair.mu + epsilon,))
     return max(value, 0.0), float(arg[0])
 
 
+def _empty_at_zero(sup_oracle, c1: float) -> bool:
+    """Whether a finite table certifies max G1 < c1 at beta = 0, where g + 0*h = g exactly."""
+    return isinstance(sup_oracle, FiniteMargin) and sup_oracle(0.0) < c1
+
+
 def _event_is_empty(sup_oracle, c1: float, c2: float) -> bool:
-    """True when some beta > 0 certifies sup[G1 + beta G2] < c1 + beta c2.
+    """True when some beta >= 0 certifies sup[G1 + beta G2] < c1 + beta c2.
 
     The certified inequality makes the closed event
     {mean G1 >= c1, mean G2 >= c2} impossible, hence the rate is +inf.
-    The convex gap of ``_optim.min_convex_gap`` is searched over
-    beta in [2^-30, 2^30].  Unlike the zero-event certificate a zero gap
-    does not suffice: the event is closed, so a law with
+    A finite table tests beta = 0 first (``_empty_at_zero``, which also
+    certifies the plain rate: one rule for an empty G1 side); then the
+    convex gap of ``_optim.min_convex_gap`` is searched over beta in
+    [2^-30, 2^30].  Unlike the zero-event certificate a zero gap does not
+    suffice: the event is closed, so a law with
     mean G1 + beta mean G2 = sup[G1 + beta G2] may still lie in it.
     """
+    if _empty_at_zero(sup_oracle, c1):
+        return True
     return min_convex_gap(sup_oracle, c1, c2, _CERTIFY_BETAS) < 0.0
 
 

@@ -10,7 +10,10 @@ and a test compares the production path that replaces it:
 - ``exact_moments``: the pair's statistics from the model itself, which
   the pair constructors store;
 - ``thm31_ii_exponent_at``: thm31(ii)'s objective at given alphas, which
-  ``thm31_ii_search`` maximizes in closed form or on its grid.
+  ``thm31_ii_search`` maximizes in closed form or on its grid;
+- ``alpha_grid_pieces_by_walk``: ``AlphaGrid.pieces`` found by walking
+  from the edge in beta to the first grid point past it, where the
+  production path marks the whole grid with the margin's branch test.
 """
 
 from __future__ import annotations
@@ -19,10 +22,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from screened_mc.bound_engine import _require_normalized, _thm31_ii_objective, margin
+from screened_mc.bound_engine import (
+    _ALPHA_HI,
+    _ALPHA_MIN,
+    _ALPHA_STEP,
+    _require_normalized,
+    _thm31_ii_objective,
+    margin,
+)
 from screened_mc.dist_models import (
     DistributionModel,
+    FiniteMargin,
     ObservablePair,
+    ParetoMargin,
     _finite_moments,
     _pareto_moments,
     canonical_power,
@@ -96,3 +108,60 @@ def thm31_ii_exponent_at(pair: ObservablePair, epsilon: float, u: float, alpha):
         raise DomainError("alpha must lie in (0, 1)")
     beta = alpha * epsilon / u
     return _thm31_ii_objective(pair.gamma, epsilon, alpha, beta, margin(pair, beta))
+
+
+def alpha_grid_pieces_by_walk(pair: ObservablePair, epsilon: float, u: float):
+    """``AlphaGrid(pair, epsilon, u).pieces`` by a walk along the grid.
+
+    Each branch test of ``ParetoMargin.__call__`` changes value once along
+    the grid, so the walk starts at the alpha of the beta where it flips
+    and steps to the first grid point where it holds, testing each point
+    on floats as ``__call__`` does; the three signs of the infinite part's
+    slope q and the two directions of the peak branch are separate cases.
+    """
+    oracle = pair.margin
+    straight = oracle.straight if isinstance(oracle, (FiniteMargin, ParetoMargin)) else None
+    alphas = np.arange(_ALPHA_STEP, 1.0, _ALPHA_STEP)
+
+    def beta(j):  # the oracle's beta at grid point j, as ``values`` takes it
+        return float(alphas[j]) * epsilon / u
+
+    def first(test, edge):
+        """The first grid index where ``test`` (False, then True) holds: from
+        the alpha of the beta ``edge``, then checked exactly on its neighbours."""
+        n, t = len(alphas), int(np.searchsorted(alphas, edge * u / epsilon))
+        while t > 0 and test(t - 1):
+            t -= 1
+        while t < n and not test(t):
+            t += 1
+        return t
+
+    if straight is None:
+        infinite = oracle.infinite if isinstance(oracle, ParetoMargin) else None
+        if infinite is None:
+            return None, alphas
+        p, q = infinite  # the margin is +inf where p + beta q > 0: a half-line
+        if q == 0.0:
+            return None, (None if p > 0.0 else alphas)
+        t = first(lambda j: (p + beta(j) * q > 0.0) == (q > 0.0), -p / q)
+        if q > 0.0:  # finite below the edge
+            return None, (alphas[: t + 1] if t else None)
+        return None, (alphas[max(t - 1, 0) :] if t < len(alphas) else None)
+    table, (k, up) = straight[0], straight[1] or (None, None)
+    atoms, breaks = table.envelope
+    lines = ([table.f_values[i] for i in atoms], [table.u_values[i] for i in atoms], breaks)
+    if k is None:
+        return (*lines, _ALPHA_MIN, _ALPHA_HI), None
+
+    def past(j):  # grid point j lies above the peak branch's edge, by __call__'s test
+        r = k / beta(j)
+        return (r > 1.0 if up else r < 1.0) != up
+
+    n, t = len(alphas), first(past, k)
+    if up:  # the peak branch below the edge, the straight pieces above it
+        curved = alphas[: t + 1] if t else None
+        span = (float(alphas[t]), _ALPHA_HI) if t < n else None
+    else:
+        curved = alphas[max(t - 1, 0) :] if t < n else None
+        span = (_ALPHA_MIN, float(alphas[t - 1])) if t else None
+    return span and (*lines, *span), curved

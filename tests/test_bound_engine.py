@@ -14,7 +14,7 @@ from screened_mc.bound_engine import REFERENCE_ALPHA_III, REFERENCE_ALPHA_IV, Al
 from screened_mc.dist_models import FiniteMargin, Identity, ParetoMargin, Power
 from screened_mc.exp_harness import build_model, build_pair, parse_config, thm31_reports
 
-from reference import thm31_ii_exponent_at
+from reference import alpha_grid_pieces_by_walk, thm31_ii_exponent_at
 
 SQRT5 = math.sqrt(5.0)
 
@@ -109,6 +109,42 @@ def test_normalize_rejects_a_margin_oracle_of_another_kind():
     pair = dataclasses.replace(pair, margins={**pair.margins, (1, -1): lambda beta: 0.0})
     with pytest.raises(sm.CapabilityError, match="margin oracle of type function"):
         sm.normalize_observables(pair)
+
+
+def _flagged(**fields):
+    """The normalized heavy tail with some of its statistics replaced."""
+    _, pair = sm.heavy_tail_pair()
+    return dataclasses.replace(sm.normalize_observables(pair, var_f_bound=4.0, mu_lower=1.0), **fields)
+
+
+def _with_other_grid():
+    norm = _flagged()
+    eps_n, u_n = norm.map_thresholds(0.2, 0.005)
+    other = _finite_normalized_pair()
+    return bound_engine.thm31_ii_search(norm, eps_n, u_n, AlphaGrid(other, eps_n, u_n))
+
+
+# each guard names its own cause; none of these runs in a command
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: sm.normalize_observables(_flagged(normalized=False), var_f_bound=0.0),
+         sm.DomainError, "variance bound for F must be strictly positive"),
+        (lambda: sm.bound_thm31_iii(_flagged(), 0.1, 0.0), sm.DomainError, "K must be > 0"),
+        (lambda: sm.bound_thm31_iii(_flagged(), 0.1, -1.0), sm.DomainError, "K must be > 0"),
+        (_with_other_grid, sm.PreconditionError, "evaluated for another margin or thresholds"),
+        (lambda: sm.margin(_flagged(margins={}), 0.5),
+         sm.CapabilityError, r"declares no margin oracle for F - beta\*U"),
+        (lambda: sm.bound_thm31_iii(_flagged(var_u=2.0), 0.1, 1.0),
+         sm.PreconditionError, r"must have Var\(U\) = 1 exactly"),
+        (lambda: sm.bound_thm31_ii(_flagged(var_f=1.5), 0.1, 0.005),
+         sm.PreconditionError, r"must have Var\(F\) <= 1"),
+    ],
+    ids=["var_f_bound", "k_zero", "k_negative", "other_grid", "no_margin", "var_u", "var_f"],
+)
+def test_library_guards_name_their_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +261,8 @@ def test_bennett_trivial_and_symmetric():
         sm.bennett_log_mgf_bound(1.0, 0.0, 1.0)
     with pytest.raises(sm.DomainError):
         sm.bennett_log_mgf_bound(1.0, 1.0, -1.0)
+    with pytest.raises(sm.DomainError, match="stated for theta >= 0"):
+        sm.bennett_log_mgf_bound(-0.5, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -265,6 +303,9 @@ def test_kl_dominates_pinsker_on_grid():
     for y in ys:
         for z in zs:
             assert sm.binary_kl(float(y), float(z)) >= sm.pinsker_lower(float(y), float(z)) - 1e-12
+    for y, z in ((0.5, 0.0), (0.5, 1.0), (-0.1, 0.5), (1.1, 0.5), (0.5, math.nan)):
+        with pytest.raises(sm.DomainError, match="requires y in"):
+            sm.pinsker_lower(y, z)
 
 
 @given(
@@ -426,6 +467,29 @@ def test_thm31_ii_straight_branch_wins_below_the_grid():
     rep = sm.bound_thm31_ii(line, eps_n, u_n)
     assert rep.method == "thm31_ii" and rep.alpha_star == 2.0**-40
     assert rep.exponent >= _thm31_ii_by_scalar_loop(line, eps_n, u_n, array=True)[0]
+
+
+def test_alpha_grid_pieces_match_the_walk_from_the_edge(normalized_heavy_tail):
+    # the branch test marks the grid where the walk from the edge in beta
+    # stops: the same slice and span, bit for bit, over eps and u across
+    # twelve decades, on the heavy tail and on raw and normalized power
+    # pairs whose margin has a peak branch below its edge or above it, an
+    # infinite half-line (slope q < 0), +inf everywhere (q = 0), or one line;
+    # q > 0 takes an oracle of its own, as no power pair gives it
+    raw = [sm.pair_from_callables(sm.pareto_like(), Power(a), Power(b))
+           for a, b in ((0.5, 1.0), (0.25, 1.1), (-1.0, -2.0), (0.5, 0.5), (1.0, 0.5), (-1.0, 1.0))]
+    pairs = [normalized_heavy_tail[1], *raw, *map(sm.normalize_observables, raw[:4])]
+    rising = dataclasses.replace(raw[3], margins={(1, -1): ParetoMargin((-1.0, 0.5, 0.0), (1.0, 0.5, 0.0))})
+    assert rising.margin.infinite == (-1.0, 1.0)
+    rng = np.random.default_rng(34)
+    kinds = set()
+    for pair in [*pairs, rising]:
+        for eps, u in 10.0 ** rng.uniform(-6.0, 6.0, size=(40, 2)):
+            lines, curved = AlphaGrid(pair, eps, u).pieces
+            walked = alpha_grid_pieces_by_walk(pair, eps, u)
+            assert lines == walked[0] and (curved is walked[1] or np.array_equal(curved, walked[1]))
+            kinds.add((lines is None, curved is None, None if curved is None else len(curved) < len(_ALPHAS)))
+    assert len(kinds) == 6  # lines or not, by a whole slice, a partial one or none: all arise
 
 
 def _finite_normalized_cases(monkeypatch):

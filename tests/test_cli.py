@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -162,6 +163,27 @@ def _finite_with(section, key, index, value):
     return doc
 
 
+# well-formed sections that do not fit together: refused when the pair is built
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"observables": {"f": {"form": "abs_centered"}, "u": {"form": "identity"}}},
+            "abs_centered without center needs a finite model",
+        ),
+        (
+            {"model": {"kind": "finite_support", "atoms": [1.0, 2.0], "probs": [0.5, 0.5]}},
+            "the heavy_tail preset pairs with the pareto_like model",
+        ),
+    ],
+    ids=["abs_centered_on_pareto", "preset_on_finite"],
+)
+def test_a_pair_its_model_cannot_carry_exits_2(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, heavy_tail_doc(outputs=[], **overrides))
+    assert main(["bound", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # json reads NaN and Infinity; none of them may reach a certificate
 @pytest.mark.parametrize(
     "command, doc, field",
@@ -318,6 +340,20 @@ def test_prop11_golden(capsys):
     quoted = {(r["epsilon"], r["n"]): r for r in doc["golden_table"]}
     assert abs(quoted[(0.2, 5000)]["bound"] - 0.368) <= 1e-3
     assert abs(quoted[(0.1, 10000)]["bound"] - 0.025) <= 1e-3
+
+
+def test_every_command_takes_the_common_flags_only(capsys):
+    # prop11 takes no thresholds: `bound` on a heavy-tail config with
+    # u <= eps/20 prints the same block at the config's, and
+    # prop11_report takes any
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"simulate", "bound", "rates", "sanov", "validate", "prop11"}
+    for name, parser in sub.choices.items():
+        flags = [flag for action in parser._actions for flag in action.option_strings]
+        assert flags == ["-h", "--help", "--config", "--seed", "--trials", "--out", "--jobs"], name
+    with pytest.raises(SystemExit) as exc:
+        main(["prop11", "--epsilon", "0.1"])
+    assert exc.value.code == 2 and "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 def test_bound_subcommand(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 import warnings
@@ -69,6 +70,45 @@ def test_invalid_pmf_rejected():
         sm.finite_support([1.0, 2.0], [1.0, 0.0])
     with pytest.raises(sm.ConfigError):
         sm.sign_product([0.0, 1.0], [0.5, 0.5])
+
+
+def _pair_with(**fields):
+    model = sm.finite_support([1.0, 2.0], [0.5, 0.5])
+    return dataclasses.replace(sm.tabulated_pair(model, [0.0, 1.0], [1.0, 3.0]), **fields)
+
+
+def _pareto_log_mgf_without_its_margin():
+    pair = sm.pair_from_callables(sm.pareto_like(), Power(0.5), Identity())
+    return log_mgf_signed(sm.pareto_like(), dataclasses.replace(pair, margins={}), -1.0, 0.0)
+
+
+# each guard names its own cause; none of these runs in a command
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: sm.DistributionModel("normal"), sm.ConfigError, "unknown model kind: 'normal'"),
+        (lambda: sm.DistributionModel("finite_support", atoms=np.array([1.0])),
+         sm.ConfigError, "finite_support model requires atoms and probs"),
+        (lambda: sm.finite_support([[1.0, 2.0]], [[0.5, 0.5]]), sm.ConfigError, "equal-length 1-d"),
+        (lambda: sm.finite_support([1.0, 2.0], [1.0]), sm.ConfigError, "equal-length 1-d"),
+        (lambda: sm.finite_support([], []), sm.ConfigError, "equal-length 1-d"),
+        (lambda: sm.finite_support([1.0, 2.0], [0.6, 0.6]), sm.ConfigError, "sum to 1.2, not 1"),
+        (lambda: Table((1.0, 2.0), (3.0, 4.0))(np.array([1.0, 1.5])),
+         sm.InputError, "off the model support"),
+        (lambda: _pair_with(gamma_flag="maybe"), sm.ConfigError, "bad gamma_flag: 'maybe'"),
+        (lambda: _pair_with().map_thresholds(0.1, 0.01), sm.CapabilityError, "requires a normalized pair"),
+        (lambda: sm.tabulated_pair(sm.pareto_like(), [1.0], [1.0]),
+         sm.CapabilityError, "requires a finite-support model"),
+        (lambda: sm.tabulated_pair(sm.finite_support([1.0, 2.0], [0.5, 0.5]), [1.0], [1.0, 2.0]),
+         sm.InputError, "must match the model support size"),
+        (_pareto_log_mgf_without_its_margin, sm.CapabilityError, r"needs the pair's power forms"),
+    ],
+    ids=["kind", "no_probs", "two_d", "lengths", "empty", "sum", "table", "gamma_flag",
+         "map_thresholds", "tabulated_pareto", "table_shape", "pareto_log_mgf"],
+)
+def test_model_and_pair_guards_name_their_cause(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_heavy_tail_pair_exact_moments():

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ def test_kernel_matches_printf_on_the_corpus():
     inside = [v for v in corpus if _positional(v)]
     assert exp_harness._positional_g17(np.array(inside)) is not None
     _assert_csv_matches(_trajectory(inside))
+
+
+def test_no_positional_significand_rounds_up_to_a_power_of_ten():
+    # the kernel has no carry from N = 10^17 into X: the largest double below
+    # each 10^(X+1), X in -4..16, lies more than half a 17th-digit unit
+    # below it, exactly, so no double of the range rounds up to it
+    for x in range(-4, 17):
+        top = Fraction(10) ** (x + 1)
+        below = float(top) if Fraction(float(top)) < top else math.nextafter(float(top), 0.0)
+        assert Fraction(below) < top <= Fraction(math.nextafter(below, math.inf))
+        assert Fraction(below) * Fraction(10) ** (16 - x) < 10**17 - Fraction(1, 2), x
+        assert _kernel_fields([below, -below]) == [b"%.17g" % below, b"%.17g" % -below]
 
 
 def test_kernel_rounds_17th_digit_ties_half_to_even():

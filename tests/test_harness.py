@@ -295,6 +295,22 @@ def test_a_skipped_thm31_entry_names_its_own_cause(monkeypatch, where, error, re
     assert skipped.skip_reason == reason
 
 
+@pytest.mark.parametrize("eps, u", [(0.5, 0.025), (10.0, 5e-324)])
+def test_the_thm31_iii_note_names_the_k_its_report_used(eps, u):
+    # at u = 5e-324, u_n/eps_n is 0 below the doubles; the report runs at the
+    # least positive K, and the note read K=0.0, which bound_thm31_iii rejects
+    cfg = heavy_tail_config(trials=1000)
+    model = exp_harness.build_model(cfg["model"])
+    pair = exp_harness.build_pair(model, cfg["observables"])
+    entries = exp_harness.compute_bounds(model, pair, cfg["observables"], eps, u, 200)
+    (entry,) = [e for e in entries if e.report.note.startswith("K=")]
+    norm = exp_harness.normalized_for(pair, True)
+    eps_n, u_n = norm.map_thresholds(eps, u)
+    k = float(entry.report.note[2:])
+    assert k > 0.0 and k == max(u_n / eps_n, 5e-324)
+    assert entry.report == dataclasses.replace(sm.bound_thm31_iii(norm, eps_n, k), note=entry.report.note)
+
+
 def test_validation_document_is_canonical(small_validation):
     _, rep = small_validation
     doc = canonicalize(rep.to_document())
@@ -332,6 +348,29 @@ def test_wilson_interval_degenerate_trials():
     assert hi1 == 1.0 and lo1 > 0.0
     lo2, hi2 = sm.wilson_interval(50, 100)
     assert lo2 < 0.5 < hi2
+    with pytest.raises(sm.InputError, match="trials must be >= 1"):
+        sm.wilson_interval(0, 0)
+
+
+def test_report_text_canonicalizes_numpy_values():
+    # numpy scalars and arrays print as the Python values they hold, a
+    # non-finite float as a string, and any other type is refused by name
+    doc = {
+        "int": np.int64(3),
+        "float32": np.float32(0.5),
+        "array": np.array([[1.5, np.nan], [np.inf, -np.inf]]),
+        "nan": math.nan,
+        "tuple": (np.int8(-2), True, None),
+    }
+    assert json.loads(exp_harness.report_text(doc)) == {
+        "int": 3,
+        "float32": 0.5,
+        "array": [[1.5, "nan"], ["inf", "-inf"]],
+        "nan": "nan",
+        "tuple": [-2, True, None],
+    }
+    with pytest.raises(sm.InputError, match="cannot serialize set into a report"):
+        exp_harness.report_text({"set": {1}})
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ namespace 0, and through a one-row ``SubstreamSampler(seed, h)`` call in
 namespace h > 0.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -347,6 +348,16 @@ def test_the_ceiling_search_does_not_lose_to_rounding_noise(epsilon):
     assert all(f[r].sum() / 3 - pair.mu <= epsilon for r in certified)
 
 
+def test_a_pair_without_both_margins_certifies_no_row():
+    # the ceiling reads sup[F - beta U] and inf[F + beta U] = -margins[(-1, -1)]
+    model_spec, obs_spec = SHIFTED_TABLE
+    pair = build_pair(build_model(model_spec), obs_spec)
+    assert _certified_ceiling(pair, 0.8, 3) > -math.inf
+    for pattern in ((1, -1), (-1, -1)):
+        margins = {key: oracle for key, oracle in pair.margins.items() if key != pattern}
+        assert _certified_ceiling(dataclasses.replace(pair, margins=margins), 0.8, 3) == -math.inf
+
+
 @st.composite
 def shifted_tables(draw):
     """Tables of values near a large offset, so that row sums, moments and margins round."""
@@ -510,6 +521,8 @@ def test_sampler_fills_rows_bit_identically():
     assert not np.array_equal(SubstreamSampler(2024, 1).uniforms(5, 8), sampler.uniforms(5, 8))
     with pytest.raises(InputError):
         sampler.uniforms(9, 49, out=np.empty(50))
+    with pytest.raises(InputError, match="count must be >= 1"):
+        sampler.uniforms(0, 0)
 
 
 def pcg64(seed, namespace):

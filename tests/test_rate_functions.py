@@ -7,7 +7,7 @@ from scipy import integrate
 
 import screened_mc as sm
 from screened_mc import dist_models, rate_functions
-from screened_mc.exp_harness import build_model, build_pair, parse_config
+from screened_mc.exp_harness import build_model, build_pair, compute_bounds, parse_config
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -362,6 +362,39 @@ def test_lambda_star_at_max_f_stays_finite():
     assert pair.mu == 1.0
     assert sm.rate_lambda_star(model, pair, 1.0) == pytest.approx(math.log(4.0), rel=1e-12)
     assert rate_functions._lambda_star_detail(model, pair, 1.0 + 1e-9) == (math.inf, math.inf)
+
+
+def test_an_empty_f_side_is_certified_at_beta_zero_whoever_asks(monkeypatch):
+    # finite_instance(2001, 6) just past max F: the margin grid's least beta,
+    # 2^-30, leaves lambda+'s gap positive, and with no plain rate handed in
+    # its ascent ran to theta = 2^60 through 79 log-MGF evaluations; the
+    # margin table at beta = 0, max F exactly, certifies the plain rate and
+    # every screened variant with s_f = +1 alike
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from test_cli import _instance_doc_just_past_max_f
+    from workloads import finite_instance
+
+    for s in range(1, 60):
+        for k in range(1, 9):
+            cfg = parse_config(finite_instance(s, k))
+            model = build_model(cfg.model)
+            pair = build_pair(model, cfg.observables)
+            assert pair.margin(0.0) == pair.f(model.atoms).max(), (s, k)
+    cfg = parse_config(_instance_doc_just_past_max_f())
+    model = build_model(cfg.model)
+    pair = build_pair(model, cfg.observables)
+    eps, u = cfg.screen.epsilon, cfg.screen.u
+    assert pair.margin(0.0) < pair.mu + eps
+    calls = []
+    evaluate = dist_models._log_mgf_eval
+    monkeypatch.setattr(dist_models, "_log_mgf_eval", lambda *args: calls.append(args) or evaluate(*args))
+    inf = math.inf
+    assert rate_functions._lambda_star_detail(model, pair, eps) == (inf, inf)
+    for variant in ("lambda_plus", "gamma_plus"):
+        assert rate_functions.rate_plus_star_detail(model, pair, eps, u, variant) == (inf, (inf, inf))
+    entry = compute_bounds(model, pair, cfg.observables, eps, u, cfg.screen.n)[-1]
+    assert (entry.report.method, entry.report.exponent) == ("chernoff_rate", inf)
+    assert calls == []
 
 
 def test_lambda_star_heavy_tail_is_zero():
