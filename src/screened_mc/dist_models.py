@@ -532,11 +532,17 @@ def _finite_moments(p: np.ndarray, f: np.ndarray, u: np.ndarray) -> tuple[float,
     """(mu, nu, var_F, var_U, gamma) of per-atom values f, u under probabilities p.
 
     Centred sums: E[F^2] - (E F)^2 would cancel when the values sit near a
-    large offset.
+    large offset.  A moment past the double range (values near +-1e308)
+    raises InputError naming it, before numpy warns of the overflow.
     """
-    mu, nu = float(p @ f), float(p @ u)
-    df, du = f - mu, u - nu
-    return mu, nu, float(p @ (df * df)), float(p @ (du * du)), float(p @ (df * du))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, nu = float(p @ f), float(p @ u)
+        df, du = f - mu, u - nu
+        moments = mu, nu, float(p @ (df * df)), float(p @ (du * du)), float(p @ (df * du))
+    for name, value in zip(("E F", "E U", "Var F", "Var U", "Cov(F, U)"), moments):
+        if not math.isfinite(value):
+            raise InputError(f"{name} of the value tables is past the double range")
+    return moments
 
 
 def _pareto_moments(cf: tuple, cu: tuple) -> tuple[float, float, float, float, float]:

@@ -31,15 +31,12 @@ Every output file is rewritten in place by ``_write_file``.
 
 from __future__ import annotations
 
+import atexit
 import json
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
 import stat
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 
@@ -644,8 +641,10 @@ def _batch_bounds(trials: int) -> list[tuple[int, int]]:
 
 # fork where the platform has it, whatever the interpreter's default (forkserver
 # on Linux from Python 3.14): a worker starts as a copy of the process that built
-# the pool, with no import of its own and with every patch made before then
-POOL_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+# the pool, with no import of its own and with every patch made before then.
+# multiprocessing offers fork wherever os.fork exists; it and concurrent.futures
+# are imported when the first pool is built, so a run at jobs 1 never loads them
+POOL_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 
 _POOL = None  # (creating pid, jobs, executor), built on first use at jobs > 1
 _POOL_LOCK = threading.RLock()  # callers in several threads share the one pool
@@ -660,6 +659,11 @@ def _shutdown_pool() -> None:
         _POOL = None
 
 
+# the pool stack loads after this module, so interpreter teardown clears it
+# first; a pool still held here then would be collected without it
+atexit.register(_shutdown_pool)
+
+
 def _exit_with_creator() -> None:
     """Pool initializer: end this worker once the process that built the pool is gone.
 
@@ -668,6 +672,8 @@ def _exit_with_creator() -> None:
     Workers forked after this one inherit the write end as well, and they
     exit by the same rule.
     """
+    import multiprocessing.connection
+
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch():
@@ -681,6 +687,10 @@ def _run_batches(worker, arg_list, jobs: int):
     global _POOL
     if jobs <= 1:
         return [worker(a) for a in arg_list]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with _POOL_LOCK:  # map submits every batch before it returns, so no rebuild cuts in
             if _POOL is None or _POOL[:2] != (os.getpid(), jobs) or _POOL[2]._broken:
@@ -979,7 +989,11 @@ def _at_least(p: np.ndarray, err: np.ndarray, bound: float) -> np.ndarray:
 def canonicalize(obj):
     """Map a result tree onto JSON-safe, byte-stable values."""
     if isinstance(obj, dict):
-        return {str(k): canonicalize(v) for k, v in sorted(obj.items())}
+        # keys become text before they are sorted: keys of mixed types do not compare
+        out = {str(k): canonicalize(v) for k, v in obj.items()}
+        if len(out) != len(obj):
+            raise InputError("two keys of a report dict print as the same text")
+        return dict(sorted(out.items()))
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
     if isinstance(obj, (bool, int, str)) or obj is None:

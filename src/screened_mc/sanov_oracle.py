@@ -10,9 +10,11 @@ cross-checked:
     q*_j proportional to p_j * exp(th1 f_j - th2 u_j) at the maximizing
     tilt of the Fenchel rate; a tilted law outside E gives no dual point;
 (b) the primal route: Newton's method on Q itself over the simplex,
-    started from P mixed with the vertex of largest mean F and stopped
-    by a Lagrange-dual gap certificate at its own multipliers, sharing
-    no code with (a).
+    stopped by a Lagrange-dual gap certificate at its own multipliers.
+    It starts at (a)'s tilted law where there is one, so one step
+    certifies it, and otherwise at P mixed with the vertex of largest
+    mean F; its steps and its certificate share no code with (a), and
+    a certified run reports its own point, never the start.
 
 Agreement of (a), (b) and the Fenchel value is the package's strongest
 internal consistency check: two convex solvers and one concave solver
@@ -73,10 +75,11 @@ def relative_entropy(q, p) -> float:
     p = np.asarray(p, dtype=float)
     if q.shape != p.shape:
         raise InputError("q and p must have equal length")
-    if np.any((q > 0.0) & (p == 0.0)):
-        return math.inf
     mask = q > 0.0
-    return float(np.sum(q[mask] * np.log(q[mask] / p[mask])))
+    q, p = q[mask], p[mask]
+    if (p == 0.0).any():
+        return math.inf
+    return float(np.sum(q * np.log(q / p)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +104,9 @@ def _vertices(
         inside &= a <= b
     atoms = np.flatnonzero(inside)
     i_parts, j_parts, t_parts = [atoms], [atoms], [np.ones(atoms.size)]
-    i, j = np.triu_indices(f.size, 1)
     for a, b in halfspaces:
-        # the pairs strictly on opposite sides of the boundary a.q = b
-        cross = ((a[i] < b) & (a[j] > b)) | ((a[i] > b) & (a[j] < b))
-        ii, jj = i[cross], j[cross]
+        # the pairs strictly on opposite sides of the boundary a.q = b, below it first
+        ii, jj = np.nonzero((a < b)[:, None] & (a > b))
         i_parts.append(ii)
         j_parts.append(jj)
         t_parts.append((b - a[jj]) / (a[ii] - a[jj]))  # the mass on atom ii
@@ -158,13 +159,19 @@ def _tilted_dual(
 
 
 def _newton(
-    p: np.ndarray, g: np.ndarray, h: np.ndarray, q: np.ndarray, held: list[int]
+    p: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    q: np.ndarray,
+    held: list[int],
+    tight: list[int],
 ) -> tuple[np.ndarray, bool]:
     """Active-set Newton for min H(q||p) subject to sum q = 1 and g q <= h.
 
-    ``q`` is a start inside every row with every entry positive; the rows
-    in ``held`` stay active, as equalities.  A step solves the Newton
-    system of the active rows C: the Hessian is diag(1/q), so
+    ``q`` is a start inside every row (to 1e-12) with every entry
+    positive; the rows in ``held`` stay active, as equalities, and those
+    in ``tight`` start active but leave as any other row may.  A step
+    solves the Newton system of the active rows C: the Hessian is diag(1/q), so
     dq = -q (grad + C^T w), with w from one (1 + |active|)-square solve of
     C diag(q) C^T w = -C (q grad) - r, r the active rows' residual.  It
     goes at most 99% of the way to q = 0, stops at the first inactive row
@@ -184,7 +191,7 @@ def _newton(
     logp = np.log(p)
     ones = np.ones((1, q.size))
     tol = 1e-12 * (1.0 + np.abs(h))
-    active = list(held)
+    active = [*held, *tight]
     for _ in range(_NEWTON_CAP):
         rows = np.concatenate([ones, g[active]])
         grad = np.log(q) - logp
@@ -243,32 +250,41 @@ def _primal_descent(
     f_floor: float,
     vertices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     degenerate: bool,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, bool]:
     """Primal minimization of H(q||p) over the constrained simplex.
 
     Newton's method on q itself (``_newton``), certified by its own
-    Lagrange-dual gap.  It shares no code with the exponential-tilt dual
-    route, which is the point: the two must agree to certify the rate.
-    First-order projected-gradient schemes crawl when the minimizer
-    carries atoms of mass ~1e-8 (the Hessian is diag(1/q)).
+    Lagrange-dual gap.  Its steps and its certificate share no code with
+    the exponential-tilt dual route, which is the point: the two must
+    agree to certify the rate.  First-order projected-gradient schemes
+    crawl when the minimizer carries atoms of mass ~1e-8 (the Hessian is
+    diag(1/q)).
 
-    The start comes from the vertex enumeration that decided feasibility.
-    Off a degenerate face it is p mixed with the max-F vertex, halfway
-    from where the mixture meets the F row to the vertex: inside every
-    row, with every atom positive.  On a degenerate face the feasible laws
-    mix the vertices that reach the target, so the run starts from their
-    centroid, on their atoms, and holds active every row tight there that
-    the others do not already fix on those atoms.
+    Off a degenerate face the run starts at ``start``, the dual route's
+    tilted law, when one is given with every atom positive: the
+    I-projection to within the tilt's ascent tolerance, so one Newton step
+    certifies it.  The rows tight there start active, not held, so a wrong
+    tilt costs steps, never the answer.  Without one, the start comes from
+    the vertex enumeration that decided feasibility: p mixed with the
+    max-F vertex, halfway from where the mixture meets the F row to the
+    vertex, inside every row with every atom positive.  On a degenerate
+    face the feasible laws mix the vertices that reach the target, so the
+    run starts from their centroid, on their atoms, and holds active every
+    row tight there that the others do not already fix on those atoms.
 
-    Also returns whether the gap certificate was reached.
+    A certified run returns its own point; otherwise the lower of it and
+    the start, among those inside every row.  Also returns whether the gap
+    certificate was reached.
     """
-    all_hs = halfspaces + [(-f, -f_floor)]
-    g = np.array([a for a, _ in all_hs])
-    h = np.array([b for _, b in all_hs])
-    i, j, t, values = vertices
-    support = np.ones(p.size, dtype=bool)
+    rows = np.vstack([*(a for a, _ in halfspaces), -f])
+    bounds = np.array([*(b for _, b in halfspaces), -f_floor])
+    g, h = rows, bounds  # the rows the run keeps, and their right-hand sides
+    support = slice(None)  # the atoms the run moves: all of them off a degenerate face
     held: list[int] = []
+    tight: list[int] = []
     if degenerate:
+        i, j, t, values = vertices
         chosen = values >= f_floor - _FEAS_TOL * (1.0 + abs(f_floor))
         q0 = np.zeros(p.size)
         np.add.at(q0, i[chosen], t[chosen])
@@ -276,18 +292,22 @@ def _primal_descent(
         q0 /= np.count_nonzero(chosen)
         support = q0 > 0.0
         at_start = g @ q0
-        tight = np.abs(at_start - h) <= _FEAS_TOL * (1.0 + np.abs(h))
+        near = np.abs(at_start - h) <= _FEAS_TOL * (1.0 + np.abs(h))
         basis = np.ones((1, np.count_nonzero(support)))
-        for k in np.flatnonzero(tight):
+        for k in np.flatnonzero(near):
             trial = np.vstack([basis, g[k, support]])
             if np.linalg.matrix_rank(trial, tol=1e-9 * np.abs(trial).max()) == len(trial):
                 basis, held = trial, held + [k]
         # a tight row the held ones fix on the support cannot move: drop it;
         # the held rows keep the values they have at the start
-        keep = held + [k for k in range(len(h)) if not tight[k]]
-        g, h = g[keep], np.where(tight, at_start, h)[keep]
+        keep = held + [k for k in range(len(h)) if not near[k]]
+        g, h = g[keep], np.where(near, at_start, h)[keep]
         held = list(range(len(held)))
+    elif start is not None and (start > 0.0).all():
+        q0 = start
+        tight = np.flatnonzero(np.abs(g @ q0 - h) <= _FEAS_TOL * (1.0 + np.abs(h))).tolist()
     else:
+        i, j, t, values = vertices
         k = int(np.argmax(values))
         vertex = np.zeros(p.size)
         vertex[i[k]] += t[k]
@@ -298,24 +318,18 @@ def _primal_descent(
             share = 0.5 * (1.0 + (f_floor - mean) / (float(values[k]) - mean))
         q0 = (1.0 - share) * p + share * vertex
     q = np.zeros(p.size)
-    q[support], converged = _newton(p[support], g[:, support], h, q0[support], held)
-    candidates = [q0, q]
-    best_q, best_val = None, math.inf
-    for cand in candidates:
-        cand = np.maximum(cand, 0.0)
-        total = cand.sum()
-        if total <= 0.0:
-            continue
-        cand = cand / total
-        # keep only candidates that actually satisfy the constraints
-        if any(float(a @ cand) > b + 1e-9 * (1.0 + abs(b)) for a, b in all_hs):
-            continue
-        val = relative_entropy(cand, p)
+    q[support], converged = _newton(p[support], g[:, support], h, q0[support], held, tight)
+    if converged:
+        return q, relative_entropy(q, p), True
+    best_q, best_val = q0, relative_entropy(q0, p)
+    q = np.maximum(q, 0.0)
+    q /= q.sum()
+    # the run's last point counts only where it satisfies every row
+    if (rows @ q <= bounds + 1e-9 * (1.0 + np.abs(bounds))).all():
+        val = relative_entropy(q, p)
         if val < best_val:
-            best_q, best_val = cand, val
-    if best_q is None:
-        best_q, best_val = q0, relative_entropy(q0, p)
-    return best_q, best_val, converged
+            best_q, best_val = q, val
+    return best_q, best_val, False
 
 
 def sanov_rate(
@@ -390,7 +404,7 @@ def sanov_rate(
         # dual route contributes nothing useful
         q_dual, h_dual = None, math.inf
     q_primal, h_primal, primal_converged = _primal_descent(
-        p, halfspaces, f, f_floor, vertices, degenerate
+        p, halfspaces, f, f_floor, vertices, degenerate, q_dual
     )
     # a certified primal lies in the set; the tilt may miss the F row by rounding, reading low
     if primal_converged or h_primal < h_dual:

@@ -373,6 +373,15 @@ def test_report_text_canonicalizes_numpy_values():
         exp_harness.report_text({"set": {1}})
 
 
+def test_report_text_maps_keys_to_text_before_it_sorts_them():
+    # keys of mixed types used to raise TypeError from the sort
+    assert exp_harness.report_text({1: "a", "b": 2}) == '{\n  "1": "a",\n  "b": 2\n}\n'
+    assert list(canonicalize({"b": 1, 2: {"z": 0, 1.5: 1}})) == ["2", "b"]
+    # two keys that print alike would leave one value out of the report
+    with pytest.raises(sm.InputError, match="two keys of a report dict print as the same text"):
+        exp_harness.report_text({1: "a", "1": "b"})
+
+
 # ---------------------------------------------------------------------------
 # worker pool
 # ---------------------------------------------------------------------------

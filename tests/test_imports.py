@@ -61,6 +61,16 @@ def test_importing_the_package_leaves_scipy_out(module):
     assert not _scipy_loaded_after(f"import {module}")
 
 
+@pytest.mark.parametrize("module", ["screened_mc", "screened_mc.cli", "screened_mc.exp_harness"])
+def test_importing_the_package_leaves_the_worker_pool_stack_out(module):
+    # multiprocessing and concurrent.futures load when the first pool is built
+    script = (
+        f"import {module}, sys\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
+    )
+    assert _fresh(script) == "[]\n"
+
+
 def test_bound_on_the_readme_config_leaves_scipy_out(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(_README))

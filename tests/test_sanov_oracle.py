@@ -1,5 +1,6 @@
 import math
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -86,7 +87,17 @@ def _project_constrained_simplex(
     scale = float(h @ w) - 1.0
     if not scale < 0.0:
         return None
-    q = np.maximum(v - (g.T @ w) / scale, 0.0)
+    q = v - (g.T @ w) / scale
+    # the dual's rounding leaves a zero as an entry of 1e-17 to 1e-15, and
+    # can leave q outside a binding row by 1e-12 (a thin wedge under AVX2):
+    # a last least-norm step on the support puts q back on the simplex and
+    # on every row it meets to within 1e-9
+    on = q > 1e-12
+    q[~on] = 0.0
+    binding = [(a, b) for a, b in halfspaces if abs(float(a @ q) - b) <= 1e-9 * (1.0 + abs(b))]
+    rows = np.array([np.ones(m), *(a for a, _ in binding)])[:, on]
+    miss = np.array([1.0, *(b for _, b in binding)]) - rows @ q[on]
+    q[on] += rows.T @ np.linalg.lstsq(rows @ rows.T, miss, rcond=None)[0]
     if abs(float(q.sum()) - 1.0) > 1e-9 or any(
         float(a @ q) > b + 1e-9 * (1.0 + abs(b)) for a, b in halfspaces
     ):
@@ -299,8 +310,17 @@ def test_sanov_reports_primal_convergence(monkeypatch):
     assert res.primal_converged is True
     assert res.to_dict()["primal_converged"] is True
 
-    # one Newton step from the start cannot certify the gap
+    # one Newton step from the dual route's tilted law certifies the gap ...
     monkeypatch.setattr(sanov_oracle, "_NEWTON_CAP", 1)
+    assert sm.sanov_rate(model, pair, 0.1, 0.05).primal_converged is True
+    # (with no step at all the start law is the uncertified primal answer)
+    monkeypatch.setattr(sanov_oracle, "_NEWTON_CAP", 0)
+    res = sm.sanov_rate(model, pair, 0.1, 0.05)
+    assert res.primal_converged is False and res.primal_entropy == res.dual_entropy
+    monkeypatch.setattr(sanov_oracle, "_NEWTON_CAP", 1)
+
+    # ... but not from the cold start, which the run takes where the dual gives no law
+    monkeypatch.setattr(sanov_oracle, "_tilted_dual", lambda *args: (None, math.inf))
     res = sm.sanov_rate(model, pair, 0.1, 0.05)
     assert res.primal_converged is False
     assert res.to_dict()["primal_converged"] is False
@@ -360,44 +380,90 @@ def _slsqp_primal(p, halfspaces, f, f_floor):
     return best
 
 
-def test_primal_newton_certifies_every_finite_instance(monkeypatch):
-    # every feasible one- and two-sided request of the benchmark's finite
-    # instances, seeds 1-30: the run certifies its gap, stays inside every
-    # row, meets the dual route and the Fenchel rate, and never reads
-    # above SLSQP (which, where it read lower, left the moment set)
+def _finite_requests(monkeypatch):
+    """Every feasible one- and two-sided request of the benchmark's finite
+    instances, seeds 1-30, with the oracle's inputs for it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from workloads import finite_instance
 
-    seen = {"one_sided": 0, "two_sided": 0}
     for seed in range(1, 31):
         for k in range(8):
             cfg = parse_config(finite_instance(seed, k))
             model = build_model(cfg.model)
             pair = build_pair(model, cfg.observables)
-            p, f, u_vals = model.probs, pair.f(model.atoms), pair.u(model.atoms)
+            f, u_vals = pair.f(model.atoms), pair.u(model.atoms)
             f_floor = pair.mu + cfg.screen.epsilon
-            for sidedness in seen:
+            for sidedness in ("one_sided", "two_sided"):
                 halfspaces = _screen(u_vals, pair.nu, cfg.screen.u, sidedness)
                 vertices = _vertices(f, halfspaces)
                 feasible, degenerate = sanov_oracle._classify(vertices, f_floor)
-                if not feasible:
-                    continue
-                seen[sidedness] += 1
-                where = (seed, k, sidedness)
-                q, h, converged = sanov_oracle._primal_descent(
-                    p, halfspaces, f, f_floor, vertices, degenerate
-                )
-                assert converged, where
-                assert h == sm.relative_entropy(q, p)
-                rows = halfspaces + [(-f, -f_floor)]
-                assert max(float(a @ q) - b for a, b in rows) <= 1e-12, where
-                assert abs(q.sum() - 1.0) <= 1e-12, where
-                assert h <= _slsqp_primal(p, halfspaces, f, f_floor)[1] + 1e-11, where
-                res = sm.sanov_rate(model, pair, cfg.screen.epsilon, cfg.screen.u, sidedness)
-                assert res.primal_entropy == h and res.primal_converged
-                assert abs(h - res.dual_entropy) <= 1e-12 * (1.0 + h), where
-                assert res.gap <= 1e-12 * (1.0 + h), where
+                if feasible:
+                    yield SimpleNamespace(
+                        where=(seed, k, sidedness), model=model, pair=pair,
+                        eps=cfg.screen.epsilon, u=cfg.screen.u, sidedness=sidedness,
+                        p=model.probs, f=f, u_vals=u_vals, halfspaces=halfspaces,
+                        f_floor=f_floor, vertices=vertices, degenerate=degenerate,
+                    )
+
+
+def test_primal_newton_certifies_every_finite_instance(monkeypatch):
+    # from the cold start, on every request: the run certifies its gap,
+    # stays inside every row, meets the dual route and the Fenchel rate,
+    # and never reads above SLSQP (which, where it read lower, left the
+    # moment set); started at the dual route's tilted law, as `sanov_rate`
+    # starts it, the run certifies in one or two steps at the same entropy
+    seen = {"one_sided": 0, "two_sided": 0}
+    steps = []
+    full_cap = sanov_oracle._NEWTON_CAP
+    for r in _finite_requests(monkeypatch):
+        seen[r.sidedness] += 1
+        q, h, converged = sanov_oracle._primal_descent(
+            r.p, r.halfspaces, r.f, r.f_floor, r.vertices, r.degenerate
+        )
+        assert converged, r.where
+        assert h == sm.relative_entropy(q, r.p)
+        rows = r.halfspaces + [(-r.f, -r.f_floor)]
+        assert max(float(a @ q) - b for a, b in rows) <= 1e-12, r.where
+        assert abs(q.sum() - 1.0) <= 1e-12, r.where
+        assert h <= _slsqp_primal(r.p, r.halfspaces, r.f, r.f_floor)[1] + 1e-11, r.where
+        for cap in (1, 2):
+            monkeypatch.setattr(sanov_oracle, "_NEWTON_CAP", cap)
+            res = sm.sanov_rate(r.model, r.pair, r.eps, r.u, r.sidedness)
+            if res.primal_converged:
+                break
+        monkeypatch.setattr(sanov_oracle, "_NEWTON_CAP", full_cap)
+        assert res.primal_converged, r.where
+        steps.append(cap)
+        assert abs(res.primal_entropy - h) <= 1e-14 * (1.0 + h), r.where
+        assert abs(h - res.dual_entropy) <= 1e-12 * (1.0 + h), r.where
+        assert res.gap <= 1e-12 * (1.0 + h), r.where
     assert seen == {"one_sided": 240, "two_sided": 229}
+    assert np.mean(steps) <= 1.5  # the cold start takes 5.7 on average
+
+
+def test_primal_newton_from_a_wrong_tilt_ends_at_the_certified_entropy(monkeypatch):
+    # the warm start steers only the step count: from the law at 1.5 times
+    # the maximizing F tilt, which still lies inside every row, the run
+    # certifies the entropy the cold start certifies
+    tried = 0
+    for r in _finite_requests(monkeypatch):
+        if r.degenerate:
+            continue
+        _, (t1, t2) = sm.rate_plus_star_detail(r.model, r.pair, r.eps, r.u, "lambda_plus")
+        wrong, _ = sanov_oracle._tilted_dual(
+            r.p, r.f, r.u_vals, (1.5 * t1, t2), r.halfspaces, r.f_floor
+        )
+        if wrong is None or not (wrong > 0.0).all():
+            continue
+        tried += 1
+        args = (r.p, r.halfspaces, r.f, r.f_floor, r.vertices, r.degenerate)
+        _, cold, _ = sanov_oracle._primal_descent(*args)
+        q, h, converged = sanov_oracle._primal_descent(*args, wrong)
+        assert converged, r.where
+        assert abs(h - cold) <= 1e-14 * (1.0 + cold), r.where
+        rows = r.halfspaces + [(-r.f, -r.f_floor)]
+        assert max(float(a @ q) - b for a, b in rows) <= 1e-12, r.where
+    assert tried >= 300
 
 
 def test_primal_newton_on_a_point_mass_face():
